@@ -79,8 +79,8 @@ std::vector<Convoy> DiscoverConvoys(const SnapshotStream& stream,
     const Snapshot& snap = stream[t];
     const uint64_t universe =
         snap.empty() ? 0 : uint64_t{snap.ids().back()} + 1;
-    const bool use_bitset = BitsetKernelsEnabled() && !candidates.empty() &&
-                            BitsetProfitable(universe, snap.size());
+    const bool use_bitset =
+        !candidates.empty() && BitsetProfitable(universe, snap.size());
     std::vector<DenseBitset> cluster_bits(
         use_bitset ? clustering.clusters.size() : 0);
     ObjectSet inter;  // reused across pairs; moved out only when kept

@@ -144,12 +144,8 @@ void BuddyDiscoverer::ProcessSnapshot(
     // The cluster's expanded set is the raw cluster itself; its signature
     // feeds the O(1) disjointness prefilter in IntersectAtomSets and the
     // closedness prefilter below. Unlike the membership bitsets, Bloom
-    // signatures work at any id density, so this is gated only on the
-    // kill switch.
-    if (BitsetKernelsEnabled()) {
-      atoms.signature = SetSignature::Of(cluster);
-      atoms.signature_valid = true;
-    }
+    // signatures work at any id density.
+    atoms.signature = SetSignature::Of(cluster);
   }
 
   // Per-cluster membership bitsets over the loose objects: every candidate
@@ -161,7 +157,7 @@ void BuddyDiscoverer::ProcessSnapshot(
   const uint64_t universe =
       snapshot.empty() ? 0 : uint64_t{snapshot.ids().back()} + 1;
   const bool use_bitset =
-      BitsetKernelsEnabled() && BitsetProfitable(universe, snapshot.size()) &&
+      BitsetProfitable(universe, snapshot.size()) &&
       cluster_atoms.size() * (universe / 8 + 1) <= kMaxClusterBitsetBytes;
   std::vector<DenseBitset> cluster_bits(cluster_atoms.size());
   if (use_bitset) {
@@ -280,9 +276,8 @@ void BuddyDiscoverer::ProcessSnapshot(
       // Signature prefilter: c ⊆ r is impossible unless c's Bloom bits
       // and id range sit inside r's. Skips most of the quadratic scan;
       // never false-rejects, so the exact check still decides.
-      if (r.duration >= duration &&
-          (!c.signature_valid || !r.signature_valid ||
-           c.signature.MaybeSubsetOf(r.signature)) &&
+      TCOMP_DCHECK(r.signature == index_.ComposeSignature(r));
+      if (r.duration >= duration && c.signature.MaybeSubsetOf(r.signature) &&
           AtomSetIsSubset(c, r, index_, buddy_of)) {
         closed = false;
         break;
@@ -492,17 +487,8 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
       }
     }
     // Signatures are derived state, not persisted; rebuild from the index
-    // (loaded above) so the prefilters resume immediately — but only in
-    // the mode the process is running in *now*, not the mode at save
-    // time. An uninterrupted kernels-off run never composes signatures
-    // (ProcessSnapshot gates on BitsetKernelsEnabled()), so a resumed
-    // kernels-off run must not either: a candidate resurrected with
-    // signature_valid=true would diverge from it the moment the switch
-    // is toggled back on mid-stream.
-    if (BitsetKernelsEnabled()) {
-      r.signature = index_.ComposeSignature(r);
-      r.signature_valid = true;
-    }
+    // (loaded above) so the prefilters resume immediately.
+    r.signature = index_.ComposeSignature(r);
     candidates_.push_back(std::move(r));
   }
   return Status::OK();

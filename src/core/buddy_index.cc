@@ -99,14 +99,12 @@ AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
   TCOMP_DCHECK(c_object_bits == nullptr ||
                c_object_bits->Count() == c.objects.size());
 
-  const bool kernels = BitsetKernelsEnabled();
   // O(1) disjointness prefilter: a zero Bloom-AND or non-overlapping id
   // ranges proves the expanded sets share nothing, which is exactly the
   // any_overlap=false answer the merge probes below would reach.
-  if (kernels && r.signature_valid && c.signature_valid &&
-      !r.signature.MaybeIntersects(c.signature)) {
-    return out;
-  }
+  TCOMP_DCHECK(r.signature == index.ComposeSignature(r));
+  TCOMP_DCHECK(c.signature == index.ComposeSignature(c));
+  if (!r.signature.MaybeIntersects(c.signature)) return out;
 
   // Membership of an object in the cluster's loose-object list: one bit
   // probe when the caller supplied the cluster's bitset, else a binary
@@ -201,12 +199,8 @@ AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
   out.remaining.size += out.remaining.objects.size();
   // Fresh atom sets get fresh signatures so the prefilter keeps working
   // down the candidate's lifetime; O(atom_count), no expansion.
-  if (kernels) {
-    out.result.signature = index.ComposeSignature(out.result);
-    out.result.signature_valid = true;
-    out.remaining.signature = index.ComposeSignature(out.remaining);
-    out.remaining.signature_valid = true;
-  }
+  out.result.signature = index.ComposeSignature(out.result);
+  out.remaining.signature = index.ComposeSignature(out.remaining);
   return out;
 }
 

@@ -26,14 +26,13 @@ struct AtomSet {
   /// because the discovery loop tests it constantly against δs.
   size_t size = 0;
 
-  /// Bloom/bounds signature of the *expanded* object set, meaningful only
-  /// while `signature_valid`. The kernel layer maintains it (composed from
-  /// cached per-buddy signatures, so no expansion happens) to answer the
-  /// disjointness and subset prefilters in O(1). The expanded set is
-  /// invariant for a live candidate — buddy retirement trades tokens for
-  /// the same objects — so validity survives ExpandRetired.
+  /// Bloom/bounds signature of the *expanded* object set. Every producer
+  /// composes it (from cached per-buddy signatures, so no expansion
+  /// happens) to answer the disjointness and subset prefilters in O(1);
+  /// the prefilters DCHECK it against BuddyIndex::ComposeSignature. The
+  /// expanded set is invariant for a live candidate — buddy retirement
+  /// trades tokens for the same objects — so it survives ExpandRetired.
   SetSignature signature;
-  bool signature_valid = false;
 
   /// Storage cost in atoms — what the buddy index actually keeps in
   /// memory: one token per buddy plus the loose objects.

@@ -20,16 +20,13 @@ bool CompanionLog::Report(const ObjectSet& objects, double duration,
   }
   const SetSignature signature = SetSignature::Of(objects);
   // The O(1) signature prefilter rejects most pairs before the element
-  // merge. It can only skip work, never change an answer
-  // (differential-tested), but it honors the kernel kill switch so that
-  // "kernels off" is the pure baseline for perf attribution.
-  const bool prefilter = BitsetKernelsEnabled();
+  // merge. It can only skip work, never change an answer.
   if (closed_mode_) {
     // Drop if dominated by a logged superset (Definition 5 on outputs).
     for (const auto& [set, pos] : index_) {
       if (set.size() >= objects.size() &&
           companions_[pos].duration >= duration &&
-          (!prefilter || signature.MaybeSubsetOf(signatures_[pos])) &&
+          signature.MaybeSubsetOf(signatures_[pos]) &&
           SortedIsSubset(objects, set)) {
         return false;
       }
@@ -38,7 +35,7 @@ bool CompanionLog::Report(const ObjectSet& objects, double duration,
     for (auto eit = index_.begin(); eit != index_.end();) {
       if (eit->first.size() <= objects.size() &&
           companions_[eit->second].duration <= duration &&
-          (!prefilter || signatures_[eit->second].MaybeSubsetOf(signature)) &&
+          signatures_[eit->second].MaybeSubsetOf(signature) &&
           SortedIsSubset(eit->first, objects)) {
         companions_[eit->second].objects.clear();  // tombstone
         eit = index_.erase(eit);
@@ -86,11 +83,10 @@ void CompanionLog::Clear() {
 bool IsClosedAgainst(const ObjectSet& objects, double duration,
                      const std::vector<Candidate>& against) {
   const SetSignature signature = SetSignature::Of(objects);
-  const bool prefilter = BitsetKernelsEnabled();
   for (const Candidate& r : against) {
     TCOMP_DCHECK(r.signature == SetSignature::Of(r.objects));
     if (r.duration >= duration && r.objects.size() >= objects.size() &&
-        (!prefilter || signature.MaybeSubsetOf(r.signature)) &&
+        signature.MaybeSubsetOf(r.signature) &&
         SortedIsSubset(objects, r.objects)) {
       return false;
     }

@@ -63,7 +63,7 @@ void ClusteringIntersectionDiscoverer::ProcessSnapshot(
   // match any cluster, so the bitset probes skip them.
   const uint64_t universe =
       snapshot.empty() ? 0 : uint64_t{snapshot.ids().back()} + 1;
-  const bool use_bitset = BitsetKernelsEnabled() && !candidates_.empty() &&
+  const bool use_bitset = !candidates_.empty() &&
                           BitsetProfitable(universe, snapshot.size());
   std::vector<DenseBitset> cluster_bits(
       use_bitset ? clustering.clusters.size() : 0);

@@ -48,7 +48,7 @@ class ClusteringIntersectionDiscoverer : public CompanionDiscoverer {
   /// the Clustering determinism spec; differential-tested).
   ClusterProvider cluster_provider_;
   /// Snapshot-to-snapshot clustering state; exact (byte-identical to
-  /// Dbscan) and process-gated by SetIncrementalClusteringEnabled().
+  /// Dbscan).
   IncrementalClusterer clusterer_;
 };
 

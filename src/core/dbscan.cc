@@ -1,7 +1,6 @@
 #include "core/dbscan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <unordered_map>
@@ -12,18 +11,6 @@
 #include "util/thread_pool.h"
 
 namespace tcomp {
-
-namespace {
-std::atomic<bool> g_incremental_clustering_enabled{true};
-}  // namespace
-
-void SetIncrementalClusteringEnabled(bool enabled) {
-  g_incremental_clustering_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool IncrementalClusteringEnabled() {
-  return g_incremental_clustering_enabled.load(std::memory_order_relaxed);
-}
 
 double GridCellWidth(double eps, double max_abs_coord) {
   // 2⁻⁴⁰ is ~8000x the relative rounding of a double division, so the pad
@@ -161,37 +148,34 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
   return internal::BuildClusteringFromCores(snapshot, core, neighbors);
 }
 
-namespace {
-
-struct CellKey {
-  int64_t cx;
-  int64_t cy;
-  bool operator==(const CellKey& o) const { return cx == o.cx && cy == o.cy; }
-};
-
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<uint64_t>(k.cy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
-/// SoA fast path for DbscanGrid: grid-sorted coordinate arrays + the
-/// batched ε-filter kernel. The grid becomes a sorted flat array of
-/// (cell, point) entries, so every 3×3 probe is a handful of contiguous
-/// ranges over coordinates permuted into grid order — exactly the shape
-/// EpsFilterBatch streams. Products and distance_ops are byte-identical
-/// to the scalar branch: the kernel evaluates the same closed-ball
-/// predicate over the same candidate multiset (each range element counts
-/// one op; the point itself sits in exactly one range and is subtracted),
-/// and rows are sorted either way.
-Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
-                         double cell_width, int64_t* distance_ops) {
+Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
+                      int64_t* distance_ops) {
   const size_t n = snapshot.size();
-  const double eps2 = params.epsilon * params.epsilon;
+  const double eps = params.epsilon;
+  const double eps2 = eps * eps;
+  TCOMP_CHECK_GT(eps, 0.0);
 
+  double max_abs = 0.0;
+  for (uint32_t i = 0; i < n; ++i) {
+    Point p = snapshot.pos(i);
+    // Defense in depth behind the stream-ingest validation: casting
+    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
+    // coordinate must never reach the cell bucketing below.
+    TCOMP_CHECK(std::isfinite(p.x) && std::isfinite(p.y))
+        << "non-finite coordinate for object " << snapshot.id(i);
+    max_abs = std::max({max_abs, std::fabs(p.x), std::fabs(p.y)});
+  }
+  // Padded cell width: with cells of exactly eps, the rounding of
+  // floor(x / eps) at large |x| can put a pair at distance exactly eps
+  // two cells apart, and the 3×3 scan would miss it (the flat backend
+  // would not — an eps-boundary disagreement). GridCellWidth pads the
+  // width so adjacent-cell coverage is guaranteed; membership is still
+  // decided exactly by the closed-ball compare of the ε-filter kernel.
+  const double cell_width = GridCellWidth(eps, max_abs);
+
+  // The grid is a sorted flat array of (cell, point) entries, so every
+  // 3×3 probe is a handful of contiguous ranges over coordinates permuted
+  // into grid order — exactly the shape EpsFilterBatch streams.
   struct Entry {
     int64_t cx;
     int64_t cy;
@@ -249,10 +233,9 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
   // Dbscan backend. Adjacent forward cells are consecutive in grid
   // order whenever occupied, so the cx+1 column typically collapses to
   // one merged span — ranges long enough for the kernel's vector path.
-  // distance_ops accounting: the scalar branch counts every ordered
-  // candidate pair, i.e. each unordered pair twice; the sweep evaluates
-  // each unordered pair once and counts it twice, so the recorded
-  // figure — the paper's cost-model metric — is identical.
+  // distance_ops accounting: the sweep evaluates each unordered pair
+  // once and counts it twice, so the recorded figure is the number of
+  // ordered candidate pairs a per-point 3×3 walk would compare.
   std::vector<uint32_t> span_offset(cells.size() + 1, 0);
   std::vector<std::pair<uint32_t, uint32_t>> spans;
   spans.reserve(cells.size() * 3);
@@ -334,8 +317,7 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
   // i in its own forward sweep. Scattering the reverse edges in
   // ascending i order makes each reverse segment pre-sorted, so one
   // small sort (forward list plus self) and one linear merge replace
-  // the full-row sort — rows come out exactly as the scalar branch's
-  // sorted rows, at a fraction of the comparisons.
+  // the full-row sort, at a fraction of the comparisons.
   std::vector<uint32_t> rev_off(n + 1, 0);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j : fwd[i]) ++rev_off[j + 1];
@@ -360,88 +342,6 @@ Clustering DbscanGridSoA(const Snapshot& snapshot, const DbscanParams& params,
     std::merge(f.begin(), f.end(), rev_buf.begin() + rb,
                rev_buf.begin() + re, std::back_inserter(row));
   }
-
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
-  }
-  if (distance_ops != nullptr) *distance_ops += ops;
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
-}
-
-}  // namespace
-
-Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
-                      int64_t* distance_ops) {
-  const size_t n = snapshot.size();
-  const double eps = params.epsilon;
-  const double eps2 = eps * eps;
-  TCOMP_CHECK_GT(eps, 0.0);
-
-  double max_abs = 0.0;
-  for (uint32_t i = 0; i < n; ++i) {
-    Point p = snapshot.pos(i);
-    // Defense in depth behind the stream-ingest validation: casting
-    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
-    // coordinate must never reach cell_of.
-    TCOMP_CHECK(std::isfinite(p.x) && std::isfinite(p.y))
-        << "non-finite coordinate for object " << snapshot.id(i);
-    max_abs = std::max({max_abs, std::fabs(p.x), std::fabs(p.y)});
-  }
-  // Padded cell width: with cells of exactly eps, the rounding of
-  // floor(x / eps) at large |x| can put a pair at distance exactly eps
-  // two cells apart, and the 3×3 scan would miss it (the flat backend
-  // would not — an eps-boundary disagreement). GridCellWidth pads the
-  // width so adjacent-cell coverage is guaranteed; membership is still
-  // decided exactly by WithinEps below.
-  const double cell_width = GridCellWidth(eps, max_abs);
-  if (SoAKernelsEnabled()) {
-    return DbscanGridSoA(snapshot, params, cell_width, distance_ops);
-  }
-  std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
-  grid.reserve(n);
-  auto cell_of = [cell_width](Point p) {
-    return CellKey{static_cast<int64_t>(std::floor(p.x / cell_width)),
-                   static_cast<int64_t>(std::floor(p.y / cell_width))};
-  };
-  for (uint32_t i = 0; i < n; ++i) {
-    grid[cell_of(snapshot.pos(i))].push_back(i);
-  }
-
-  int64_t ops = 0;
-  std::vector<std::vector<uint32_t>> neighbors(n);
-  const int shards = EffectiveShards(params.threads, n);
-  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-  // Row i of `neighbors` is owned by shard i % num_shards; the grid is
-  // read-only here, so the probe order — and therefore every row and the
-  // per-row op count — is identical to the serial sweep.
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    int64_t local_ops = 0;
-    for (uint32_t i = static_cast<uint32_t>(shard); i < n;
-         i += static_cast<uint32_t>(num_shards)) {
-      CellKey c = cell_of(snapshot.pos(i));
-      for (int64_t dx = -1; dx <= 1; ++dx) {
-        for (int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(CellKey{c.cx + dx, c.cy + dy});
-          if (it == grid.end()) continue;
-          for (uint32_t j : it->second) {
-            if (j == i) continue;
-            ++local_ops;
-            // tcomp-lint: allow(soa-raw-loop): sanctioned scalar fallback
-            // — the baseline DbscanGridSoA is differentially tested
-            // against when the SoA switch is off.
-            if (WithinEps(snapshot.pos(i), snapshot.pos(j), eps2)) {
-              neighbors[i].push_back(j);
-            }
-          }
-        }
-      }
-      neighbors[i].push_back(i);
-      std::sort(neighbors[i].begin(), neighbors[i].end());
-    }
-    shard_ops[static_cast<size_t>(shard)] = local_ops;
-  });
-  for (int64_t s : shard_ops) ops += s;
 
   std::vector<bool> core(n, false);
   for (uint32_t i = 0; i < n; ++i) {

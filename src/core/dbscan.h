@@ -47,17 +47,6 @@ inline bool WithinEps(Point a, Point b, double eps2) {
 /// |x₁ − x₂| ≤ eps, at the cost of a slightly denser grid.
 double GridCellWidth(double eps, double max_abs_coord);
 
-/// Process-wide kill switch for the incremental snapshot-to-snapshot
-/// clustering layer (core/incremental_cluster.h), mirroring the bitset
-/// kernel switch in util/dense_bitset.h. Defaults to enabled. Turning it
-/// off makes every discoverer re-cluster each snapshot from scratch;
-/// cluster products are identical either way (the incremental layer is
-/// exact by construction) — only the distance-evaluation cost changes.
-/// Relaxed atomics: toggling is a test/ops affordance, not a
-/// synchronization point.
-void SetIncrementalClusteringEnabled(bool enabled);
-bool IncrementalClusteringEnabled();
-
 /// Result of clustering one snapshot.
 ///
 /// The labeling is deterministic: clusters are numbered by their smallest
@@ -91,9 +80,11 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
                   int64_t* distance_ops = nullptr);
 
 /// Grid-accelerated density clustering with identical output to Dbscan().
-/// Buckets objects into an ε×ε grid and only compares 3×3 neighborhoods.
-/// Used by generators/examples where a fast exact clustering is needed and
-/// as a reference point in the clustering microbenchmarks.
+/// Buckets objects into an ε×ε grid and sweeps it forward, evaluating each
+/// pair of 3×3-adjacent objects once through the batched ε-filter kernel
+/// (util/eps_filter.h). Used by generators/examples where a fast exact
+/// clustering is needed and as a reference point in the clustering
+/// microbenchmarks; tests pin it against Dbscan().
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
 

@@ -55,8 +55,8 @@ struct DiscoveryStats {
   int64_t buddy_member_sum = 0;      // Σ per-snapshot Σ|b| (avg size calc)
 
   // Incremental clustering layer (core/incremental_cluster.h); zero for
-  // algorithms that re-cluster from scratch (BU) and when the layer is
-  // disabled. `cluster_reuse / (cluster_reuse + cluster_dirty)` is the
+  // algorithms that re-cluster from scratch (BU) and when a cluster
+  // provider replaces the built-in clusterer. `cluster_reuse / (cluster_reuse + cluster_dirty)` is the
   // fraction of object-snapshots whose neighborhood state was carried
   // over — the coherence the layer exploits.
   int64_t cluster_reuse = 0;          // Σ per-snapshot stable objects
@@ -64,10 +64,10 @@ struct DiscoveryStats {
   int64_t cluster_full_rebuilds = 0;  // snapshots that fell back to full
 
   // SoA ε-filter kernels (util/eps_filter.h): batches dispatched and
-  // candidate lanes streamed through them. Zero when the SoA switch is
-  // off or the algorithm's clustering path has no batched filter.
-  // Monitoring-grade only: NOT serialized by SaveCommon (the values
-  // differ between SoA-on and SoA-off runs of identical products, so
+  // candidate lanes streamed through them. Zero when the algorithm's
+  // clustering path has no batched filter or a cluster provider replaces
+  // it. Monitoring-grade only: NOT serialized by SaveCommon (the values
+  // differ between built-in and provider runs of identical products, so
   // they must stay out of the checkpoint byte stream) — they restart
   // from zero after a resume, like process counters do.
   int64_t soa_batches = 0;

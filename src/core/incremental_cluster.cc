@@ -185,82 +185,59 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
   std::vector<std::vector<uint32_t>> neighbors(n);
   Timer filter_timer;
   filter_timer.Start();
-  if (SoAKernelsEnabled()) {
-    // SoA path: gather each row's carried candidates (the list tail with
-    // id > self, so each symmetric pair is filtered exactly once — same
-    // pair set, same op count as the scalar walk below), stream them
-    // through EpsFilterGather, and emit surviving pairs as packed
-    // (row << 32 | col) edges into the arena. Rows are then built with
-    // exact reserves and sorted — ascending, the scalar row order.
-    const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
-    size_t total_list = 0;
-    size_t max_list = 0;
-    for (const std::vector<ObjectId>& list : lists_) {
-      total_list += list.size();
-      max_list = std::max(max_list, list.size());
+  // Gather each row's carried candidates (the list tail with id > self,
+  // so each symmetric pair is filtered exactly once), stream them through
+  // EpsFilterGather, and emit surviving pairs as packed (row << 32 | col)
+  // edges into the arena. Rows are then built with exact reserves and
+  // sorted ascending.
+  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
+  size_t total_list = 0;
+  size_t max_list = 0;
+  for (const std::vector<ObjectId>& list : lists_) {
+    total_list += list.size();
+    max_list = std::max(max_list, list.size());
+  }
+  uint32_t* cand = arena_.AllocateArray<uint32_t>(max_list);
+  uint32_t* surv = arena_.AllocateArray<uint32_t>(max_list);
+  // Every surviving pair contributes both directions; Σ tails ==
+  // total_list / 2 pairs, so total_list bounds the edge count.
+  uint64_t* edges = arena_.AllocateArray<uint64_t>(total_list);
+  size_t edge_count = 0;
+  int64_t lanes = 0;
+  int64_t batches = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const std::vector<ObjectId>& list = lists_[i];
+    auto tail = std::upper_bound(list.begin(), list.end(), ids_[i]);
+    size_t m = 0;
+    for (auto it = tail; it != list.end(); ++it) cand[m++] = IndexOfId(*it);
+    if (m == 0) continue;
+    *ops += static_cast<int64_t>(m);
+    lanes += static_cast<int64_t>(m);
+    ++batches;
+    const size_t kept = EpsFilterGather(soa.x, soa.y, cand, m, soa.x[i],
+                                        soa.y[i], eps2, surv);
+    for (size_t k = 0; k < kept; ++k) {
+      const uint64_t j = surv[k];
+      edges[edge_count++] = (static_cast<uint64_t>(i) << 32) | j;
+      edges[edge_count++] = (j << 32) | i;
     }
-    uint32_t* cand = arena_.AllocateArray<uint32_t>(max_list);
-    uint32_t* surv = arena_.AllocateArray<uint32_t>(max_list);
-    // Every surviving pair contributes both directions; Σ tails ==
-    // total_list / 2 pairs, so total_list bounds the edge count.
-    uint64_t* edges = arena_.AllocateArray<uint64_t>(total_list);
-    size_t edge_count = 0;
-    int64_t lanes = 0;
-    int64_t batches = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      const std::vector<ObjectId>& list = lists_[i];
-      auto tail = std::upper_bound(list.begin(), list.end(), ids_[i]);
-      size_t m = 0;
-      for (auto it = tail; it != list.end(); ++it) cand[m++] = IndexOfId(*it);
-      if (m == 0) continue;
-      *ops += static_cast<int64_t>(m);
-      lanes += static_cast<int64_t>(m);
-      ++batches;
-      const size_t kept = EpsFilterGather(soa.x, soa.y, cand, m, soa.x[i],
-                                          soa.y[i], eps2, surv);
-      for (size_t k = 0; k < kept; ++k) {
-        const uint64_t j = surv[k];
-        edges[edge_count++] = (static_cast<uint64_t>(i) << 32) | j;
-        edges[edge_count++] = (j << 32) | i;
-      }
-    }
-    uint32_t* degree = arena_.AllocateArray<uint32_t>(n);
-    std::fill(degree, degree + n, 0u);
-    for (size_t e = 0; e < edge_count; ++e) ++degree[edges[e] >> 32];
-    for (uint32_t i = 0; i < n; ++i) {
-      neighbors[i].reserve(degree[i] + 1);
-      neighbors[i].push_back(i);
-    }
-    for (size_t e = 0; e < edge_count; ++e) {
-      neighbors[edges[e] >> 32].push_back(static_cast<uint32_t>(edges[e]));
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      std::sort(neighbors[i].begin(), neighbors[i].end());
-    }
-    if (delta != nullptr) {
-      delta->soa_batches += batches;
-      delta->soa_lanes += lanes;
-    }
-  } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      // Mirror pushes from earlier rows are all < i, the lists_ walk below
-      // only appends indices > i in ascending id order, so every neighbor
-      // row comes out ascending without a sort.
-      neighbors[i].push_back(i);
-      const ObjectId self = ids_[i];
-      const Point pi = snapshot.pos(i);
-      for (ObjectId u : lists_[i]) {
-        if (u <= self) continue;  // symmetric lists: filter each pair once
-        const size_t j = IndexOfId(u);
-        ++*ops;
-        // tcomp-lint: allow(soa-raw-loop): this IS the sanctioned scalar
-        // fallback the SoA branch above is differentially tested against.
-        if (WithinEps(pi, snapshot.pos(j), eps2)) {
-          neighbors[i].push_back(static_cast<uint32_t>(j));
-          neighbors[j].push_back(i);
-        }
-      }
-    }
+  }
+  uint32_t* degree = arena_.AllocateArray<uint32_t>(n);
+  std::fill(degree, degree + n, 0u);
+  for (size_t e = 0; e < edge_count; ++e) ++degree[edges[e] >> 32];
+  for (uint32_t i = 0; i < n; ++i) {
+    neighbors[i].reserve(degree[i] + 1);
+    neighbors[i].push_back(i);
+  }
+  for (size_t e = 0; e < edge_count; ++e) {
+    neighbors[edges[e] >> 32].push_back(static_cast<uint32_t>(edges[e]));
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    std::sort(neighbors[i].begin(), neighbors[i].end());
+  }
+  if (delta != nullptr) {
+    delta->soa_batches += batches;
+    delta->soa_lanes += lanes;
   }
   filter_timer.Stop();
   if (delta != nullptr) delta->eps_filter_seconds += filter_timer.Seconds();
@@ -274,14 +251,6 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
 Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
                                          int64_t* distance_ops,
                                          ClusterDeltaStats* delta) {
-  if (!IncrementalClusteringEnabled()) {
-    // Kill switch: drop carried state (a later re-enable must re-probe
-    // from scratch, exactly like an uninterrupted toggled run) and
-    // delegate to the reference implementation, threads and all.
-    Reset();
-    return Dbscan(snapshot, params_, distance_ops);
-  }
-
   // All per-snapshot scratch (cell index, id→index table, SoA view, edge
   // buffers) lives until here and no longer; after the warm-up snapshot
   // has sized the arena this is the only allocation event per snapshot —
@@ -459,12 +428,6 @@ Status IncrementalClusterer::LoadState(std::istream& in) {
     }
   }
   if (has == 0) return Status::OK();
-  if (!IncrementalClusteringEnabled()) {
-    // Honor the *current* kill-switch mode, not the mode at save time: an
-    // uninterrupted run with the layer off would have dropped this state
-    // (Cluster() resets before delegating), so a resumed run must too.
-    return Status::OK();
-  }
   ids_ = std::move(ids);
   anchors_ = std::move(anchors);
   has_state_ = true;

@@ -26,12 +26,12 @@ struct ClusterDeltaStats {
   int64_t full_rebuilds = 0;
 
   /// SoA ε-filter kernel activity (util/eps_filter.h): batches dispatched
-  /// and candidate lanes streamed. Zero when SoAKernelsEnabled() is off.
+  /// and candidate lanes streamed.
   int64_t soa_batches = 0;
   int64_t soa_lanes = 0;
   /// Wall time spent in the exact ε-filter portion of FinishExact
-  /// (neighbor-graph construction), whichever kernel served it. Timing
-  /// only — never read back into control flow.
+  /// (neighbor-graph construction). Timing only — never read back into
+  /// control flow.
   double eps_filter_seconds = 0.0;
 };
 
@@ -64,11 +64,9 @@ struct ClusterDeltaStats {
 /// cannot be proven cheaply (no carried state, or churn above the
 /// fallback threshold) the snapshot is conservatively re-probed in full.
 ///
-/// The layer is process-gated by SetIncrementalClusteringEnabled(); when
-/// off, Cluster() drops its carried state and delegates to the reference
-/// Dbscan() (ops accounting then matches the pre-incremental behavior
-/// exactly). The clusterer is deliberately serial: its products and its
-/// distance_ops are independent of DbscanParams::threads.
+/// Tests pin the products against the reference Dbscan(). The clusterer
+/// is deliberately serial: its products and its distance_ops are
+/// independent of DbscanParams::threads.
 ///
 /// Not thread-safe; one instance per stream, like the discoverers.
 class IncrementalClusterer {
@@ -94,8 +92,6 @@ class IncrementalClusterer {
   void SaveState(std::ostream& out) const;
   Status LoadState(std::istream& in);
 
-  bool has_state() const { return has_state_; }
-
   /// Heap bytes held by the per-snapshot scratch arena (SoA views, cell
   /// index, id→index table, edge buffers). Stable across snapshots once
   /// the workload's high-water mark has been seen — the no-heap-growth
@@ -112,11 +108,9 @@ class IncrementalClusterer {
   /// function of the anchors). Shared by the rebuild and load paths.
   void RebuildListsFromAnchors(int64_t* ops);
 
-  /// The exact ε-filter + core/label finishing step over carried lists.
-  /// Routes the filter through the batched SoA kernels when
-  /// SoAKernelsEnabled(), through the scalar WithinEps walk otherwise —
-  /// byte-identical products and distance_ops either way. `delta` (may be
-  /// null) accumulates soa_batches/soa_lanes/eps_filter_seconds.
+  /// The exact ε-filter + core/label finishing step over carried lists,
+  /// through the batched SoA kernels. `delta` (may be null) accumulates
+  /// soa_batches/soa_lanes/eps_filter_seconds.
   Clustering FinishExact(const Snapshot& snapshot, int64_t* ops,
                          ClusterDeltaStats* delta);
 

@@ -67,7 +67,7 @@ class SmartClosedDiscoverer : public CompanionDiscoverer {
   std::vector<Candidate> candidates_;
   /// Built-in clustering path only (unused when clustering_fn_ is set —
   /// a custom metric has no anchor/triangle-inequality structure to
-  /// exploit). Exact and gated by SetIncrementalClusteringEnabled().
+  /// exploit). Exact: byte-identical to Dbscan.
   IncrementalClusterer clusterer_;
 };
 

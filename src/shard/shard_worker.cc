@@ -61,7 +61,7 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
   static thread_local std::vector<uint32_t> degree;
   // SoA mirrors of the sorted grid (sgx/sgy = point coordinates, sglocal
   // = local index, all in grid order) plus the candidate/survivor staging
-  // for EpsFilterGather. Built only when the SoA kernels are on.
+  // for EpsFilterGather.
   static thread_local std::vector<double> sgx;
   static thread_local std::vector<double> sgy;
   static thread_local std::vector<uint32_t> sglocal;
@@ -104,11 +104,8 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
 
   // Grid-order SoA mirror for the batched ε-filter: sgy duplicates the
   // sort key (band cursors advance over it with unit stride), sgx/sgy
-  // together feed EpsFilterGather, sglocal maps survivors back. The
-  // copies are exact, so cursor positions and accepted sets cannot
-  // diverge from the scalar walk.
-  const bool use_soa = SoAKernelsEnabled();
-  if (use_soa) {
+  // together feed EpsFilterGather, sglocal maps survivors back.
+  {
     const size_t m = grid.size();
     sgx.resize(m);
     sgy.resize(m);
@@ -176,52 +173,29 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
       for (int c = 0; c < ncol; ++c) {
         const uint32_t end = columns[cols[c] + 1].begin;
         uint32_t e = lo[c];
-        if (use_soa) {
-          // Gather-first: the skip rules (self, mirrored owned–owned
-          // pair) run before anything is counted or compared — exactly
-          // as in the scalar walk below — then the surviving band
-          // positions stream through the batched kernel in one go.
-          while (e < end && sgy[e] < y_lo) ++e;
-          lo[c] = e;  // source y only grows within the column
-          size_t m = 0;
-          for (; e < end && sgy[e] <= y_hi; ++e) {
-            const uint32_t k = sglocal[e];
-            if (k == k_src) continue;  // self
-            const uint32_t partner_row = row_of_local[k];
-            if (partner_row != kNoRow && k < k_src) continue;  // mirrored
-            cand[m++] = e;
-          }
-          result.distance_ops += static_cast<int64_t>(m);
-          const size_t kept = EpsFilterGather(sgx.data(), sgy.data(),
-                                              cand.data(), m, p.x, p.y,
-                                              eps2, surv.data());
-          for (size_t s = 0; s < kept; ++s) {
-            const uint32_t k = sglocal[surv[s]];
-            edges.push_back((static_cast<uint64_t>(row) << 32) | local[k]);
-            const uint32_t partner_row = row_of_local[k];
-            if (partner_row != kNoRow) {
-              edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
-            }
-          }
-          continue;
-        }
-        while (e < end && grid[e].y < y_lo) ++e;
+        // Gather-first: the skip rules (self, mirrored owned–owned pair)
+        // run before anything is counted or compared, then the surviving
+        // band positions stream through the batched kernel in one go.
+        while (e < end && sgy[e] < y_lo) ++e;
         lo[c] = e;  // source y only grows within the column
-        for (; e < end && grid[e].y <= y_hi; ++e) {
-          const uint32_t k = grid[e].local;
+        size_t m = 0;
+        for (; e < end && sgy[e] <= y_hi; ++e) {
+          const uint32_t k = sglocal[e];
           if (k == k_src) continue;  // self
           const uint32_t partner_row = row_of_local[k];
           if (partner_row != kNoRow && k < k_src) continue;  // mirrored
-          ++result.distance_ops;
-          const uint32_t j = local[k];
-          // tcomp-lint: allow(soa-raw-loop): sanctioned scalar fallback —
-          // the SoA gather branch above is differentially tested against
-          // this walk with the kill switch off.
-          if (WithinEps(p, snapshot.pos(j), eps2)) {
-            edges.push_back((static_cast<uint64_t>(row) << 32) | j);
-            if (partner_row != kNoRow) {
-              edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
-            }
+          cand[m++] = e;
+        }
+        result.distance_ops += static_cast<int64_t>(m);
+        const size_t kept = EpsFilterGather(sgx.data(), sgy.data(),
+                                            cand.data(), m, p.x, p.y, eps2,
+                                            surv.data());
+        for (size_t s = 0; s < kept; ++s) {
+          const uint32_t k = sglocal[surv[s]];
+          edges.push_back((static_cast<uint64_t>(row) << 32) | local[k]);
+          const uint32_t partner_row = row_of_local[k];
+          if (partner_row != kNoRow) {
+            edges.push_back((static_cast<uint64_t>(partner_row) << 32) | g);
           }
         }
       }
@@ -245,100 +219,6 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
     std::sort(row.begin(), row.end());
   }
   return result;
-}
-
-ShardBarrier::ShardBarrier(int count) : remaining_(count) {}
-
-void ShardBarrier::Done() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--remaining_ <= 0) cv_.notify_all();
-}
-
-void ShardBarrier::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return remaining_ <= 0; });
-}
-
-ShardWorkerPool::ShardWorkerPool(int num_workers) {
-  if (num_workers < 0) num_workers = 0;
-  inline_mode_ = std::thread::hardware_concurrency() <= 1;
-  workers_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    if (!inline_mode_) {
-      worker->thread =
-          std::thread(&ShardWorkerPool::WorkerLoop, this, worker.get());
-    }
-    workers_.push_back(std::move(worker));
-  }
-}
-
-ShardWorkerPool::~ShardWorkerPool() {
-  for (auto& worker : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(worker->mu);
-      worker->shutdown = true;
-    }
-    worker->cv.notify_all();
-  }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-}
-
-void ShardWorkerPool::Submit(int worker, std::function<void()> task) {
-  Worker& w = *workers_[static_cast<size_t>(worker)];
-  if (inline_mode_) {
-    // Single-hardware-thread host: run here and now. The gauges still
-    // move (depth pulses to 1) so dashboards stay uniform across hosts.
-    const int64_t depth = w.depth.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (depth > w.depth_peak.load(std::memory_order_relaxed)) {
-      w.depth_peak.store(depth, std::memory_order_relaxed);
-    }
-    task();
-    w.depth.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  int64_t depth_now;
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.queue.push_back(std::move(task));
-    depth_now = w.depth.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  // Peak maintenance races only against other Submit()s to the same
-  // worker; a lost update can under-report the peak by a sample, never
-  // invent one (monitoring-grade, like the queue gauges in src/service/).
-  if (depth_now > w.depth_peak.load(std::memory_order_relaxed)) {
-    w.depth_peak.store(depth_now, std::memory_order_relaxed);
-  }
-  w.cv.notify_one();
-}
-
-int64_t ShardWorkerPool::depth(int worker) const {
-  return workers_[static_cast<size_t>(worker)]->depth.load(
-      std::memory_order_relaxed);
-}
-
-int64_t ShardWorkerPool::depth_peak(int worker) const {
-  return workers_[static_cast<size_t>(worker)]->depth_peak.load(
-      std::memory_order_relaxed);
-}
-
-void ShardWorkerPool::WorkerLoop(Worker* worker) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(worker->mu);
-      worker->cv.wait(lock, [&] {
-        return worker->shutdown || !worker->queue.empty();
-      });
-      if (worker->queue.empty()) return;  // shutdown with a drained queue
-      task = std::move(worker->queue.front());
-      worker->queue.pop_front();
-    }
-    task();
-    worker->depth.fetch_sub(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace tcomp

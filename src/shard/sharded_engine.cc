@@ -1,10 +1,10 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tcomp {
@@ -12,8 +12,7 @@ namespace tcomp {
 ShardedClusterEngine::ShardedClusterEngine(const DbscanParams& params,
                                            int num_shards)
     : params_(params),
-      num_shards_(num_shards < 1 ? 1 : num_shards),
-      pool_(num_shards_ - 1) {}
+      num_shards_(num_shards < 1 ? 1 : num_shards) {}
 
 Clustering ShardedClusterEngine::Cluster(const Snapshot& snapshot,
                                          int64_t* distance_ops) {
@@ -38,22 +37,10 @@ Clustering ShardedClusterEngine::Cluster(const Snapshot& snapshot,
   work_timer.Start();
   const size_t shards = plan.slices.size();
   std::vector<ShardResult> results(shards);
-  if (shards > 1) {
-    ShardBarrier barrier(static_cast<int>(shards) - 1);
-    for (size_t k = 1; k < shards; ++k) {
-      const ShardSlice* slice = &plan.slices[k];
-      ShardResult* out = &results[k];
-      pool_.Submit(static_cast<int>(k) - 1, [this, &snapshot, slice, out,
-                                             &barrier] {
-        *out = ComputeShardNeighbors(snapshot, *slice, params_);
-        barrier.Done();
-      });
-    }
-    results[0] = ComputeShardNeighbors(snapshot, plan.slices[0], params_);
-    barrier.Wait();
-  } else {
-    results[0] = ComputeShardNeighbors(snapshot, plan.slices[0], params_);
-  }
+  ParallelForShards(static_cast<int>(shards), [&](int k, int) {
+    results[static_cast<size_t>(k)] = ComputeShardNeighbors(
+        snapshot, plan.slices[static_cast<size_t>(k)], params_);
+  });
   work_timer.Stop();
   if (stage_sink_ != nullptr) {
     stage_sink_->RecordStage(Stage::kShardCluster, work_timer.Seconds());
@@ -106,20 +93,6 @@ void ShardedClusterEngine::ExportMetrics(MetricsRegistry* registry) const {
       ->GetGauge("tcomp_shard_merge_fanin", "",
                  "Effective shard count of the most recent snapshot")
       ->Set(stats.merge_fanin_last);
-  for (int k = 0; k < num_shards_; ++k) {
-    std::string labels = "shard=\"" + std::to_string(k) + "\"";
-    // Shard 0 runs inline on the close thread and has no queue.
-    const int64_t depth = k == 0 ? 0 : pool_.depth(k - 1);
-    const int64_t peak = k == 0 ? 0 : pool_.depth_peak(k - 1);
-    registry
-        ->GetGauge("tcomp_shard_queue_depth", labels,
-                   "Per-shard task queue depth at sampling time")
-        ->Set(depth);
-    registry
-        ->GetGauge("tcomp_shard_queue_depth_peak", labels,
-                   "High-watermark per-shard task queue depth")
-        ->Set(peak);
-  }
 }
 
 }  // namespace tcomp

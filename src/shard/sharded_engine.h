@@ -31,9 +31,9 @@ struct ShardEngineStats {
 /// SetClusterProvider, replacing its per-snapshot clustering while the
 /// M/I-steps run unchanged.
 ///
-/// Shard 0 is always computed inline on the calling thread; shards
-/// 1..N-1 run on the pool's dedicated workers (their queues back the
-/// per-shard depth gauges). Snapshots are processed one at a time —
+/// The stripes fan out through ParallelForShards, the pool `--threads`
+/// also uses: shard 0 is computed inline on the calling thread, shards
+/// 1..N-1 on the pool's workers. Snapshots are processed one at a time —
 /// Cluster() returns only after the merge — so no shard state survives a
 /// snapshot close. That is the whole checkpoint story: a checkpoint taken
 /// under --shards K resumes at any other shard count because there is
@@ -62,15 +62,13 @@ class ShardedClusterEngine {
   ShardEngineStats stats() const;
 
   /// Registers and refreshes the engine's gauge/counter series on
-  /// `registry`: per-shard queue depth and peak (shard 0 reads 0 — it
-  /// runs inline on the close thread), halo counters, merge fan-in. The
-  /// name set is deterministic for a fixed shard count.
+  /// `registry`: shard count, routing and halo counters, merge fan-in.
+  /// The name set is the same at every shard count.
   void ExportMetrics(MetricsRegistry* registry) const;
 
  private:
   const DbscanParams params_;
   const int num_shards_;
-  ShardWorkerPool pool_;  // num_shards_ - 1 workers, shards 1..N-1
   StageTimerSink* stage_sink_ = nullptr;
 
   std::atomic<int64_t> snapshots_{0};

@@ -1,24 +1,11 @@
 #include "util/dense_bitset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "util/logging.h"
 
 namespace tcomp {
-
-namespace {
-std::atomic<bool> g_bitset_kernels_enabled{true};
-}  // namespace
-
-void SetBitsetKernelsEnabled(bool enabled) {
-  g_bitset_kernels_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool BitsetKernelsEnabled() {
-  return g_bitset_kernels_enabled.load(std::memory_order_relaxed);
-}
 
 void DenseBitset::Resize(size_t universe) {
   universe_ = universe;

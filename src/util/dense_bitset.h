@@ -104,13 +104,6 @@ bool IntersectsWith(const BitsetIdVector& a, const DenseBitset& bits);
 
 // --- Kernel selection -----------------------------------------------------
 
-/// Process-wide switch for the bitset fast paths. Defaults to enabled;
-/// differential tests and the perf harness disable it to force the pure
-/// merge path. Reads are relaxed atomics: flip it only between runs, not
-/// while a discoverer is mid-snapshot.
-void SetBitsetKernelsEnabled(bool enabled);
-bool BitsetKernelsEnabled();
-
 /// Density heuristic: true if a bitset over [0, universe) is worth
 /// building for a set population of `set_bits` ids. Requires the id space
 /// to be dense enough that words carry ≥1 member on average (sparse id

@@ -1,7 +1,6 @@
 #include "util/eps_filter.h"
 
 #include <algorithm>
-#include <atomic>
 
 // The exact-compare contract (util/eps_filter.h) requires every lane to
 // round exactly like the scalar WithinEps walk. The wide clones below
@@ -32,8 +31,6 @@ namespace tcomp {
 
 namespace {
 
-std::atomic<bool> g_soa_kernels_enabled{true};
-
 /// Chunk size for the mask-then-compact structure below: big enough that
 /// the vectorized compare loop amortizes its prologue, small enough that
 /// the mask and staging buffers live in L1 throughout.
@@ -46,14 +43,6 @@ constexpr uint32_t kChunk = 256;
 constexpr uint32_t kScalarCutoff = 16;
 
 }  // namespace
-
-void SetSoAKernelsEnabled(bool enabled) {
-  g_soa_kernels_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool SoAKernelsEnabled() {
-  return g_soa_kernels_enabled.load(std::memory_order_relaxed);
-}
 
 // Both kernels split each chunk into a branch-free compare pass that the
 // compiler can vectorize (independent lanes, no control flow, contiguous

@@ -23,15 +23,6 @@ namespace tcomp {
 /// layout/throughput optimization; tests/soa_differential_test.cc pins
 /// the equivalence end to end.
 
-/// Process-wide kill switch for the SoA hot paths, mirroring
-/// SetBitsetKernelsEnabled (PR 4) and SetIncrementalClusteringEnabled
-/// (PR 6): default on; off routes every consumer through its scalar
-/// loop, giving differential tests a pure baseline. Reading it is a
-/// relaxed atomic load — callers may toggle it between snapshots, not
-/// concurrently with a running filter.
-void SetSoAKernelsEnabled(bool enabled);
-bool SoAKernelsEnabled();
-
 /// Filters the contiguous candidate range [begin, end) of xs/ys against
 /// the query point (qx, qy): writes the positions whose squared distance
 /// is <= eps2 to `out` (ascending, capacity at least end - begin) and

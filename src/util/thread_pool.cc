@@ -91,6 +91,16 @@ void ParallelForShards(int threads,
     body(0, 1);
     return;
   }
+  // On a host with a single hardware thread the shards cannot overlap, so
+  // background workers would only add futex wake-ups and context switches
+  // to every region: run them in shard order on the caller instead. The
+  // shard decomposition, and so every product and counter, is unchanged.
+  static const bool single_hw_thread =
+      std::thread::hardware_concurrency() <= 1;
+  if (single_hw_thread) {
+    for (int shard = 0; shard < threads; ++shard) body(shard, threads);
+    return;
+  }
   std::lock_guard<std::mutex> lock(g_pool_mu);
   std::unique_ptr<ThreadPool>& pool = GlobalPoolSlot();
   if (pool == nullptr || pool->num_workers() < threads - 1) {

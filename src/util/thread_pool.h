@@ -61,9 +61,12 @@ int EffectiveShards(int threads, size_t n);
 /// Runs body(shard, num_shards) with num_shards == max(threads, 1) on a
 /// lazily created process-wide pool. threads <= 1 calls body(0, 1) inline
 /// on the calling thread — the pool is never touched, so single-threaded
-/// configurations behave exactly as if this facility did not exist.
+/// configurations behave exactly as if this facility did not exist. On a
+/// host with one hardware thread every shard runs inline, in shard order.
 /// Concurrent calls from different threads are serialized on the shared
-/// pool; parallelize within one region, not across regions.
+/// pool; parallelize within one region, not across regions. This is the
+/// one fan-out facility: `--threads` loops and `--shards` stripes both
+/// run on it.
 void ParallelForShards(int threads, const std::function<void(int, int)>& body);
 
 /// Contiguous-slice helper over an index range: partitions [0, n) into

@@ -76,6 +76,8 @@ TEST(AtomIntersectTest, SharedBuddyTokensMatchWhole) {
   c.buddy_ids = {1};
   c.size = 2;
 
+  r.signature = index.ComposeSignature(r);
+  c.signature = index.ComposeSignature(c);
   AtomIntersection out = IntersectAtomSets(r, c, index, oracle);
   EXPECT_EQ(out.result.buddy_ids, (std::vector<BuddyId>{1}));
   EXPECT_TRUE(out.result.objects.empty());
@@ -98,6 +100,8 @@ TEST(AtomIntersectTest, StraddlingBuddyDissolves) {
   c.objects = {10, 11};
   c.size = 2;
 
+  r.signature = index.ComposeSignature(r);
+  c.signature = index.ComposeSignature(c);
   AtomIntersection out = IntersectAtomSets(r, c, index, oracle);
   EXPECT_TRUE(out.result.buddy_ids.empty());
   EXPECT_EQ(out.result.objects, (ObjectSet{10, 11}));
@@ -121,6 +125,8 @@ TEST(AtomIntersectTest, LooseObjectInsideClusterToken) {
   c.buddy_ids = {1};
   c.size = 2;
 
+  r.signature = index.ComposeSignature(r);
+  c.signature = index.ComposeSignature(c);
   AtomIntersection out = IntersectAtomSets(r, c, index, oracle);
   EXPECT_EQ(out.result.objects, (ObjectSet{10}));
   EXPECT_EQ(out.remaining.objects, (ObjectSet{99}));
@@ -139,6 +145,8 @@ TEST(AtomIntersectTest, DisjointPairFastPath) {
   c.buddy_ids = {2};
   c.objects = {6};
   c.size = 3;
+  r.signature = index.ComposeSignature(r);
+  c.signature = index.ComposeSignature(c);
   AtomIntersection out = IntersectAtomSets(r, c, index, oracle);
   EXPECT_FALSE(out.any_overlap);
   EXPECT_TRUE(out.result.buddy_ids.empty());
@@ -155,6 +163,8 @@ TEST(AtomIntersectTest, LooseObjectsMatchLooseObjects) {
   AtomSet c;
   c.objects = {2, 3, 4};
   c.size = 3;
+  r.signature = index.ComposeSignature(r);
+  c.signature = index.ComposeSignature(c);
   AtomIntersection out = IntersectAtomSets(r, c, index, oracle);
   EXPECT_EQ(out.result.objects, (ObjectSet{2, 3}));
   EXPECT_EQ(out.remaining.objects, (ObjectSet{1}));

@@ -168,15 +168,15 @@ wait_for_port_file port.txt
 PORT=$(cat port.txt)
 
 # The sharded metric series exist and the name set is scrape-stable, as
-# in the unsharded block above — including the per-shard queue gauges and
-# the shard-stage histograms.
+# in the unsharded block above — including the shard gauges and the
+# shard-stage histograms.
 "$CLI" feed --port "$PORT" --query metrics --out metrics3.txt --quiet
 "$CLI" feed --port "$PORT" --query metrics --out metrics4.txt --quiet
 grep -q 'stage="shard_route"' metrics3.txt
 grep -q 'stage="shard_cluster"' metrics3.txt
 grep -q 'stage="merge_stitch"' metrics3.txt
-grep -q 'tcomp_shard_queue_depth{shard="7"}' metrics3.txt
-grep -q 'tcomp_shard_queue_depth_peak{shard="1"}' metrics3.txt
+grep -q '^tcomp_shards 8$' metrics3.txt
+grep -q '^tcomp_shard_merge_fanin ' metrics3.txt
 grep -q 'tcomp_shard_snapshots_total' metrics3.txt
 grep -q 'tcomp_shard_halo_objects_total' metrics3.txt
 grep -q 'tcomp_shard_fallback 0' metrics3.txt

@@ -122,14 +122,6 @@ TEST(DenseBitsetTest, ProbeHelpersStopAtUniverse) {
   EXPECT_FALSE(IntersectsWith(IdVec{}, bits));
 }
 
-TEST(DenseBitsetTest, KernelToggleRoundTrips) {
-  EXPECT_TRUE(BitsetKernelsEnabled());  // library default
-  SetBitsetKernelsEnabled(false);
-  EXPECT_FALSE(BitsetKernelsEnabled());
-  SetBitsetKernelsEnabled(true);
-  EXPECT_TRUE(BitsetKernelsEnabled());
-}
-
 TEST(DenseBitsetTest, ProfitabilityHeuristic) {
   EXPECT_FALSE(BitsetProfitable(0, 0));            // empty universe
   EXPECT_TRUE(BitsetProfitable(1000, 500));        // dense ids

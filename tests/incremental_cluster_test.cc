@@ -1,12 +1,14 @@
 /// Differential proof that the incremental clustering layer is exact:
-/// IncrementalClusterer must produce byte-identical clusterings to full
-/// per-snapshot DBSCAN on every stream we can throw at it — smooth
-/// motion, dropout/reappearance, whole-cluster teleports, stale
-/// (out-of-order) position reverts, kill-switch toggles mid-stream, and
-/// mid-stream checkpoint kill+resume — across thread counts and kernel
-/// modes. Also pins the shared eps-boundary convention (satellite: flat,
-/// grid, and incremental backends must agree on pairs at exactly ε,
-/// including pairs straddling grid cell borders at large coordinates).
+/// IncrementalClusterer must produce byte-identical clusterings to the
+/// reference per-snapshot Dbscan on every stream we can throw at it —
+/// smooth motion, dropout/reappearance, whole-cluster teleports, stale
+/// (out-of-order) position reverts, exact-ε pairs, and mid-stream
+/// checkpoint kill+resume. CI, SC, and the convoy baseline built on it
+/// must match the same runs with the reference Dbscan injected as their
+/// cluster provider, across thread counts and kernel modes. Also pins the
+/// shared eps-boundary convention (flat, grid, and incremental backends
+/// must agree on pairs at exactly ε, including pairs straddling grid cell
+/// borders at large coordinates).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,28 +26,14 @@
 #include "core/snapshot.h"
 #include "data/group_model.h"
 #include "tests/test_util.h"
-#include "util/dense_bitset.h"
 
 namespace tcomp {
 namespace {
 
-using testing_util::IncrementalClusteringGuard;
 using testing_util::MakeSnapshot;
-
-/// RAII pin for the bitset-kernel switch (mirrors the guard in
-/// kernel_differential_test).
-class KernelGuard {
- public:
-  explicit KernelGuard(bool enabled) : previous_(BitsetKernelsEnabled()) {
-    SetBitsetKernelsEnabled(enabled);
-  }
-  ~KernelGuard() { SetBitsetKernelsEnabled(previous_); }
-  KernelGuard(const KernelGuard&) = delete;
-  KernelGuard& operator=(const KernelGuard&) = delete;
-
- private:
-  bool previous_;
-};
+using testing_util::NormalizedState;
+using testing_util::ReferenceDbscanProvider;
+using testing_util::SparsifyIds;
 
 /// Fast, churny stream (same shape as kernel_differential_test): objects
 /// move far beyond the stability slack every snapshot, so this exercises
@@ -78,6 +66,79 @@ GroupDataset CoherentStream(uint64_t seed) {
   options.member_jitter = 0.8;
   options.seed = seed;
   return GenerateGroupStream(options);
+}
+
+/// Coherent stream where objects blink out for a window of snapshots and
+/// come back — having kept moving while dark. Deterministic per (id, t)
+/// so the stream is reproducible.
+SnapshotStream DropoutStream(uint64_t seed) {
+  GroupDataset data = CoherentStream(seed);
+  SnapshotStream stream;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> kept;
+    for (size_t i = 0; i < s.size(); ++i) {
+      uint64_t h = (static_cast<uint64_t>(s.id(i)) * 2654435761u +
+                    static_cast<uint64_t>(t) * 40503u) %
+                   11;
+      if (t >= 8 && t < 14 && h < 3) continue;  // dark window
+      kept.push_back(ObjectPosition{s.id(i), s.pos(i)});
+    }
+    stream.push_back(Snapshot(std::move(kept), s.duration()));
+  }
+  return stream;
+}
+
+/// Coherent stream where at t=12 a third of the population teleports far
+/// away (GPS re-fix, ferry hop) and at t=20 *everything* shifts, which
+/// must trip the churn fallback.
+SnapshotStream TeleportStream(uint64_t seed) {
+  GroupDataset data = CoherentStream(seed);
+  SnapshotStream stream;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> moved;
+    for (size_t i = 0; i < s.size(); ++i) {
+      Point p = s.pos(i);
+      if (t >= 12 && s.id(i) % 3 == 0) {
+        p.x += 5e6;
+        p.y += 5e6;
+      }
+      if (t >= 20) {
+        p.x -= 3e6;
+        p.y += 2e6;
+      }
+      moved.push_back(ObjectPosition{s.id(i), p});
+    }
+    stream.push_back(Snapshot(std::move(moved), s.duration()));
+  }
+  return stream;
+}
+
+/// "Plus" shapes with every arm at *exactly* ε = 18 from the centre, on
+/// grid cell borders and at a large magnitude (6·2⁴⁰ has ulp 2⁻¹⁰, so
+/// every coordinate below is exact). On odd snapshots one arm moves out
+/// to ε + 1/16: the motion stays under the stability slack, so carried
+/// state is reused and only the exact filter decides membership.
+SnapshotStream ExactEpsStream() {
+  const double eps = 18.0;
+  const double bases[] = {0.0, 5 * eps, 1048576.0,
+                          6.0 * 1099511627776.0 /* 2^40 */};
+  SnapshotStream stream;
+  for (int t = 0; t < 16; ++t) {
+    const double gap = (t % 2 == 0) ? eps : eps + 0.0625;
+    std::vector<ObjectPosition> pos;
+    ObjectId next = 0;
+    for (double b : bases) {
+      pos.push_back(ObjectPosition{next++, Point{b, b}});
+      pos.push_back(ObjectPosition{next++, Point{b + eps, b}});
+      pos.push_back(ObjectPosition{next++, Point{b - eps, b}});
+      pos.push_back(ObjectPosition{next++, Point{b, b + eps}});
+      pos.push_back(ObjectPosition{next++, Point{b, b - gap}});
+    }
+    stream.push_back(Snapshot(std::move(pos), 1.0));
+  }
+  return stream;
 }
 
 DbscanParams ClusterParams() {
@@ -131,13 +192,11 @@ ClusterDeltaStats ExpectIncrementalMatchesFull(const SnapshotStream& stream,
 class IncrementalClusterTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalClusterTest, MatchesFullDbscanOnChurnyStream) {
-  IncrementalClusteringGuard incremental_on(true);
   ExpectIncrementalMatchesFull(ChurnyStream(GetParam()).stream,
                                ClusterParams());
 }
 
 TEST_P(IncrementalClusterTest, MatchesFullDbscanOnCoherentStream) {
-  IncrementalClusteringGuard incremental_on(true);
   GroupDataset data = CoherentStream(GetParam());
   ClusterDeltaStats delta =
       ExpectIncrementalMatchesFull(data.stream, ClusterParams());
@@ -150,51 +209,11 @@ TEST_P(IncrementalClusterTest, MatchesFullDbscanOnCoherentStream) {
 }
 
 TEST_P(IncrementalClusterTest, DropoutAndReappearance) {
-  IncrementalClusteringGuard incremental_on(true);
-  GroupDataset data = CoherentStream(GetParam());
-  // Objects blink out for a window of snapshots and come back — having
-  // kept moving while dark. Deterministic per (id, t) so the stream is
-  // reproducible.
-  SnapshotStream stream;
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    const Snapshot& s = data.stream[t];
-    std::vector<ObjectPosition> kept;
-    for (size_t i = 0; i < s.size(); ++i) {
-      uint64_t h = (static_cast<uint64_t>(s.id(i)) * 2654435761u +
-                    static_cast<uint64_t>(t) * 40503u) %
-                   11;
-      if (t >= 8 && t < 14 && h < 3) continue;  // dark window
-      kept.push_back(ObjectPosition{s.id(i), s.pos(i)});
-    }
-    stream.push_back(Snapshot(std::move(kept), s.duration()));
-  }
-  ExpectIncrementalMatchesFull(stream, ClusterParams());
+  ExpectIncrementalMatchesFull(DropoutStream(GetParam()), ClusterParams());
 }
 
 TEST_P(IncrementalClusterTest, WholeClusterTeleport) {
-  IncrementalClusteringGuard incremental_on(true);
-  GroupDataset data = CoherentStream(GetParam());
-  // At t=12 a third of the population teleports far away (GPS re-fix,
-  // ferry hop); at t=20 *everything* shifts, which must trip the churn
-  // fallback and still match full DBSCAN.
-  SnapshotStream stream;
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    const Snapshot& s = data.stream[t];
-    std::vector<ObjectPosition> moved;
-    for (size_t i = 0; i < s.size(); ++i) {
-      Point p = s.pos(i);
-      if (t >= 12 && s.id(i) % 3 == 0) {
-        p.x += 5e6;
-        p.y += 5e6;
-      }
-      if (t >= 20) {
-        p.x -= 3e6;
-        p.y += 2e6;
-      }
-      moved.push_back(ObjectPosition{s.id(i), p});
-    }
-    stream.push_back(Snapshot(std::move(moved), s.duration()));
-  }
+  const SnapshotStream stream = TeleportStream(GetParam());
   IncrementalClusterer clusterer(ClusterParams());
   ClusterDeltaStats delta;
   for (size_t t = 0; t < stream.size(); ++t) {
@@ -207,7 +226,6 @@ TEST_P(IncrementalClusterTest, WholeClusterTeleport) {
 }
 
 TEST_P(IncrementalClusterTest, StalePositionReverts) {
-  IncrementalClusteringGuard incremental_on(true);
   GroupDataset data = CoherentStream(GetParam());
   // Out-of-order arrival as seen below the sliding window: a subset of
   // objects report stale positions on odd snapshots (the previous
@@ -230,24 +248,6 @@ TEST_P(IncrementalClusterTest, StalePositionReverts) {
     stream.push_back(Snapshot(std::move(pos), s.duration()));
   }
   ExpectIncrementalMatchesFull(stream, ClusterParams());
-}
-
-TEST_P(IncrementalClusterTest, KillSwitchToggleMidStream) {
-  IncrementalClusteringGuard guard(true);
-  GroupDataset data = CoherentStream(GetParam());
-  DbscanParams params = ClusterParams();
-  IncrementalClusterer clusterer(params);
-  ClusterDeltaStats delta;
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    // Off for a window mid-stream; re-enabling must re-probe from
-    // scratch, never resurrect pre-toggle state.
-    SetIncrementalClusteringEnabled(t < 10 || t >= 18);
-    Clustering got = clusterer.Cluster(data.stream[t], nullptr, &delta);
-    ExpectSameClustering(Dbscan(data.stream[t], params), got, t);
-    if (t >= 10 && t < 18) {
-      EXPECT_FALSE(clusterer.has_state()) << "switch off must drop state";
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalClusterTest,
@@ -283,7 +283,6 @@ void ExpectTriplesAgreeAcrossBackends(const std::vector<double>& bases) {
   Clustering grid = DbscanGrid(snapshot, params);
   ExpectSameClustering(flat, grid, 0);
 
-  IncrementalClusteringGuard incremental_on(true);
   IncrementalClusterer clusterer(params);
   ExpectSameClustering(flat, clusterer.Cluster(snapshot, nullptr, nullptr),
                        0);
@@ -317,7 +316,6 @@ TEST(EpsBoundaryTest, ExactEpsPairsUnderStreamMotion) {
   // live: the gap alternates ε (neighbors) and just-over-ε (noise), but
   // the motion stays under the stability slack, so the carried list is
   // reused and the exact filter alone must flip the result each snapshot.
-  IncrementalClusteringGuard incremental_on(true);
   const double eps = 4.0;
   DbscanParams params;
   params.epsilon = eps;
@@ -337,93 +335,67 @@ TEST(EpsBoundaryTest, ExactEpsPairsUnderStreamMotion) {
 }
 
 // ---------------------------------------------------------------------------
-// Discoverer-level: incremental mode vs full re-clustering, across kernel
-// modes and thread counts, products must be identical.
+// Discoverer-level: the built-in clustering against the same run with the
+// reference Dbscan injected as cluster provider, across kernel modes and
+// thread counts — companions, candidate sets, and intersection counts
+// must be identical.
 
-/// Serialized state reduced to *products*: the clusterer's carried-state
-/// section is dropped (it legitimately differs between modes) and the
-/// mode-dependent stats fields — distance_ops, the cluster_* counters,
-/// and the wall-clock fields — are zeroed.
-std::string ProductState(const CompanionDiscoverer& d) {
-  std::ostringstream raw;
-  Status st = d.SaveState(raw);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::istringstream in(raw.str());
-  std::ostringstream out;
-  std::string line;
-  uint64_t skip_anchor_lines = 0;
-  while (std::getline(in, line)) {
-    if (skip_anchor_lines > 0) {
-      --skip_anchor_lines;
-      continue;
-    }
-    if (line.rfind("clusterer ", 0) == 0) {
-      std::istringstream fields(line);
-      std::string tag;
-      int has = 0;
-      uint64_t count = 0;
-      fields >> tag >> has >> count;
-      skip_anchor_lines = count;
-      continue;
-    }
-    if (line.rfind("stats ", 0) == 0) {
-      std::istringstream fields(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (fields >> tok) tokens.push_back(tok);
-      // Layout: "stats" + 11 counters + reuse/dirty/rebuilds + 3 timings.
-      EXPECT_EQ(tokens.size(), 18u);
-      if (tokens.size() == 18u) {
-        const size_t kModeDependent[] = {3, 12, 13, 14, 15, 16, 17};
-        for (size_t i : kModeDependent) {
-          tokens[i].assign(1, '0');  // `= "0"` trips GCC 12's -Wrestrict
-        }
-      }
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        if (i > 0) out << ' ';
-        out << tokens[i];
-      }
-      out << '\n';
-      continue;
-    }
-    out << line << '\n';
-  }
-  return out.str();
-}
+struct ProductRun {
+  std::string state;
+  size_t companions = 0;
+};
 
-std::string RunDiscovererProducts(Algorithm algorithm,
-                                  const SnapshotStream& stream,
-                                  const DiscoveryParams& params,
-                                  bool incremental) {
-  IncrementalClusteringGuard mode(incremental);
+ProductRun RunDiscovererProducts(Algorithm algorithm,
+                                 const SnapshotStream& stream,
+                                 const DiscoveryParams& params,
+                                 bool oracle_clustering) {
   std::unique_ptr<CompanionDiscoverer> d = MakeDiscoverer(algorithm, params);
+  if (oracle_clustering) {
+    EXPECT_TRUE(d->SetClusterProvider(ReferenceDbscanProvider(params.cluster)));
+  }
   for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
-  return ProductState(*d);
+  return ProductRun{NormalizedState(*d, /*products_only=*/true),
+                    d->log().companions().size()};
 }
 
 class IncrementalDifferentialTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool, int>> {};
 
 TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
-  const auto [seed, kernels, threads] = GetParam();
-  KernelGuard kernel_mode(kernels);
+  // dense_ids picks the kernel mode: dense ids take the bitset path,
+  // SparsifyIds forces the sorted-merge path.
+  const auto [seed, dense_ids, threads] = GetParam();
   DiscoveryParams params = BaseParams();
   params.cluster.threads = threads;
-  // Both stream regimes: churny exercises the fallback path, coherent the
-  // carried-state path.
-  const SnapshotStream streams[] = {ChurnyStream(seed).stream,
-                                    CoherentStream(seed + 5).stream};
-  for (const SnapshotStream& stream : streams) {
+  DiscoveryParams exact_params = params;
+  exact_params.size_threshold = 4;
+  exact_params.duration_threshold = 3;
+  // Churny exercises the fallback path, coherent the carried-state path,
+  // and the adversarial fixtures the repair and exact-filter edges.
+  const struct {
+    const char* name;
+    SnapshotStream stream;
+    const DiscoveryParams& params;
+  } cases[] = {
+      {"churny", ChurnyStream(seed).stream, params},
+      {"coherent", CoherentStream(seed + 5).stream, params},
+      {"dropout", DropoutStream(seed + 5), params},
+      {"teleport", TeleportStream(seed + 5), params},
+      {"exact_eps", ExactEpsStream(), exact_params},
+  };
+  for (const auto& c : cases) {
+    const SnapshotStream stream =
+        dense_ids ? c.stream : SparsifyIds(c.stream, 120'001);
     for (Algorithm algorithm :
-         {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-          Algorithm::kBuddy}) {
-      std::string incremental =
-          RunDiscovererProducts(algorithm, stream, params, true);
-      std::string full =
-          RunDiscovererProducts(algorithm, stream, params, false);
-      EXPECT_EQ(incremental, full)
-          << AlgorithmName(algorithm) << " kernels=" << kernels
-          << " threads=" << threads;
+         {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+      ProductRun built_in =
+          RunDiscovererProducts(algorithm, stream, c.params, false);
+      ProductRun oracle =
+          RunDiscovererProducts(algorithm, stream, c.params, true);
+      EXPECT_GT(oracle.companions, 0u) << c.name << ": test wants companions";
+      EXPECT_EQ(built_in.state, oracle.state)
+          << c.name << " " << AlgorithmName(algorithm)
+          << " dense_ids=" << dense_ids << " threads=" << threads;
     }
   }
 }
@@ -431,73 +403,44 @@ TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, IncrementalDifferentialTest,
     ::testing::Combine(::testing::Values(711, 712),
-                       ::testing::Bool(),          // bitset kernels
+                       ::testing::Bool(),          // dense ids (bitset path)
                        ::testing::Values(1, 4)));  // clustering threads
 
 TEST(IncrementalDifferentialTest, ConvoyBaselineIdenticalToFull) {
-  GroupDataset data = CoherentStream(713);
   ConvoyParams params;
   params.cluster.epsilon = 18.0;
   params.cluster.mu = 3;
   params.min_objects = 5;
   params.min_lifetime = 7;
+  ConvoyParams oracle_params = params;
+  oracle_params.cluster_provider = ReferenceDbscanProvider(params.cluster);
 
-  std::vector<Convoy> incremental;
-  std::vector<Convoy> full;
-  {
-    IncrementalClusteringGuard mode(true);
-    incremental = DiscoverConvoys(data.stream, params);
-  }
-  {
-    IncrementalClusteringGuard mode(false);
-    full = DiscoverConvoys(data.stream, params);
-  }
-  EXPECT_FALSE(full.empty()) << "test stream should contain convoys";
-  ASSERT_EQ(incremental.size(), full.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(incremental[i].objects, full[i].objects) << "convoy " << i;
-    EXPECT_EQ(incremental[i].begin, full[i].begin) << "convoy " << i;
-    EXPECT_EQ(incremental[i].end, full[i].end) << "convoy " << i;
+  const SnapshotStream streams[] = {ChurnyStream(713).stream,
+                                    CoherentStream(713).stream,
+                                    DropoutStream(713), TeleportStream(713)};
+  for (const SnapshotStream& stream : streams) {
+    ConvoyStats built_in_stats;
+    ConvoyStats oracle_stats;
+    std::vector<Convoy> built_in =
+        DiscoverConvoys(stream, params, &built_in_stats);
+    std::vector<Convoy> oracle =
+        DiscoverConvoys(stream, oracle_params, &oracle_stats);
+    EXPECT_FALSE(oracle.empty()) << "test stream should contain convoys";
+    ASSERT_EQ(built_in.size(), oracle.size());
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ(built_in[i].objects, oracle[i].objects) << "convoy " << i;
+      EXPECT_EQ(built_in[i].begin, oracle[i].begin) << "convoy " << i;
+      EXPECT_EQ(built_in[i].end, oracle[i].end) << "convoy " << i;
+    }
+    EXPECT_EQ(built_in_stats.intersections, oracle_stats.intersections);
+    EXPECT_EQ(built_in_stats.peak_candidates, oracle_stats.peak_candidates);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Mid-stream checkpoint kill+resume with carried clusterer state.
 
-/// Full serialized state with only the three wall-clock fields zeroed:
-/// unlike ProductState this *keeps* distance_ops, the cluster counters,
-/// and the carried anchors — a resumed run must replay bit-for-bit.
-std::string ReplayState(const CompanionDiscoverer& d) {
-  std::ostringstream raw;
-  Status st = d.SaveState(raw);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::istringstream in(raw.str());
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("stats ", 0) == 0) {
-      std::istringstream fields(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (fields >> tok) tokens.push_back(tok);
-      EXPECT_GE(tokens.size(), 4u);
-      for (size_t i = tokens.size() - 3; i < tokens.size(); ++i) {
-        tokens[i].assign(1, '0');
-      }
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        if (i > 0) out << ' ';
-        out << tokens[i];
-      }
-      out << '\n';
-    } else {
-      out << line << '\n';
-    }
-  }
-  return out.str();
-}
-
 TEST(IncrementalCheckpointTest, MidStreamKillResumeReplaysExactly) {
-  IncrementalClusteringGuard incremental_on(true);
   GroupDataset data = CoherentStream(721);
   DiscoveryParams params = BaseParams();
 
@@ -527,48 +470,14 @@ TEST(IncrementalCheckpointTest, MidStreamKillResumeReplaysExactly) {
     // Not just same products: same distance_ops, same reuse/dirty
     // counters, same carried anchors — the resumed run is byte-for-byte
     // the run that never stopped.
-    EXPECT_EQ(ReplayState(*first), ReplayState(*resumed))
+    EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed))
         << AlgorithmName(algorithm);
     EXPECT_GT(first->stats().cluster_reuse, 0)
         << "stream should exercise carried state, not just fallbacks";
   }
 }
 
-TEST(IncrementalCheckpointTest, LoadHonorsCurrentKillSwitchMode) {
-  // Saved with the layer on, resumed with it off: the carried state must
-  // be dropped, exactly as an uninterrupted run toggled at the same point
-  // would have dropped it — and the post-resume runs must match.
-  GroupDataset data = CoherentStream(722);
-  DiscoveryParams params = BaseParams();
-  const size_t half = data.stream.size() / 2;
-
-  IncrementalClusteringGuard outer(true);
-  std::unique_ptr<CompanionDiscoverer> saver =
-      MakeDiscoverer(Algorithm::kSmartClosed, params);
-  for (size_t t = 0; t < half; ++t) {
-    saver->ProcessSnapshot(data.stream[t], nullptr);
-  }
-  std::stringstream checkpoint;
-  ASSERT_TRUE(saver->SaveState(checkpoint).ok());
-
-  // Uninterrupted twin: layer switched off at the half-way point.
-  SetIncrementalClusteringEnabled(false);
-  for (size_t t = half; t < data.stream.size(); ++t) {
-    saver->ProcessSnapshot(data.stream[t], nullptr);
-  }
-
-  // Killed-and-resumed twin, also with the layer off from the half.
-  std::unique_ptr<CompanionDiscoverer> resumed =
-      MakeDiscoverer(Algorithm::kSmartClosed, params);
-  ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
-  for (size_t t = half; t < data.stream.size(); ++t) {
-    resumed->ProcessSnapshot(data.stream[t], nullptr);
-  }
-  EXPECT_EQ(ReplayState(*saver), ReplayState(*resumed));
-}
-
 TEST(IncrementalCheckpointTest, RejectsCorruptClustererState) {
-  IncrementalClusteringGuard incremental_on(true);
   DiscoveryParams params = BaseParams();
   GroupDataset data = CoherentStream(723);
   ClusteringIntersectionDiscoverer d(params);

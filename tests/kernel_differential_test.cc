@@ -1,10 +1,13 @@
 /// Differential proof that the word-parallel bitset kernels are a pure
-/// optimization: with SetBitsetKernelsEnabled() toggled on vs. off, CI,
-/// SC, BU, and the convoy baseline must produce byte-identical state —
-/// same companions in the same order, same candidate sets, same
-/// intersection counters. Only wall-clock timings may differ, so those
-/// three fields of the serialized "stats" line are zeroed before
-/// comparison.
+/// optimization. BitsetProfitable picks the bitset path from each
+/// snapshot's id density, so a dense-id stream and the same stream with
+/// its ids spread far apart (SparsifyIds) run the bitset path and the
+/// sorted-merge path over identical geometry. CI, SC, BU, and the convoy
+/// baseline must produce the same companions (ids mapped back), the same
+/// candidate-set sizes, and the same intersection and distance counters
+/// in both kernel modes. The sparse streams are also checked against the
+/// reference Dbscan provider, and checkpoints must resume identically in
+/// either mode and across a mid-stream mode change.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,23 +19,19 @@
 #include "data/group_model.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
-#include "util/dense_bitset.h"
+#include "tests/test_util.h"
 
 namespace tcomp {
 namespace {
 
-/// Restores the process-wide kernel toggle no matter how a test exits, so
-/// a failing assertion can't leak "kernels off" into later tests.
-class KernelToggleGuard {
- public:
-  KernelToggleGuard() : saved_(BitsetKernelsEnabled()) {}
-  ~KernelToggleGuard() { SetBitsetKernelsEnabled(saved_); }
-  KernelToggleGuard(const KernelToggleGuard&) = delete;
-  KernelToggleGuard& operator=(const KernelToggleGuard&) = delete;
+using testing_util::NormalizedState;
+using testing_util::ReferenceDbscanProvider;
+using testing_util::SparsifyIds;
 
- private:
-  bool saved_;
-};
+/// Pushes the id universe to ~10^7 for 90 objects — far below the
+/// 1-member-per-word density bound, so every snapshot takes the merge
+/// path.
+constexpr ObjectId kStride = 120'001;
 
 GroupDataset ChurnyStream(uint64_t seed) {
   GroupModelOptions options;
@@ -56,123 +55,108 @@ DiscoveryParams BaseParams() {
   return params;
 }
 
-/// Spreads the dense generator ids across a huge sparse universe. With
-/// ids this sparse BitsetProfitable() rejects the bitset path, so this
-/// stream exercises the merge fallback under the kernels-on toggle.
-SnapshotStream SparsifyIds(const SnapshotStream& stream, ObjectId stride) {
-  SnapshotStream out;
-  out.reserve(stream.size());
-  for (const Snapshot& s : stream) {
-    std::vector<ObjectPosition> pos;
-    pos.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-      pos.push_back(ObjectPosition{s.id(i) * stride, s.pos(i)});
-    }
-    out.push_back(Snapshot(std::move(pos), s.duration()));
-  }
-  return out;
-}
-
-/// Serialized discoverer state with the three wall-clock fields (the last
-/// tokens of the "stats" line) zeroed; everything else must match bit for
-/// bit between kernel modes.
-std::string NormalizedState(const CompanionDiscoverer& d) {
-  std::ostringstream raw;
-  Status st = d.SaveState(raw);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::istringstream in(raw.str());
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("stats ", 0) == 0) {
-      std::istringstream fields(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (fields >> tok) tokens.push_back(tok);
-      EXPECT_GE(tokens.size(), 4u);
-      for (size_t i = tokens.size() - 3; i < tokens.size(); ++i) {
-        tokens[i].assign(1, '0');  // plain `= "0"` trips GCC 12's -Wrestrict
-      }
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        if (i > 0) out << ' ';
-        out << tokens[i];
-      }
-      out << '\n';
-    } else {
-      out << line << '\n';
-    }
-  }
-  return out.str();
-}
-
+/// The id-free parts of a run: the companion log with every id divided by
+/// `stride`, the product counters (what the paper's algorithms decide),
+/// and the cost counters (what the clustering spent deciding it).
 struct RunResult {
-  std::string state;
-  int64_t intersections = 0;
-  int64_t companions_reported = 0;
-  size_t log_size = 0;
+  std::vector<Companion> companions;
+  std::string products;
+  std::string costs;
 };
 
 RunResult RunDiscoverer(Algorithm algorithm, const SnapshotStream& stream,
-              const DiscoveryParams& params, bool kernels) {
-  SetBitsetKernelsEnabled(kernels);
+                        const DiscoveryParams& params, ObjectId stride,
+                        bool oracle_clustering, bool instrumented) {
   std::unique_ptr<CompanionDiscoverer> d = MakeDiscoverer(algorithm, params);
-  // Stage timing rides along on the kernels-on side only: the comparison
-  // then also proves the observability sink never perturbs results (the
-  // two sides differ in instrumentation, yet must stay byte-identical).
+  if (oracle_clustering) {
+    EXPECT_TRUE(d->SetClusterProvider(ReferenceDbscanProvider(params.cluster)));
+  }
+  // Stage timing rides along on one side only: the comparison then also
+  // proves the observability sink never perturbs results.
   MetricsRegistry registry;
   MetricsStageSink sink(&registry);
-  if (kernels) d->set_stage_sink(&sink);
+  if (instrumented) d->set_stage_sink(&sink);
   for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
+
   RunResult r;
-  r.state = NormalizedState(*d);
-  r.intersections = d->stats().intersections;
-  r.companions_reported = d->stats().companions_reported;
-  r.log_size = d->log().companions().size();
+  r.companions = d->log().companions();
+  for (Companion& c : r.companions) {
+    for (ObjectId& id : c.objects) {
+      EXPECT_EQ(id % stride, 0u);
+      id /= stride;
+    }
+  }
+  const DiscoveryStats& st = d->stats();
+  std::ostringstream products;
+  products << st.snapshots << ' ' << st.intersections << ' '
+           << st.candidate_objects_peak << ' ' << st.candidate_objects_last
+           << ' ' << st.companions_reported << ' ' << st.buddy_pairs_checked
+           << ' ' << st.buddy_pairs_pruned << ' ' << st.buddies_total << ' '
+           << st.buddies_unchanged << ' ' << st.buddy_member_sum;
+  r.products = products.str();
+  std::ostringstream costs;
+  costs << st.distance_ops << ' ' << st.cluster_reuse << ' '
+        << st.cluster_dirty << ' ' << st.cluster_full_rebuilds;
+  r.costs = costs.str();
   return r;
+}
+
+void ExpectSameCompanions(const std::vector<Companion>& want,
+                          const std::vector<Companion>& got,
+                          const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].objects, got[i].objects) << what << " companion " << i;
+    EXPECT_EQ(want[i].duration, got[i].duration) << what << " companion " << i;
+    EXPECT_EQ(want[i].snapshot_index, got[i].snapshot_index)
+        << what << " companion " << i;
+  }
 }
 
 class KernelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KernelDifferentialTest, DiscoverersByteIdenticalAcrossKernelModes) {
-  KernelToggleGuard guard;
   GroupDataset data = ChurnyStream(GetParam());
+  SnapshotStream sparse = SparsifyIds(data.stream, kStride);
   DiscoveryParams params = BaseParams();
 
   for (Algorithm algorithm :
        {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
         Algorithm::kBuddy}) {
-    RunResult on = RunDiscoverer(algorithm, data.stream, params, true);
-    RunResult off = RunDiscoverer(algorithm, data.stream, params, false);
-    EXPECT_GT(on.log_size, 0u) << "test wants companions";
-    EXPECT_EQ(on.state, off.state) << AlgorithmName(algorithm);
-    EXPECT_EQ(on.intersections, off.intersections) << AlgorithmName(algorithm);
-    EXPECT_EQ(on.companions_reported, off.companions_reported)
-        << AlgorithmName(algorithm);
+    const std::string name = AlgorithmName(algorithm);
+    RunResult bitset =
+        RunDiscoverer(algorithm, data.stream, params, 1, false, true);
+    RunResult merge = RunDiscoverer(algorithm, sparse, params, kStride, false,
+                                    false);
+    EXPECT_GT(bitset.companions.size(), 0u) << "test wants companions";
+    ExpectSameCompanions(bitset.companions, merge.companions, name);
+    EXPECT_EQ(bitset.products, merge.products) << name;
+    EXPECT_EQ(bitset.costs, merge.costs) << name;
   }
 }
 
 TEST_P(KernelDifferentialTest, SparseIdStreamsByteIdentical) {
-  KernelToggleGuard guard;
-  // Stride pushes the id universe to ~10^7 for 90 objects — far below the
-  // 1-member-per-word density bound, so kernels-on must take the merge
-  // fallback and still match exactly.
-  SnapshotStream sparse =
-      SparsifyIds(ChurnyStream(GetParam()).stream, 120'001);
+  // Merge path plus the incremental clusterer's binary-search id lookup
+  // (its dense id table is skipped at this density), against the
+  // reference Dbscan provider.
+  SnapshotStream sparse = SparsifyIds(ChurnyStream(GetParam()).stream,
+                                      kStride);
   DiscoveryParams params = BaseParams();
 
   for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    RunResult on = RunDiscoverer(algorithm, sparse, params, true);
-    RunResult off = RunDiscoverer(algorithm, sparse, params, false);
-    EXPECT_GT(on.log_size, 0u) << "test wants companions";
-    EXPECT_EQ(on.state, off.state) << AlgorithmName(algorithm);
-    EXPECT_EQ(on.intersections, off.intersections) << AlgorithmName(algorithm);
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    const std::string name = AlgorithmName(algorithm);
+    RunResult built_in =
+        RunDiscoverer(algorithm, sparse, params, kStride, false, false);
+    RunResult oracle =
+        RunDiscoverer(algorithm, sparse, params, kStride, true, false);
+    EXPECT_GT(oracle.companions.size(), 0u) << "test wants companions";
+    ExpectSameCompanions(oracle.companions, built_in.companions, name);
+    EXPECT_EQ(oracle.products, built_in.products) << name;
   }
 }
 
 TEST_P(KernelDifferentialTest, ConvoyBaselineIdenticalAcrossKernelModes) {
-  KernelToggleGuard guard;
   GroupDataset data = ChurnyStream(GetParam());
   ConvoyParams params;
   params.cluster.epsilon = 18.0;
@@ -183,117 +167,98 @@ TEST_P(KernelDifferentialTest, ConvoyBaselineIdenticalAcrossKernelModes) {
   // Instrumented on one side only — see RunDiscoverer.
   MetricsRegistry registry;
   MetricsStageSink sink(&registry);
-  SetBitsetKernelsEnabled(true);
-  ConvoyStats stats_on;
-  std::vector<Convoy> on =
-      DiscoverConvoys(data.stream, params, &stats_on, &sink);
-  SetBitsetKernelsEnabled(false);
-  ConvoyStats stats_off;
-  std::vector<Convoy> off = DiscoverConvoys(data.stream, params, &stats_off);
+  ConvoyStats stats_bitset;
+  std::vector<Convoy> bitset =
+      DiscoverConvoys(data.stream, params, &stats_bitset, &sink);
+  ConvoyStats stats_merge;
+  std::vector<Convoy> merge = DiscoverConvoys(
+      SparsifyIds(data.stream, kStride), params, &stats_merge);
 
-  EXPECT_FALSE(on.empty()) << "test wants convoys";
-  ASSERT_EQ(on.size(), off.size());
-  for (size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i].objects, off[i].objects) << "convoy " << i;
-    EXPECT_EQ(on[i].begin, off[i].begin) << "convoy " << i;
-    EXPECT_EQ(on[i].end, off[i].end) << "convoy " << i;
+  EXPECT_FALSE(bitset.empty()) << "test wants convoys";
+  ASSERT_EQ(bitset.size(), merge.size());
+  for (size_t i = 0; i < bitset.size(); ++i) {
+    ObjectSet mapped = merge[i].objects;
+    for (ObjectId& id : mapped) id /= kStride;
+    EXPECT_EQ(bitset[i].objects, mapped) << "convoy " << i;
+    EXPECT_EQ(bitset[i].begin, merge[i].begin) << "convoy " << i;
+    EXPECT_EQ(bitset[i].end, merge[i].end) << "convoy " << i;
   }
-  EXPECT_EQ(stats_on.intersections, stats_off.intersections);
-  EXPECT_EQ(stats_on.peak_candidates, stats_off.peak_candidates);
+  EXPECT_EQ(stats_bitset.intersections, stats_merge.intersections);
+  EXPECT_EQ(stats_bitset.peak_candidates, stats_merge.peak_candidates);
+  EXPECT_EQ(stats_bitset.distance_ops, stats_merge.distance_ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
                          ::testing::Values(401, 402, 403, 404, 405));
 
-/// Checkpoints written under one kernel mode must load and continue
-/// identically under the other: the signature/bitset layer is derived
-/// state, never serialized.
+/// Runs `stream` straight through, and again killed after `cut` snapshots
+/// and resumed from the checkpoint in a fresh discoverer: both must end in
+/// the same state.
+void ExpectResumeReplays(Algorithm algorithm, const SnapshotStream& stream,
+                         const DiscoveryParams& params, size_t cut) {
+  std::unique_ptr<CompanionDiscoverer> first =
+      MakeDiscoverer(algorithm, params);
+  for (size_t t = 0; t < cut; ++t) {
+    first->ProcessSnapshot(stream[t], nullptr);
+  }
+  std::stringstream checkpoint;
+  ASSERT_TRUE(first->SaveState(checkpoint).ok());
+  for (size_t t = cut; t < stream.size(); ++t) {
+    first->ProcessSnapshot(stream[t], nullptr);
+  }
+
+  std::unique_ptr<CompanionDiscoverer> resumed =
+      MakeDiscoverer(algorithm, params);
+  ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
+  for (size_t t = cut; t < stream.size(); ++t) {
+    resumed->ProcessSnapshot(stream[t], nullptr);
+  }
+  EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed))
+      << AlgorithmName(algorithm);
+}
+
+/// Checkpoints must resume identically in both kernel modes: the bitsets
+/// and signatures are derived state, never serialized, and are rebuilt
+/// on load.
 TEST(KernelCheckpointTest, StateRoundTripsAcrossKernelModes) {
-  KernelToggleGuard guard;
   GroupDataset data = ChurnyStream(406);
   DiscoveryParams params = BaseParams();
-
-  for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    // Run the first half with kernels on, checkpoint...
-    SetBitsetKernelsEnabled(true);
-    std::unique_ptr<CompanionDiscoverer> first =
-        MakeDiscoverer(algorithm, params);
-    const size_t half = data.stream.size() / 2;
-    for (size_t t = 0; t < half; ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
+  const SnapshotStream streams[] = {data.stream,
+                                    SparsifyIds(data.stream, kStride)};
+  for (const SnapshotStream& stream : streams) {
+    for (Algorithm algorithm :
+         {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
+          Algorithm::kBuddy}) {
+      ExpectResumeReplays(algorithm, stream, params, stream.size() / 2);
     }
-    std::stringstream checkpoint;
-    ASSERT_TRUE(first->SaveState(checkpoint).ok());
-
-    // ...finish in the same process with kernels on...
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    // ...and finish from the checkpoint with kernels off.
-    SetBitsetKernelsEnabled(false);
-    std::unique_ptr<CompanionDiscoverer> resumed =
-        MakeDiscoverer(algorithm, params);
-    ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      resumed->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed))
-        << AlgorithmName(algorithm);
   }
 }
 
 /// Regression for the BuddyIndex signature cache at checkpoint load: the
-/// rebuild must honor the *current* kernel mode, not the mode at save
-/// time. The timeline that catches a stale load-time-composed signature:
-/// save under kernels-on, resume under kernels-off (no signatures may be
-/// composed here), then re-enable kernels mid-stream — from that point on
-/// the Bloom prefilter is live again and any signature minted during the
-/// off window would prune differently than the uninterrupted twin run
-/// with the exact same toggle timeline.
+/// signatures rebuilt on load must serve whichever kernel mode the
+/// snapshots after the resume select. A far-away object with a huge id
+/// makes the universe sparse for a window around the checkpoint, so the
+/// run switches bitset → merge before the save and merge → bitset after
+/// the resume.
 TEST(KernelCheckpointTest, ResumedSignaturesHonorCurrentKernelMode) {
-  KernelToggleGuard guard;
   GroupDataset data = ChurnyStream(407);
   DiscoveryParams params = BaseParams();
   const size_t half = data.stream.size() / 2;
   const size_t three_quarters = data.stream.size() * 3 / 4;
 
-  // Uninterrupted twin: kernels on → off at half → on again at 3/4.
-  SetBitsetKernelsEnabled(true);
-  std::unique_ptr<CompanionDiscoverer> first =
-      MakeDiscoverer(Algorithm::kBuddy, params);
-  for (size_t t = 0; t < half; ++t) {
-    first->ProcessSnapshot(data.stream[t], nullptr);
+  SnapshotStream stream;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> pos;
+    for (size_t i = 0; i < s.size(); ++i) {
+      pos.push_back(ObjectPosition{s.id(i), s.pos(i)});
+    }
+    if (t + 2 >= half && t < three_quarters) {
+      pos.push_back(ObjectPosition{1'000'000, Point{-1e5, -1e5}});
+    }
+    stream.push_back(Snapshot(std::move(pos), s.duration()));
   }
-  std::stringstream checkpoint;
-  ASSERT_TRUE(first->SaveState(checkpoint).ok());
-  SetBitsetKernelsEnabled(false);
-  for (size_t t = half; t < three_quarters; ++t) {
-    first->ProcessSnapshot(data.stream[t], nullptr);
-  }
-  SetBitsetKernelsEnabled(true);
-  for (size_t t = three_quarters; t < data.stream.size(); ++t) {
-    first->ProcessSnapshot(data.stream[t], nullptr);
-  }
-
-  // Killed-and-resumed twin: load happens with kernels off, then the same
-  // off window and the same re-enable point.
-  SetBitsetKernelsEnabled(false);
-  std::unique_ptr<CompanionDiscoverer> resumed =
-      MakeDiscoverer(Algorithm::kBuddy, params);
-  ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
-  for (size_t t = half; t < three_quarters; ++t) {
-    resumed->ProcessSnapshot(data.stream[t], nullptr);
-  }
-  SetBitsetKernelsEnabled(true);
-  for (size_t t = three_quarters; t < data.stream.size(); ++t) {
-    resumed->ProcessSnapshot(data.stream[t], nullptr);
-  }
-
-  EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed));
+  ExpectResumeReplays(Algorithm::kBuddy, stream, params, half);
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ std::string RenderFixture() {
       .GetCounter("tcomp_queue_shed_total", "", "Records shed under load")
       ->Set(7);
   registry.GetGauge("tcomp_queue_depth", "", "Ingest queue depth")->Set(42);
-  // The sharded engine's labeled per-shard gauges (the label set and its
-  // rendering are part of the scrape contract, same as stage="...").
+  // A labeled gauge family (the label set and its rendering are part of
+  // the scrape contract, same as stage="...").
   registry
       .GetGauge("tcomp_shard_queue_depth", "shard=\"0\"",
                 "Per-shard task queue depth at sampling time")

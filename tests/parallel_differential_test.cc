@@ -270,7 +270,6 @@ TEST_P(ParallelDiscoveryTest, IncrementalClusteringIdenticalAcrossThreads) {
   // Carried-state clustering across --threads: the layer itself is
   // serial, but it feeds parallel consumers; the whole run (products,
   // distance_ops, reuse/dirty counters) must be thread-count-invariant.
-  testing_util::IncrementalClusteringGuard incremental_on(true);
   GroupModelOptions options;
   options.num_objects = 120;
   options.num_snapshots = 40;

@@ -24,7 +24,6 @@
 #include "service/pipeline.h"
 #include "shard/sharded_engine.h"
 #include "stream/sliding_window.h"
-#include "util/dense_bitset.h"
 
 namespace tcomp {
 namespace {
@@ -100,20 +99,6 @@ std::string ServeCsv(Algorithm algorithm, int shards,
   return CompanionsCsv(pipeline.Companions());
 }
 
-/// Process-gate guard: every toggle restored on scope exit, so a failing
-/// assertion cannot leak a disabled kernel into the next test.
-class ToggleGuard {
- public:
-  ToggleGuard(bool kernels, bool incremental) {
-    SetBitsetKernelsEnabled(kernels);
-    SetIncrementalClusteringEnabled(incremental);
-  }
-  ~ToggleGuard() {
-    SetBitsetKernelsEnabled(true);
-    SetIncrementalClusteringEnabled(true);
-  }
-};
-
 class ShardDifferentialTest : public ::testing::TestWithParam<Algorithm> {};
 
 /// serve --shards {1, 2, 8} == batch discover, byte for byte, for every
@@ -139,26 +124,6 @@ TEST_P(ShardDifferentialTest, ServeShardedMatchesBatch) {
       EXPECT_FALSE(stats.shard_fallback);
       EXPECT_EQ(stats.shard_snapshots, stats.discovery.snapshots);
       EXPECT_GT(stats.shard_halo_objects, 0);
-    }
-  }
-}
-
-/// The kernel and incremental process gates compose with sharding: all
-/// four toggle combinations serve byte-identical products at 8 shards.
-TEST_P(ShardDifferentialTest, ShardedSurvivesKernelAndIncrementalToggles) {
-  GroupDataset data = ChurnyStream(1202);
-  std::vector<TrajectoryRecord> records =
-      StreamToRecords(data.stream, kSecondsPerSnapshot);
-  std::string expected;
-  {
-    ToggleGuard guard(true, true);
-    expected = BatchCsv(GetParam(), records);
-  }
-  for (bool kernels : {true, false}) {
-    for (bool incremental : {true, false}) {
-      ToggleGuard guard(kernels, incremental);
-      EXPECT_EQ(ServeCsv(GetParam(), 8, records), expected)
-          << "kernels " << kernels << ", incremental " << incremental;
     }
   }
 }

@@ -1,21 +1,19 @@
 /// Differential proof that the SoA snapshot layout and the batched
-/// ε-filter kernels (util/eps_filter.h, ROADMAP item 4) are a pure
-/// optimization: with SetSoAKernelsEnabled() toggled on vs. off, the
-/// kernels accept exactly the lanes the scalar WithinEps walk accepts
-/// (exact-ε boundary coordinates included), DbscanGrid produces the
-/// identical Clustering with the identical distance_ops count, and CI,
-/// SC, BU, and the convoy baseline produce byte-identical serialized
-/// state. Only wall-clock timings may differ, so those fields of the
-/// "stats" line are zeroed before comparison. Also pins the incremental
-/// clusterer's steady-state no-heap-growth invariant: the per-snapshot
-/// scratch arena stops growing once the workload's high-water mark has
-/// been seen.
+/// ε-filter kernels (util/eps_filter.h) are a pure optimization. The two
+/// "SoA modes" compared are the kernel paths and the scalar reference:
+/// the kernels accept exactly the lanes the scalar WithinEps walk accepts
+/// (exact-ε boundary coordinates included), DbscanGrid's plane sweep
+/// produces the identical Clustering to the O(n²) Dbscan, and CI, SC,
+/// and the convoy baseline produce the same companions, candidates, and
+/// intersection counts through the kernels as with Dbscan injected as
+/// their cluster provider. Also pins the incremental clusterer's
+/// steady-state no-heap-growth invariant: the per-snapshot scratch arena
+/// stops growing once the workload's high-water mark has been seen.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,19 +31,8 @@ namespace tcomp {
 namespace {
 
 using testing_util::ClusteredSnapshot;
-
-/// Restores the process-wide SoA toggle no matter how a test exits, so a
-/// failing assertion can't leak "SoA off" into later tests.
-class SoAToggleGuard {
- public:
-  SoAToggleGuard() : saved_(SoAKernelsEnabled()) {}
-  ~SoAToggleGuard() { SetSoAKernelsEnabled(saved_); }
-  SoAToggleGuard(const SoAToggleGuard&) = delete;
-  SoAToggleGuard& operator=(const SoAToggleGuard&) = delete;
-
- private:
-  bool saved_;
-};
+using testing_util::NormalizedState;
+using testing_util::ReferenceDbscanProvider;
 
 // ---------------------------------------------------------------------
 // Kernel-level differentials: EpsFilterBatch / EpsFilterGather against
@@ -221,10 +208,10 @@ TEST(EpsFilterKernelTest, ExactBoundaryCoordinatesMatchScalarWalk) {
 }
 
 // ---------------------------------------------------------------------
-// DbscanGrid: the SoA forward plane-sweep must reproduce the scalar
-// hash-grid branch exactly — labels, core flags, cluster sets, and the
-// logical distance_ops counter (the sweep evaluates each unordered pair
-// once and counts it twice; see src/core/dbscan.cc).
+// DbscanGrid: the forward plane-sweep must reproduce the reference Dbscan
+// exactly — labels, core flags, and cluster sets. Its distance_ops counts
+// ordered candidate pairs (each evaluated unordered pair twice; see
+// src/core/dbscan.cc), so it is even and never above n(n-1).
 
 void ExpectSameClustering(const Clustering& a, const Clustering& b,
                           const char* what) {
@@ -236,8 +223,7 @@ void ExpectSameClustering(const Clustering& a, const Clustering& b,
   }
 }
 
-TEST(DbscanGridSoATest, MatchesScalarGridAcrossSnapshotShapes) {
-  SoAToggleGuard guard;
+TEST(DbscanGridTest, MatchesDbscanAcrossSnapshotShapes) {
   Pcg32 rng(903);
   DbscanParams params;
   params.epsilon = 18.0;
@@ -264,20 +250,19 @@ TEST(DbscanGridSoATest, MatchesScalarGridAcrossSnapshotShapes) {
   }
 
   for (const auto& [name, snapshot] : cases) {
-    SetSoAKernelsEnabled(true);
-    int64_t ops_on = 0;
-    Clustering on = DbscanGrid(snapshot, params, &ops_on);
-    SetSoAKernelsEnabled(false);
-    int64_t ops_off = 0;
-    Clustering off = DbscanGrid(snapshot, params, &ops_off);
-    ExpectSameClustering(on, off, name.c_str());
-    EXPECT_EQ(ops_on, ops_off) << name;
+    int64_t grid_ops = 0;
+    Clustering grid = DbscanGrid(snapshot, params, &grid_ops);
+    Clustering reference = Dbscan(snapshot, params);
+    ExpectSameClustering(reference, grid, name.c_str());
+    const int64_t n = static_cast<int64_t>(snapshot.size());
+    EXPECT_EQ(grid_ops % 2, 0) << name;
+    EXPECT_LE(grid_ops, n * (n - 1)) << name;
   }
 }
 
 // ---------------------------------------------------------------------
-// End-to-end differentials: full discoverer runs, byte-identical
-// serialized state across SoA modes.
+// End-to-end differentials: full discoverer runs through the kernels
+// against the same runs clustered by the reference Dbscan.
 
 GroupDataset ChurnyStream(uint64_t seed) {
   GroupModelOptions options;
@@ -301,65 +286,29 @@ DiscoveryParams BaseParams() {
   return params;
 }
 
-/// Serialized discoverer state with the wall-clock fields (the last three
-/// tokens of the "stats" line) zeroed; everything else must match bit for
-/// bit between SoA modes.
-std::string NormalizedState(const CompanionDiscoverer& d) {
-  std::ostringstream raw;
-  Status st = d.SaveState(raw);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::istringstream in(raw.str());
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("stats ", 0) == 0) {
-      std::istringstream fields(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (fields >> tok) tokens.push_back(tok);
-      EXPECT_GE(tokens.size(), 4u);
-      for (size_t i = tokens.size() - 3; i < tokens.size(); ++i) {
-        tokens[i].assign(1, '0');
-      }
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        if (i > 0) out << ' ';
-        out << tokens[i];
-      }
-      out << '\n';
-    } else {
-      out << line << '\n';
-    }
-  }
-  return out.str();
-}
-
-std::unique_ptr<CompanionDiscoverer> MakeGridBacked(
-    Algorithm algorithm, const DiscoveryParams& params) {
-  std::unique_ptr<CompanionDiscoverer> d = MakeDiscoverer(algorithm, params);
-  d->SetClusterProvider(
-      [params](const Snapshot& s, int64_t* distance_ops) {
-        return DbscanGrid(s, params.cluster, distance_ops);
-      });
-  return d;
-}
+enum class Clusterer { kBuiltIn, kGrid, kReference };
 
 struct RunResult {
-  std::string state;
-  int64_t distance_ops = 0;
+  std::string state;  // NormalizedState, products only
+  int64_t soa_lanes = 0;
   size_t log_size = 0;
 };
 
 RunResult RunDiscoverer(Algorithm algorithm, const SnapshotStream& stream,
-                        const DiscoveryParams& params, bool soa,
-                        bool grid_provider) {
-  SetSoAKernelsEnabled(soa);
-  std::unique_ptr<CompanionDiscoverer> d =
-      grid_provider ? MakeGridBacked(algorithm, params)
-                    : MakeDiscoverer(algorithm, params);
+                        const DiscoveryParams& params, Clusterer clusterer) {
+  std::unique_ptr<CompanionDiscoverer> d = MakeDiscoverer(algorithm, params);
+  if (clusterer == Clusterer::kGrid) {
+    d->SetClusterProvider(
+        [params](const Snapshot& s, int64_t* distance_ops) {
+          return DbscanGrid(s, params.cluster, distance_ops);
+        });
+  } else if (clusterer == Clusterer::kReference) {
+    d->SetClusterProvider(ReferenceDbscanProvider(params.cluster));
+  }
   for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
   RunResult r;
-  r.state = NormalizedState(*d);
-  r.distance_ops = d->stats().distance_ops;
+  r.state = NormalizedState(*d, /*products_only=*/true);
+  r.soa_lanes = d->stats().soa_lanes;
   r.log_size = d->log().companions().size();
   return r;
 }
@@ -367,128 +316,71 @@ RunResult RunDiscoverer(Algorithm algorithm, const SnapshotStream& stream,
 class SoADifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SoADifferentialTest, DiscoverersByteIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
 
+  // The built-in incremental clusterer filters its carried lists through
+  // EpsFilterGather.
   for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    RunResult on = RunDiscoverer(algorithm, data.stream, params, true, false);
-    RunResult off =
-        RunDiscoverer(algorithm, data.stream, params, false, false);
-    EXPECT_GT(on.log_size, 0u) << "test wants companions";
-    EXPECT_EQ(on.state, off.state) << AlgorithmName(algorithm);
-    EXPECT_EQ(on.distance_ops, off.distance_ops) << AlgorithmName(algorithm);
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    RunResult soa =
+        RunDiscoverer(algorithm, data.stream, params, Clusterer::kBuiltIn);
+    RunResult reference =
+        RunDiscoverer(algorithm, data.stream, params, Clusterer::kReference);
+    EXPECT_GT(reference.log_size, 0u) << "test wants companions";
+    EXPECT_GT(soa.soa_lanes, 0) << "kernels never ran";
+    EXPECT_EQ(soa.state, reference.state) << AlgorithmName(algorithm);
   }
 }
 
 TEST_P(SoADifferentialTest, GridProviderByteIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
 
   // DbscanGrid injected as the cluster provider: this is the forward
-  // plane-sweep inside a full pipeline, counter accounting included.
-  RunResult on = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
-                               true, true);
-  RunResult off = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
-                                false, true);
-  EXPECT_GT(on.log_size, 0u) << "test wants companions";
-  EXPECT_EQ(on.state, off.state);
-  EXPECT_EQ(on.distance_ops, off.distance_ops);
+  // plane-sweep inside a full pipeline.
+  RunResult grid = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
+                                 Clusterer::kGrid);
+  RunResult reference = RunDiscoverer(Algorithm::kSmartClosed, data.stream,
+                                      params, Clusterer::kReference);
+  EXPECT_GT(reference.log_size, 0u) << "test wants companions";
+  EXPECT_EQ(grid.state, reference.state);
 }
 
 TEST_P(SoADifferentialTest, ConvoyBaselineIdenticalAcrossSoAModes) {
-  SoAToggleGuard guard;
   GroupDataset data = ChurnyStream(GetParam());
   ConvoyParams params;
   params.cluster.epsilon = 18.0;
   params.cluster.mu = 3;
   params.min_objects = 5;
   params.min_lifetime = 7;
+  ConvoyParams grid_params = params;
+  grid_params.cluster_provider = [&params](const Snapshot& s,
+                                           int64_t* distance_ops) {
+    return DbscanGrid(s, params.cluster, distance_ops);
+  };
+  ConvoyParams reference_params = params;
+  reference_params.cluster_provider = ReferenceDbscanProvider(params.cluster);
 
-  SetSoAKernelsEnabled(true);
-  ConvoyStats stats_on;
-  std::vector<Convoy> on = DiscoverConvoys(data.stream, params, &stats_on);
-  SetSoAKernelsEnabled(false);
-  ConvoyStats stats_off;
-  std::vector<Convoy> off = DiscoverConvoys(data.stream, params, &stats_off);
+  ConvoyStats stats_grid;
+  std::vector<Convoy> grid =
+      DiscoverConvoys(data.stream, grid_params, &stats_grid);
+  ConvoyStats stats_reference;
+  std::vector<Convoy> reference =
+      DiscoverConvoys(data.stream, reference_params, &stats_reference);
 
-  EXPECT_FALSE(on.empty()) << "test wants convoys";
-  ASSERT_EQ(on.size(), off.size());
-  for (size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i].objects, off[i].objects) << "convoy " << i;
-    EXPECT_EQ(on[i].begin, off[i].begin) << "convoy " << i;
-    EXPECT_EQ(on[i].end, off[i].end) << "convoy " << i;
+  EXPECT_FALSE(reference.empty()) << "test wants convoys";
+  ASSERT_EQ(grid.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(grid[i].objects, reference[i].objects) << "convoy " << i;
+    EXPECT_EQ(grid[i].begin, reference[i].begin) << "convoy " << i;
+    EXPECT_EQ(grid[i].end, reference[i].end) << "convoy " << i;
   }
-  EXPECT_EQ(stats_on.distance_ops, stats_off.distance_ops);
-  EXPECT_EQ(stats_on.intersections, stats_off.intersections);
+  EXPECT_EQ(stats_grid.intersections, stats_reference.intersections);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoADifferentialTest,
                          ::testing::Values(901, 902, 903));
-
-/// Flipping the kill switch between snapshots must be invisible: SoA mode
-/// is per-snapshot derived computation, never carried state, so a run
-/// that toggles off and back on mid-stream matches the all-on run.
-TEST(SoAMidStreamToggleTest, ToggleTimelineDoesNotPerturbState) {
-  SoAToggleGuard guard;
-  GroupDataset data = ChurnyStream(904);
-  DiscoveryParams params = BaseParams();
-  const size_t third = data.stream.size() / 3;
-
-  SetSoAKernelsEnabled(true);
-  std::unique_ptr<CompanionDiscoverer> steady =
-      MakeGridBacked(Algorithm::kSmartClosed, params);
-  for (const Snapshot& s : data.stream) steady->ProcessSnapshot(s, nullptr);
-
-  std::unique_ptr<CompanionDiscoverer> toggled =
-      MakeGridBacked(Algorithm::kSmartClosed, params);
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    SetSoAKernelsEnabled(t < third || t >= 2 * third);
-    toggled->ProcessSnapshot(data.stream[t], nullptr);
-  }
-
-  EXPECT_EQ(NormalizedState(*steady), NormalizedState(*toggled));
-}
-
-/// Checkpoints written under one SoA mode must load and continue
-/// identically under the other: the SoA view and its arena are derived
-/// per-snapshot state, never serialized.
-TEST(SoACheckpointTest, StateRoundTripsAcrossSoAModes) {
-  SoAToggleGuard guard;
-  GroupDataset data = ChurnyStream(905);
-  DiscoveryParams params = BaseParams();
-
-  for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
-        Algorithm::kBuddy}) {
-    SetSoAKernelsEnabled(true);
-    std::unique_ptr<CompanionDiscoverer> first =
-        MakeDiscoverer(algorithm, params);
-    const size_t half = data.stream.size() / 2;
-    for (size_t t = 0; t < half; ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
-    }
-    std::stringstream checkpoint;
-    ASSERT_TRUE(first->SaveState(checkpoint).ok());
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      first->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    SetSoAKernelsEnabled(false);
-    std::unique_ptr<CompanionDiscoverer> resumed =
-        MakeDiscoverer(algorithm, params);
-    ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
-    for (size_t t = half; t < data.stream.size(); ++t) {
-      resumed->ProcessSnapshot(data.stream[t], nullptr);
-    }
-
-    EXPECT_EQ(NormalizedState(*first), NormalizedState(*resumed))
-        << AlgorithmName(algorithm);
-  }
-}
 
 // ---------------------------------------------------------------------
 // Arena steady state: once the incremental clusterer has seen the

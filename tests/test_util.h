@@ -1,37 +1,101 @@
 #ifndef TCOMP_TESTS_TEST_UTIL_H_
 #define TCOMP_TESTS_TEST_UTIL_H_
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/dbscan.h"
+#include "core/discoverer.h"
 #include "core/snapshot.h"
 #include "core/types.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace tcomp {
 namespace testing_util {
 
-/// RAII pin for the incremental-clustering kill switch. Tests that assert
-/// *cost relations* between algorithms (e.g. "BU does less distance work
-/// than SC's full re-clustering") pin the layer off so the assertion
-/// keeps measuring what it was written to measure; tests that assert
-/// *products* never need this — products are mode-independent.
-class IncrementalClusteringGuard {
- public:
-  explicit IncrementalClusteringGuard(bool enabled)
-      : previous_(IncrementalClusteringEnabled()) {
-    SetIncrementalClusteringEnabled(enabled);
-  }
-  ~IncrementalClusteringGuard() {
-    SetIncrementalClusteringEnabled(previous_);
-  }
-  IncrementalClusteringGuard(const IncrementalClusteringGuard&) = delete;
-  IncrementalClusteringGuard& operator=(const IncrementalClusteringGuard&) =
-      delete;
+/// The reference O(n²) Dbscan as a cluster provider: the oracle the
+/// built-in clustering paths (incremental clusterer, SoA kernels, shard
+/// engine) are differentially tested against.
+inline ClusterProvider ReferenceDbscanProvider(const DbscanParams& params) {
+  return [params](const Snapshot& snapshot, int64_t* distance_ops) {
+    return Dbscan(snapshot, params, distance_ops);
+  };
+}
 
- private:
-  bool previous_;
-};
+/// Same trajectories, object ids multiplied by `stride`. With a stride
+/// far above 64 the id universe is too sparse for BitsetProfitable, so
+/// every set-algebra step takes the sorted-merge path where the dense
+/// stream takes the bitset path; divide an output id by `stride` to map
+/// it back.
+inline SnapshotStream SparsifyIds(const SnapshotStream& stream,
+                                  ObjectId stride) {
+  SnapshotStream out;
+  out.reserve(stream.size());
+  for (const Snapshot& s : stream) {
+    std::vector<ObjectPosition> pos;
+    pos.reserve(s.size());
+    for (size_t i = 0; i < s.size(); ++i) {
+      pos.push_back(ObjectPosition{s.id(i) * stride, s.pos(i)});
+    }
+    out.push_back(Snapshot(std::move(pos), s.duration()));
+  }
+  return out;
+}
+
+/// A discoverer's serialized state with the wall-clock fields of the
+/// "stats" line (its last three tokens) zeroed, and — when
+/// `products_only` — also the clusterer's carried-state section and the
+/// clustering-dependent counters (distance_ops, cluster reuse/dirty/full
+/// rebuilds). The full form must match bit for bit between a run and its
+/// resumed twin; the product form between runs that cluster differently
+/// (built-in vs a provider) but must decide the same companions,
+/// candidates, and intersections.
+inline std::string NormalizedState(const CompanionDiscoverer& d,
+                                   bool products_only = false) {
+  std::ostringstream raw;
+  Status st = d.SaveState(raw);
+  TCOMP_CHECK(st.ok()) << st.ToString();
+  std::istringstream in(raw.str());
+  std::ostringstream out;
+  std::string line;
+  uint64_t skip_anchor_lines = 0;
+  while (std::getline(in, line)) {
+    if (skip_anchor_lines > 0) {
+      --skip_anchor_lines;
+      continue;
+    }
+    if (products_only && line.rfind("clusterer ", 0) == 0) {
+      std::istringstream fields(line);
+      std::string tag;
+      int has = 0;
+      fields >> tag >> has >> skip_anchor_lines;
+      continue;
+    }
+    if (line.rfind("stats ", 0) == 0) {
+      std::istringstream fields(line);
+      std::vector<std::string> tokens;
+      std::string tok;
+      while (fields >> tok) tokens.push_back(tok);
+      // Layout: "stats" + 11 counters + reuse/dirty/rebuilds + 3 timings.
+      TCOMP_CHECK_EQ(tokens.size(), 18u);
+      std::vector<size_t> zeroed = {15, 16, 17};
+      if (products_only) zeroed.insert(zeroed.end(), {3, 12, 13, 14});
+      for (size_t i : zeroed) {
+        tokens[i].assign(1, '0');  // `= "0"` trips GCC 12's -Wrestrict
+      }
+      for (size_t i = 0; i < tokens.size(); ++i) {
+        if (i > 0) out << ' ';
+        out << tokens[i];
+      }
+      out << '\n';
+      continue;
+    }
+    out << line << '\n';
+  }
+  return out.str();
+}
 
 /// A uniformly random snapshot of `n` objects in [0, extent)².
 inline Snapshot RandomSnapshot(int n, double extent, Pcg32& rng,

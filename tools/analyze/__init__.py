@@ -8,8 +8,7 @@ and no exceptions escaping the library. Architecture (DESIGN §1.9):
     (tokens)  (scopes, decls,    (#include graph,   (per-file + whole-
                functions)         function index)    project rules)
 
-Entry points: `python3 tools/analyze` (see cli.py) and the legacy
-wrapper `tools/tcomp_lint.py`.
+Entry point: `python3 tools/analyze` (see cli.py).
 """
 
 __version__ = "1.0"

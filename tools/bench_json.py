@@ -2,10 +2,9 @@
 """Run the perf-trajectory harness and record its JSON output.
 
 Wraps the bench_perf_json binary: runs it with the chosen workload,
-validates the result (checksums and counters must agree between the
-kernel and merge paths, incremental clustering must reproduce the
-full-DBSCAN products, and every sharded run must produce byte-identical
-companions to the single-shard baseline), annotates it with the
+validates the result (every sharded run must produce byte-identical
+companions to the single-shard baseline, and the stage histograms must
+be present and consistent), annotates it with the
 toolchain/commit the numbers were taken on, and writes it to
 BENCH_PR<N>.json at the repo root — the repo's perf-trajectory record,
 one file per PR that re-measured it (--pr selects N; --out overrides
@@ -22,6 +21,8 @@ protocol's peak effective goodput — achieved x (1 - shed) — clearing
 --history skips the harness entirely and reads every BENCH_PR*.json
 already at the repo root, printing one cross-PR trajectory table so the
 speedup story is readable in one place instead of N disconnected files.
+Records from before the harness was trimmed to its sharded section
+still carry micro/e2e/incremental/soa sections; the table reads them.
 
 Usage:
     tools/bench_json.py --build-dir build --pr 7     # full workload
@@ -284,7 +285,7 @@ def main():
     parser.add_argument("--quick", action="store_true",
                         help="small smoke workload (CI lane)")
     parser.add_argument("--reps", type=int, default=9,
-                        help="end-to-end repetitions per kernel mode")
+                        help="end-to-end repetitions per shard count")
     parser.add_argument("--objects", type=int, default=None,
                         help="override the e2e stream population")
     parser.add_argument("--snapshots", type=int, default=None,
@@ -322,41 +323,12 @@ def main():
         raise SystemExit("harness ran without warm-up iterations — cold-start "
                          "numbers are not comparable; refusing to record")
 
-    micro = result["micro"]
-    if not (micro["intersect_checksums_match"]
-            and micro["closedness_checksums_match"]):
-        raise SystemExit("micro checksums disagree: kernels are not a "
-                         "pure optimization — refusing to record")
-    for entry in result["e2e"]:
-        if not entry["identical_counters"]:
-            raise SystemExit(f"{entry['algorithm']}: intersection counters "
-                             "differ across kernel modes — refusing to record")
-    for entry in result.get("incremental", []):
-        if not entry["identical_products"]:
-            raise SystemExit(f"{entry['algorithm']}: incremental clustering "
-                             "changed the products — refusing to record")
-        if not 0.0 <= entry["reuse_ratio"] <= 1.0:
-            raise SystemExit(f"{entry['algorithm']}: reuse_ratio "
-                             f"{entry['reuse_ratio']} out of [0, 1] — torn "
-                             "counters; refusing to record")
     for entry in result.get("sharded", []):
         if not entry["identical_products"]:
             raise SystemExit(
                 f"sharded {entry['scenario']} @ {entry['shards']} shards: "
                 "companions differ from the single-shard baseline — the "
                 "decomposition is not product-preserving; refusing to record")
-
-    soa = result.get("soa", {})
-    if soa:
-        if not soa["micro"]["checksums_match"]:
-            raise SystemExit("SoA eps-filter micro checksums disagree with "
-                             "the scalar walk — refusing to record")
-        for entry in soa.get("e2e", []):
-            if not entry["identical_products"]:
-                raise SystemExit(
-                    f"soa {entry['scenario']} ({entry['algorithm']}): "
-                    "products or distance_ops differ across SoA modes — "
-                    "refusing to record")
 
     stage_metrics = result.get("stage_metrics", {})
     histograms = stage_metrics.get("histograms", {})
@@ -382,31 +354,11 @@ def main():
     out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     print(f"wrote {out_path}")
-    print(f"  micro: intersect {micro['intersect_speedup']:.1f}x, "
-          f"closedness {micro['closedness_speedup']:.1f}x")
-    for entry in result["e2e"]:
-        print(f"  e2e {entry['algorithm']}: "
-              f"istep {entry['istep_speedup']:.2f}x, "
-              f"normalized {entry['norm_speedup']:.3f}x")
-    # Informational, not gated: the incremental layer's wins depend on
-    # stream coherence, which CI machines cannot promise to reproduce.
-    for entry in result.get("incremental", []):
-        print(f"  incremental {entry['algorithm']}: "
-              f"cluster {entry['cluster_speedup']:.2f}x, "
-              f"total {entry['total_speedup']:.2f}x, "
-              f"reuse {entry['reuse_ratio']:.2f}")
     for entry in result.get("sharded", []):
         print(f"  sharded {entry['scenario']} @ {entry['shards']}: "
               f"total {entry['speedup_vs_1']:.2f}x, "
               f"cluster {entry['cluster_speedup_vs_1']:.2f}x, "
               f"halo {entry['halo_objects']}")
-    if soa:
-        print(f"  soa micro: batch {soa['micro']['batch_speedup']:.2f}x, "
-              f"gather {soa['micro']['gather_speedup']:.2f}x")
-        for entry in soa.get("e2e", []):
-            print(f"  soa {entry['scenario']} ({entry['algorithm']}): "
-                  f"cluster {entry['cluster_speedup']:.2f}x, "
-                  f"total {entry['total_speedup']:.2f}x")
     return 0
 
 
