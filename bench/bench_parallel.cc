@@ -47,13 +47,12 @@ int Main(int argc, const char* const* argv) {
                                    /*num_snapshots=*/12, /*seed=*/42);
   DiscoveryParams params = d.default_params;
 
-  // --- Clustering stage in isolation (Dbscan and DbscanGrid). -----------
-  TablePrinter cluster_table(
-      {"threads", "dbscan-n2", "speedup", "grid", "speedup"});
+  // --- Clustering stage in isolation (the O(n²) Dbscan). ---------------
+  TablePrinter cluster_table({"threads", "dbscan-n2", "speedup"});
   const Snapshot& big = d.stream[0];
-  Clustering ref_plain, ref_grid;
-  int64_t ref_plain_ops = 0, ref_grid_ops = 0;
-  double base_plain = 0.0, base_grid = 0.0;
+  Clustering ref_plain;
+  int64_t ref_plain_ops = 0;
+  double base_plain = 0.0;
   for (int threads : kThreadCounts) {
     DbscanParams cp = params.cluster;
     cp.threads = threads;
@@ -64,39 +63,20 @@ int Main(int argc, const char* const* argv) {
     Clustering got_plain = Dbscan(big, cp, &plain_ops);
     plain.Stop();
 
-    Timer grid;
-    int64_t grid_ops = 0;
-    grid.Start();
-    Clustering got_grid;
-    for (const Snapshot& s : d.stream) {
-      got_grid = DbscanGrid(s, cp, &grid_ops);
-    }
-    grid.Stop();
-
     if (threads == 1) {
       ref_plain = got_plain;
-      ref_grid = got_grid;
       ref_plain_ops = plain_ops;
-      ref_grid_ops = grid_ops;
       base_plain = plain.Seconds();
-      base_grid = grid.Seconds();
     } else {
       CheckSame(SameClustering(got_plain, ref_plain), "Dbscan clustering",
                 threads);
       CheckSame(plain_ops == ref_plain_ops, "Dbscan distance_ops", threads);
-      CheckSame(SameClustering(got_grid, ref_grid), "DbscanGrid clustering",
-                threads);
-      CheckSame(grid_ops == ref_grid_ops, "DbscanGrid distance_ops",
-                threads);
     }
     cluster_table.AddRow({std::to_string(threads),
                           FormatDouble(plain.Milliseconds(), 1) + "ms",
-                          Speedup(base_plain, plain.Seconds()),
-                          FormatDouble(grid.Milliseconds(), 1) + "ms",
-                          Speedup(base_grid, grid.Seconds())});
+                          Speedup(base_plain, plain.Seconds())});
   }
-  std::cout << "\nClustering one 5,000-object snapshot (dbscan-n2) / the "
-               "12-snapshot stream (grid)\n";
+  std::cout << "\nClustering one 5,000-object snapshot (dbscan-n2)\n";
   cluster_table.Print();
 
   // --- Full BU discovery over the stream. -------------------------------
@@ -144,7 +124,7 @@ int Main(int argc, const char* const* argv) {
 
   std::cout << "\nExpected shape: near-linear dbscan-n2 scaling up to the "
                "core count (the\nneighbor stage is embarrassingly parallel "
-               "over strided rows); grid and BU\nscale less — their serial "
+               "over strided rows); BU scales\nless — its serial "
                "stitch/merge phases bound the win (Amdahl). On a\n"
                "single-core host every speedup column reads ~1.0x; the "
                "determinism checks\nstill bite.\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -78,6 +77,168 @@ Clustering BuildClusteringFromCores(
   return result;
 }
 
+int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
+                           double radius, const uint8_t* source,
+                           Arena* arena, std::vector<uint64_t>* pairs) {
+  TCOMP_CHECK_GT(radius, 0.0);
+  pairs->clear();
+  double max_abs = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    // Defense in depth behind the stream-ingest validation: casting
+    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
+    // coordinate must never reach the column bucketing below.
+    TCOMP_CHECK(std::isfinite(xs[i]) && std::isfinite(ys[i]))
+        << "non-finite coordinate at point " << i;
+    max_abs = std::max({max_abs, std::fabs(xs[i]), std::fabs(ys[i])});
+  }
+  // Padded column width: with columns of exactly `radius`, the rounding
+  // of floor(x / radius) at large |x| can put a pair at distance exactly
+  // radius two columns apart. GridCellWidth pads the width so adjacent
+  // columns always cover the pair; the same pad absorbs the rounding of
+  // y ± w below. Membership is still decided exactly by the kernel.
+  const double w = GridCellWidth(radius, max_abs);
+  const double r2 = radius * radius;
+
+  // Sweep order: (column, y, index) — a total, value-determined order, so
+  // the candidate sets and the returned count are deterministic.
+  struct SweepEntry {
+    int64_t cx;
+    double y;
+    uint32_t idx;
+  };
+  SweepEntry* grid = arena->AllocateArray<SweepEntry>(n);
+  for (size_t i = 0; i < n; ++i) {
+    grid[i] = SweepEntry{static_cast<int64_t>(std::floor(xs[i] / w)), ys[i],
+                         static_cast<uint32_t>(i)};
+  }
+  std::sort(grid, grid + n, [](const SweepEntry& a, const SweepEntry& b) {
+    if (a.cx != b.cx) return a.cx < b.cx;
+    if (a.y != b.y) return a.y < b.y;
+    return a.idx < b.idx;
+  });
+
+  // Sweep-order SoA mirror (sy doubles as the band cursors' key, sx/sy
+  // feed EpsFilterGather, sidx maps positions back to points) and the
+  // first position of every column, closed by n.
+  double* sx = arena->AllocateArray<double>(n);
+  double* sy = arena->AllocateArray<double>(n);
+  uint32_t* sidx = arena->AllocateArray<uint32_t>(n);
+  uint32_t* col = arena->AllocateArray<uint32_t>(n + 1);
+  size_t ncols = 0;
+  for (uint32_t e = 0; e < n; ++e) {
+    sx[e] = xs[grid[e].idx];
+    sy[e] = grid[e].y;
+    sidx[e] = grid[e].idx;
+    if (e == 0 || grid[e].cx != grid[e - 1].cx) col[ncols++] = e;
+  }
+  col[ncols] = static_cast<uint32_t>(n);
+  uint32_t* cand = arena->AllocateArray<uint32_t>(n);
+  uint32_t* surv = arena->AllocateArray<uint32_t>(n);
+
+  // Sources walk each column bottom-up, so the band in each of the up to
+  // three probe columns only moves forward: one cursor per probe column
+  // replaces a per-source binary search.
+  int64_t ops = 0;
+  for (size_t c = 0; c < ncols; ++c) {
+    const int64_t cx = grid[col[c]].cx;
+    size_t probe[3];
+    uint32_t lo[3];
+    int nprobe = 0;
+    if (c > 0 && grid[col[c - 1]].cx == cx - 1) probe[nprobe++] = c - 1;
+    probe[nprobe++] = c;
+    if (c + 1 < ncols && grid[col[c + 1]].cx == cx + 1) {
+      probe[nprobe++] = c + 1;
+    }
+    for (int k = 0; k < nprobe; ++k) lo[k] = col[probe[k]];
+
+    for (uint32_t s = col[c]; s < col[c + 1]; ++s) {
+      const uint32_t i = sidx[s];
+      if (source != nullptr && source[i] == 0) continue;
+      const double y_lo = sy[s] - w;
+      const double y_hi = sy[s] + w;
+      for (int k = 0; k < nprobe; ++k) {
+        const uint32_t end = col[probe[k] + 1];
+        uint32_t e = lo[k];
+        while (e < end && sy[e] < y_lo) ++e;
+        lo[k] = e;
+        // The skip rules (self, a source-source pair owned by the smaller
+        // index) run before anything is counted or compared.
+        size_t m = 0;
+        for (; e < end && sy[e] <= y_hi; ++e) {
+          const uint32_t j = sidx[e];
+          if (j == i) continue;
+          if (j < i && (source == nullptr || source[j] != 0)) continue;
+          cand[m++] = e;
+        }
+        ops += static_cast<int64_t>(m);
+        const size_t kept =
+            EpsFilterGather(sx, sy, cand, m, sx[s], sy[s], r2, surv);
+        for (size_t t = 0; t < kept; ++t) {
+          pairs->push_back((static_cast<uint64_t>(i) << 32) | sidx[surv[t]]);
+        }
+      }
+    }
+  }
+  return ops;
+}
+
+void AppendPairsToRows(const uint64_t* pairs, size_t count,
+                       const uint32_t* value, bool include_self,
+                       Arena* arena,
+                       std::vector<std::vector<uint32_t>>* rows) {
+  const size_t nrows = rows->size();
+  uint32_t* degree = arena->AllocateArray<uint32_t>(nrows);
+  std::fill(degree, degree + nrows, 0u);
+  for (size_t k = 0; k < count; ++k) {
+    const uint64_t a = pairs[k] >> 32;
+    const uint32_t b = static_cast<uint32_t>(pairs[k]);
+    if (a < nrows) ++degree[a];
+    if (b < nrows) ++degree[b];
+  }
+  const uint32_t self = include_self ? 1 : 0;
+  const auto value_of = [value](uint32_t k) {
+    return value == nullptr ? k : value[k];
+  };
+  // Sizing every row once up front replaces the ~log(degree)
+  // reallocations incremental push_backs would cost per row.
+  uint32_t max_appended = 0;
+  for (uint32_t r = 0; r < nrows; ++r) {
+    const uint32_t appended = degree[r] + self;
+    if (appended == 0) continue;
+    max_appended = std::max(max_appended, appended);
+    std::vector<uint32_t>& row = (*rows)[r];
+    row.reserve(row.size() + appended);
+    if (include_self) row.push_back(value_of(r));
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const uint32_t a = static_cast<uint32_t>(pairs[k] >> 32);
+    const uint32_t b = static_cast<uint32_t>(pairs[k]);
+    if (a < nrows) (*rows)[a].push_back(value_of(b));
+    if (b < nrows) (*rows)[b].push_back(value_of(a));
+  }
+  // Sort each appended tail, then merge it into the row's kept prefix
+  // from the back: a carried list that gained a few entries costs one
+  // linear pass instead of a full re-sort.
+  uint32_t* tail = arena->AllocateArray<uint32_t>(max_appended);
+  for (uint32_t r = 0; r < nrows; ++r) {
+    const size_t appended = degree[r] + self;
+    if (appended == 0) continue;
+    std::vector<uint32_t>& row = (*rows)[r];
+    size_t kept = row.size() - appended;
+    std::sort(row.begin() + kept, row.end());
+    if (kept == 0 || row[kept - 1] <= row[kept]) continue;
+    std::copy(row.begin() + kept, row.end(), tail);
+    size_t out = row.size();
+    for (size_t t = appended; t > 0;) {
+      if (kept > 0 && row[kept - 1] > tail[t - 1]) {
+        row[--out] = row[--kept];
+      } else {
+        row[--out] = tail[--t];
+      }
+    }
+  }
+}
+
 }  // namespace internal
 
 Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
@@ -151,197 +312,14 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops) {
   const size_t n = snapshot.size();
-  const double eps = params.epsilon;
-  const double eps2 = eps * eps;
-  TCOMP_CHECK_GT(eps, 0.0);
-
-  double max_abs = 0.0;
-  for (uint32_t i = 0; i < n; ++i) {
-    Point p = snapshot.pos(i);
-    // Defense in depth behind the stream-ingest validation: casting
-    // floor(NaN/Inf) to int64_t is undefined behavior, so a non-finite
-    // coordinate must never reach the cell bucketing below.
-    TCOMP_CHECK(std::isfinite(p.x) && std::isfinite(p.y))
-        << "non-finite coordinate for object " << snapshot.id(i);
-    max_abs = std::max({max_abs, std::fabs(p.x), std::fabs(p.y)});
-  }
-  // Padded cell width: with cells of exactly eps, the rounding of
-  // floor(x / eps) at large |x| can put a pair at distance exactly eps
-  // two cells apart, and the 3×3 scan would miss it (the flat backend
-  // would not — an eps-boundary disagreement). GridCellWidth pads the
-  // width so adjacent-cell coverage is guaranteed; membership is still
-  // decided exactly by the closed-ball compare of the ε-filter kernel.
-  const double cell_width = GridCellWidth(eps, max_abs);
-
-  // The grid is a sorted flat array of (cell, point) entries, so every
-  // 3×3 probe is a handful of contiguous ranges over coordinates permuted
-  // into grid order — exactly the shape EpsFilterBatch streams.
-  struct Entry {
-    int64_t cx;
-    int64_t cy;
-    uint32_t idx;
-  };
-  std::vector<Entry> entries(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const Point p = snapshot.pos(i);
-    entries[i] = Entry{static_cast<int64_t>(std::floor(p.x / cell_width)),
-                       static_cast<int64_t>(std::floor(p.y / cell_width)), i};
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.cx != b.cx) return a.cx < b.cx;
-    if (a.cy != b.cy) return a.cy < b.cy;
-    return a.idx < b.idx;
-  });
-
-  // Grid-order permutation of the coordinates plus the map back to
-  // snapshot indices.
-  std::vector<double> gx(n);
-  std::vector<double> gy(n);
-  std::vector<uint32_t> order(n);
-  for (size_t k = 0; k < n; ++k) {
-    const uint32_t i = entries[k].idx;
-    const Point p = snapshot.pos(i);
-    order[k] = i;
-    gx[k] = p.x;
-    gy[k] = p.y;
-  }
-
-  // Occupied cells with their [begin, end) range in grid order, plus each
-  // point's cell.
-  struct UCell {
-    int64_t cx;
-    int64_t cy;
-    uint32_t begin;
-    uint32_t end;
-  };
-  std::vector<UCell> cells;
-  for (uint32_t k = 0; k < n; ++k) {
-    if (cells.empty() || cells.back().cx != entries[k].cx ||
-        cells.back().cy != entries[k].cy) {
-      cells.push_back(UCell{entries[k].cx, entries[k].cy, k, k + 1});
-    } else {
-      cells.back().end = k + 1;
-    }
-  }
-
-  // Forward plane-sweep span table. The 3×3 candidate relation is
-  // symmetric, so each unordered pair needs evaluating only once: point
-  // k probes the tail of its own cell (grid positions > k) plus the
-  // forward half-neighborhood — cell (cx, cy+1) and the cx+1 column
-  // (cy-1..cy+1). Every surviving pair then feeds both rows in the
-  // scatter below, exactly the upper-triangle structure of the flat
-  // Dbscan backend. Adjacent forward cells are consecutive in grid
-  // order whenever occupied, so the cx+1 column typically collapses to
-  // one merged span — ranges long enough for the kernel's vector path.
-  // distance_ops accounting: the sweep evaluates each unordered pair
-  // once and counts it twice, so the recorded figure is the number of
-  // ordered candidate pairs a per-point 3×3 walk would compare.
-  std::vector<uint32_t> span_offset(cells.size() + 1, 0);
-  std::vector<std::pair<uint32_t, uint32_t>> spans;
-  spans.reserve(cells.size() * 3);
-  const auto cell_pos_less = [](const UCell& a, const UCell& b) {
-    if (a.cx != b.cx) return a.cx < b.cx;
-    return a.cy < b.cy;
-  };
-  constexpr int64_t kForward[4][2] = {{0, 1}, {1, -1}, {1, 0}, {1, 1}};
-  for (size_t c = 0; c < cells.size(); ++c) {
-    const size_t first_span = spans.size();
-    for (const int64_t* d : kForward) {
-      const UCell probe{cells[c].cx + d[0], cells[c].cy + d[1], 0, 0};
-      auto it = std::lower_bound(cells.begin(), cells.end(), probe,
-                                 cell_pos_less);
-      if (it != cells.end() && it->cx == probe.cx && it->cy == probe.cy) {
-        if (spans.size() > first_span && spans.back().second == it->begin) {
-          spans.back().second = it->end;
-        } else {
-          spans.emplace_back(it->begin, it->end);
-        }
-      }
-    }
-    span_offset[c + 1] = static_cast<uint32_t>(spans.size());
-  }
-  // Survivor staging must cover the longest merged span and the largest
-  // own-cell tail.
-  uint32_t max_span_len = 0;
-  for (const std::pair<uint32_t, uint32_t>& s : spans) {
-    max_span_len = std::max(max_span_len, s.second - s.first);
-  }
-  for (const UCell& c : cells) {
-    max_span_len = std::max(max_span_len, c.end - c.begin);
-  }
-
-  // Phase 1 (parallel): forward survivor lists, one owner per cell —
-  // shard s sweeps cells s, s+T, ..., and fwd[i] is written only by the
-  // shard owning i's cell, so rows never race. Phase 2 (serial) mirrors
-  // each surviving pair into both rows; content is independent of the
-  // shard count because phase 1 rows are.
-  int64_t ops = 0;
-  std::vector<std::vector<uint32_t>> fwd(n);
-  const int shards = EffectiveShards(params.threads, n);
-  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    int64_t local_ops = 0;
-    std::vector<uint32_t> surv(max_span_len);
-    for (size_t c = static_cast<size_t>(shard); c < cells.size();
-         c += static_cast<size_t>(num_shards)) {
-      for (uint32_t k = cells[c].begin; k < cells[c].end; ++k) {
-        const uint32_t i = order[k];
-        const double px = gx[k];
-        const double py = gy[k];
-        std::vector<uint32_t>& row = fwd[i];
-        // One up-front block instead of doubling through the emit loops;
-        // dense-regime rows run ~10-20 forward survivors.
-        row.reserve(16);
-        if (k + 1 < cells[c].end) {
-          local_ops += cells[c].end - (k + 1);
-          const size_t kept = EpsFilterBatch(gx.data(), gy.data(), k + 1,
-                                             cells[c].end, px, py, eps2,
-                                             surv.data());
-          for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
-        }
-        for (uint32_t s = span_offset[c]; s < span_offset[c + 1]; ++s) {
-          local_ops += spans[s].second - spans[s].first;
-          const size_t kept =
-              EpsFilterBatch(gx.data(), gy.data(), spans[s].first,
-                             spans[s].second, px, py, eps2, surv.data());
-          for (size_t t = 0; t < kept; ++t) row.push_back(order[surv[t]]);
-        }
-      }
-    }
-    shard_ops[static_cast<size_t>(shard)] = local_ops;
-  });
-  for (int64_t s : shard_ops) ops += 2 * s;
-
-  // Phase 2: mirror the surviving pairs. The full row for i is the
-  // ascending union of {i}, its forward survivors, and every j that saw
-  // i in its own forward sweep. Scattering the reverse edges in
-  // ascending i order makes each reverse segment pre-sorted, so one
-  // small sort (forward list plus self) and one linear merge replace
-  // the full-row sort, at a fraction of the comparisons.
-  std::vector<uint32_t> rev_off(n + 1, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j : fwd[i]) ++rev_off[j + 1];
-  }
-  for (uint32_t i = 0; i < n; ++i) rev_off[i + 1] += rev_off[i];
-  std::vector<uint32_t> rev_buf(rev_off[n]);
-  {
-    std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
-    for (uint32_t i = 0; i < n; ++i) {
-      for (uint32_t j : fwd[i]) rev_buf[cursor[j]++] = i;
-    }
-  }
+  Arena arena;
+  std::vector<uint64_t> pairs;
+  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
+  const int64_t ops = internal::SweepNeighborPairs(
+      soa.x, soa.y, n, params.epsilon, nullptr, &arena, &pairs);
   std::vector<std::vector<uint32_t>> neighbors(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::vector<uint32_t>& f = fwd[i];
-    f.push_back(i);
-    std::sort(f.begin(), f.end());
-    std::vector<uint32_t>& row = neighbors[i];
-    const uint32_t rb = rev_off[i];
-    const uint32_t re = rev_off[i + 1];
-    row.reserve(f.size() + (re - rb));
-    std::merge(f.begin(), f.end(), rev_buf.begin() + rb,
-               rev_buf.begin() + re, std::back_inserter(row));
-  }
+  internal::AppendPairsToRows(pairs.data(), pairs.size(), nullptr,
+                              /*include_self=*/true, &arena, &neighbors);
 
   std::vector<bool> core(n, false);
   for (uint32_t i = 0; i < n; ++i) {

@@ -7,6 +7,7 @@
 
 #include "core/snapshot.h"
 #include "core/types.h"
+#include "util/arena.h"
 
 namespace tcomp {
 
@@ -15,10 +16,12 @@ namespace tcomp {
 /// N_ε(o) includes o itself (dist(o,o)=0 ≤ ε), so an object is a *core*
 /// object iff at least `mu` objects (itself included) lie within ε.
 ///
-/// `threads` parallelizes the neighbor-computation stage across a static
-/// thread pool (util/thread_pool.h). Results — labels, core flags,
-/// clusters, and the distance_ops counter — are bit-identical at every
-/// thread count; 1 (the default) bypasses the pool entirely.
+/// `threads` parallelizes the reference Dbscan()'s O(n²) neighbor stage
+/// and BU's buddy stages across the shared pool (util/thread_pool.h).
+/// Results — labels, core flags, clusters, and the distance_ops counter —
+/// are bit-identical at every thread count; 1 (the default) bypasses the
+/// pool entirely. DbscanGrid and the incremental clusterer are serial and
+/// ignore it; the parallel ε path is the sharded engine (src/shard/).
 struct DbscanParams {
   double epsilon = 1.0;
   int mu = 3;
@@ -36,15 +39,16 @@ inline bool WithinEps(Point a, Point b, double eps2) {
   return SquaredDistance(a, b) <= eps2;
 }
 
-/// Cell width for an ε-bucketed uniform grid whose 3×3 neighborhood scan
-/// is guaranteed to cover every pair within `eps`, even at the edge of
-/// floating-point resolution. A naive `floor(x / eps)` bucketing can put
-/// two coordinates exactly `eps` apart two cells apart once |x| grows to
-/// ~eps·2^52 (the division's rounding error reaches a whole cell), and a
-/// pair at distance exactly eps that straddles a cell border is then
-/// missed by the scan. Padding the width by max|coord|·2⁻⁴⁰ (plus a
-/// relative ε pad) keeps |floor(x₁/c) − floor(x₂/c)| ≤ 1 whenever
-/// |x₁ − x₂| ≤ eps, at the cost of a slightly denser grid.
+/// Column width for the ε-neighborhood sweep (and the shard halo radius)
+/// that is guaranteed to cover every pair within `eps` through adjacent
+/// columns and a ±width band, even at the edge of floating-point
+/// resolution. A naive `floor(x / eps)` bucketing can put two coordinates
+/// exactly `eps` apart two columns apart once |x| grows to ~eps·2^52 (the
+/// division's rounding error reaches a whole column), and a pair at
+/// distance exactly eps that straddles a border is then missed. Padding
+/// the width by max|coord|·2⁻⁴⁰ (plus a relative ε pad) keeps
+/// |floor(x₁/c) − floor(x₂/c)| ≤ 1 whenever |x₁ − x₂| ≤ eps, at the cost
+/// of a slightly wider band.
 double GridCellWidth(double eps, double max_abs_coord);
 
 /// Result of clustering one snapshot.
@@ -79,16 +83,53 @@ using ClusterProvider =
 Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
                   int64_t* distance_ops = nullptr);
 
-/// Grid-accelerated density clustering with identical output to Dbscan().
-/// Buckets objects into an ε×ε grid and sweeps it forward, evaluating each
-/// pair of 3×3-adjacent objects once through the batched ε-filter kernel
-/// (util/eps_filter.h). Used by generators/examples where a fast exact
-/// clustering is needed and as a reference point in the clustering
-/// microbenchmarks; tests pin it against Dbscan().
+/// Grid-accelerated density clustering with identical output to Dbscan():
+/// the ε-neighborhood plane sweep (internal::SweepNeighborPairs) over every
+/// point, then the shared finishing step. `distance_ops` grows by the
+/// candidate pairs the sweep evaluated, each unordered pair at most once
+/// (so at most n(n-1)/2). Serial; `params.threads` is ignored. Used by
+/// generators/examples where a fast exact clustering is needed and as a
+/// reference point in the clustering microbenchmarks; tests pin it
+/// against Dbscan().
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
 
 namespace internal {
+
+/// The one ε-neighborhood builder behind DbscanGrid, the shard stripes
+/// and the incremental clusterer's rₑ-graph (DESIGN.md §1.6d). Given n
+/// points as SoA coordinates `xs`/`ys`, a `radius` > 0 and an optional
+/// per-point 0/1 `source` mask (null = every point is a source), it
+/// appends to `pairs` (cleared first) every pair within `radius` —
+/// closed ball, the WithinEps compare — that involves a source, exactly
+/// once, packed as (s << 32 | p) with s the source that evaluated it:
+///   - a source–source pair from the smaller index (s < p);
+///   - a source–non-source pair from the source side.
+/// Pairs of two non-sources are never evaluated.
+///
+/// Points are sorted by (column of width GridCellWidth(radius, max|coord|),
+/// y, index); each source sweeps the [y − w, y + w] band of its own and
+/// the two adjacent columns with forward-only cursors and streams the
+/// band through EpsFilterGather — ~6r² of candidate area per source
+/// against 9r² for a 3×3 cell walk. Every coordinate must be finite
+/// (checked). Scratch comes from `arena` and lives until its next
+/// Reset(). Returns the candidate pairs evaluated (the distance_ops
+/// figure), a pure function of the input.
+int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
+                           double radius, const uint8_t* source,
+                           Arena* arena, std::vector<uint64_t>* pairs);
+
+/// Materializes pairs (a << 32 | b) as ascending rows: row a gains
+/// value[b] and row b gains value[a], where an endpoint ≥ rows->size()
+/// has no row and `value` null means the identity. With `include_self`
+/// every row first gains its own value (N_ε(o) ∋ o, Definition 1). Rows
+/// keep what they already hold, which must be sorted: each row is
+/// reserved once, and its new entries are sorted and merged into what it
+/// held, so every row ends ascending. Scratch comes from `arena`.
+void AppendPairsToRows(const uint64_t* pairs, size_t count,
+                       const uint32_t* value, bool include_self,
+                       Arena* arena,
+                       std::vector<std::vector<uint32_t>>* rows);
 
 /// Shared finishing step: given core flags and an adjacency oracle, builds
 /// the deterministic Clustering described above. Exposed for the

@@ -20,10 +20,6 @@ namespace {
 /// attempting a huge resize from a corrupt stream.
 constexpr uint64_t kMaxStateCount = 1ull << 24;
 
-void InsertSorted(std::vector<ObjectId>& list, ObjectId id) {
-  list.insert(std::lower_bound(list.begin(), list.end(), id), id);
-}
-
 void EraseSorted(std::vector<ObjectId>& list, ObjectId id) {
   auto it = std::lower_bound(list.begin(), list.end(), id);
   if (it != list.end() && *it == id) list.erase(it);
@@ -58,7 +54,6 @@ IncrementalClusterer::IncrementalClusterer(const DbscanParams& params)
   // rₑ = ε + 2Δ = 2ε, padded by 1e-9 relative so double rounding in the
   // triangle-inequality bound can never exclude a true ε-pair.
   re_pad_ = 2.0 * params.epsilon * (1.0 + 1e-9);
-  re_pad2_ = re_pad_ * re_pad_;
 }
 
 void IncrementalClusterer::Reset() {
@@ -68,44 +63,19 @@ void IncrementalClusterer::Reset() {
   lists_.clear();
 }
 
-namespace {
-
-/// Strict-weak order on (cx, cy) only: equal_range over an index sorted
-/// by (cx, cy, idx) partitions correctly under it, and including idx in
-/// the sort keeps the within-cell order a total (hence reproducible)
-/// order even though no output depends on it.
-template <typename Entry>
-bool CellPosLess(const Entry& a, const Entry& b) {
-  if (a.cx != b.cx) return a.cx < b.cx;
-  return a.cy < b.cy;
-}
-
-}  // namespace
-
-double IncrementalClusterer::BuildCellIndex() {
-  double max_abs = 0.0;
-  for (const Point& a : anchors_) {
-    TCOMP_CHECK(std::isfinite(a.x) && std::isfinite(a.y))
-        << "non-finite anchor coordinate";
-    max_abs = std::max({max_abs, std::fabs(a.x), std::fabs(a.y)});
+int64_t IncrementalClusterer::ProbeAnchors(const uint8_t* source) {
+  const size_t n = anchors_.size();
+  double* xs = arena_.AllocateArray<double>(n);
+  double* ys = arena_.AllocateArray<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = anchors_[i].x;
+    ys[i] = anchors_[i].y;
   }
-  const double cell = GridCellWidth(re_pad_, max_abs);
-  cell_count_ = anchors_.size();
-  cell_index_ = arena_.AllocateArray<CellEntry>(cell_count_);
-  for (size_t i = 0; i < cell_count_; ++i) {
-    const Point a = anchors_[i];
-    cell_index_[i] =
-        CellEntry{static_cast<int64_t>(std::floor(a.x / cell)),
-                  static_cast<int64_t>(std::floor(a.y / cell)),
-                  static_cast<uint32_t>(i)};
-  }
-  std::sort(cell_index_, cell_index_ + cell_count_,
-            [](const CellEntry& a, const CellEntry& b) {
-              if (a.cx != b.cx) return a.cx < b.cx;
-              if (a.cy != b.cy) return a.cy < b.cy;
-              return a.idx < b.idx;
-            });
-  return cell;
+  const int64_t probed = internal::SweepNeighborPairs(
+      xs, ys, n, re_pad_, source, &arena_, &pairs_);
+  internal::AppendPairsToRows(pairs_.data(), pairs_.size(), ids_.data(),
+                              /*include_self=*/false, &arena_, &lists_);
+  return probed;
 }
 
 void IncrementalClusterer::RefreshIndexLookup() {
@@ -139,38 +109,9 @@ void IncrementalClusterer::RebuildFromScratch(const Snapshot& snapshot,
 }
 
 void IncrementalClusterer::RebuildListsFromAnchors(int64_t* ops) {
-  const size_t n = ids_.size();
-  lists_.assign(n, {});
-
-  const double cell = BuildCellIndex();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Point a = anchors_[i];
-    const int64_t cx = static_cast<int64_t>(std::floor(a.x / cell));
-    const int64_t cy = static_cast<int64_t>(std::floor(a.y / cell));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        auto range = std::equal_range(cell_index_, cell_index_ + cell_count_,
-                                      CellEntry{cx + dx, cy + dy, 0},
-                                      CellPosLess<CellEntry>);
-        for (auto it = range.first; it != range.second; ++it) {
-          const uint32_t h = it->idx;
-          if (h <= i) continue;  // the 3×3 scan is symmetric: pair once
-          if (ops != nullptr) ++*ops;
-          // tcomp-lint: allow(soa-raw-loop): anchor probes are rₑ-radius
-          // superset tests over AoS anchors_, not the per-snapshot ε hot
-          // path; batching them would change nothing downstream.
-          if (WithinEps(a, anchors_[h], re_pad2_)) {
-            lists_[i].push_back(ids_[h]);
-            lists_[h].push_back(ids_[i]);
-          }
-        }
-      }
-    }
-  }
-  // Probe order is cell order, not id order; restore the sorted invariant.
-  for (std::vector<ObjectId>& list : lists_) {
-    std::sort(list.begin(), list.end());
-  }
+  lists_.assign(ids_.size(), {});
+  const int64_t probed = ProbeAnchors(nullptr);
+  if (ops != nullptr) *ops += probed;
 }
 
 Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
@@ -188,8 +129,7 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
   // Gather each row's carried candidates (the list tail with id > self,
   // so each symmetric pair is filtered exactly once), stream them through
   // EpsFilterGather, and emit surviving pairs as packed (row << 32 | col)
-  // edges into the arena. Rows are then built with exact reserves and
-  // sorted ascending.
+  // into the arena for the shared rows helper.
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
   size_t total_list = 0;
   size_t max_list = 0;
@@ -199,9 +139,8 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
   }
   uint32_t* cand = arena_.AllocateArray<uint32_t>(max_list);
   uint32_t* surv = arena_.AllocateArray<uint32_t>(max_list);
-  // Every surviving pair contributes both directions; Σ tails ==
-  // total_list / 2 pairs, so total_list bounds the edge count.
-  uint64_t* edges = arena_.AllocateArray<uint64_t>(total_list);
+  // The lists are symmetric, so Σ tails == total_list / 2 pairs.
+  uint64_t* edges = arena_.AllocateArray<uint64_t>(total_list / 2);
   size_t edge_count = 0;
   int64_t lanes = 0;
   int64_t batches = 0;
@@ -217,24 +156,11 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
     const size_t kept = EpsFilterGather(soa.x, soa.y, cand, m, soa.x[i],
                                         soa.y[i], eps2, surv);
     for (size_t k = 0; k < kept; ++k) {
-      const uint64_t j = surv[k];
-      edges[edge_count++] = (static_cast<uint64_t>(i) << 32) | j;
-      edges[edge_count++] = (j << 32) | i;
+      edges[edge_count++] = (static_cast<uint64_t>(i) << 32) | surv[k];
     }
   }
-  uint32_t* degree = arena_.AllocateArray<uint32_t>(n);
-  std::fill(degree, degree + n, 0u);
-  for (size_t e = 0; e < edge_count; ++e) ++degree[edges[e] >> 32];
-  for (uint32_t i = 0; i < n; ++i) {
-    neighbors[i].reserve(degree[i] + 1);
-    neighbors[i].push_back(i);
-  }
-  for (size_t e = 0; e < edge_count; ++e) {
-    neighbors[edges[e] >> 32].push_back(static_cast<uint32_t>(edges[e]));
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    std::sort(neighbors[i].begin(), neighbors[i].end());
-  }
+  internal::AppendPairsToRows(edges, edge_count, nullptr,
+                              /*include_self=*/true, &arena_, &neighbors);
   if (delta != nullptr) {
     delta->soa_batches += batches;
     delta->soa_lanes += lanes;
@@ -251,10 +177,10 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
 Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
                                          int64_t* distance_ops,
                                          ClusterDeltaStats* delta) {
-  // All per-snapshot scratch (cell index, id→index table, SoA view, edge
-  // buffers) lives until here and no longer; after the warm-up snapshot
-  // has sized the arena this is the only allocation event per snapshot —
-  // a cursor rewind.
+  // All per-snapshot scratch (dirty flags, sweep grid, id→index table,
+  // SoA view, edge buffers) lives until here and no longer; after the
+  // warm-up snapshot has sized the arena this is the only allocation
+  // event per snapshot — a cursor rewind.
   arena_.Reset();
 
   const size_t n = snapshot.size();
@@ -268,7 +194,8 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
   } else {
     const std::vector<IdMergeItem> merged =
         MergeIdSequences(ids_, snapshot.ids());
-    std::vector<bool> dirty(n, false);
+    uint8_t* dirty = arena_.AllocateArray<uint8_t>(n);
+    std::fill(dirty, dirty + n, uint8_t{0});
     size_t appeared = 0;
     size_t moved = 0;
     size_t disappeared = 0;
@@ -278,7 +205,7 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
         continue;
       }
       if (m.index_a == Snapshot::kNpos) {
-        dirty[m.index_b] = true;
+        dirty[m.index_b] = 1;
         ++appeared;
         continue;
       }
@@ -289,7 +216,7 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
       // an ordered merge mixing two index spaces; a gather into SoA form
       // would cost more than the compare it feeds.
       if (!WithinEps(snapshot.pos(m.index_b), anchors_[m.index_a], delta2_)) {
-        dirty[m.index_b] = true;
+        dirty[m.index_b] = 1;
         ++moved;
       }
     }
@@ -337,37 +264,11 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
       anchors_ = std::move(new_anchors);
       lists_ = std::move(new_lists);
 
-      // 3. Probe only the dirty anchors against the rₑ-grid. A pair of
-      //    two dirty objects is seen from both probes; the h-side guard
-      //    keeps exactly one evaluation per pair.
-      const double cell = BuildCellIndex();
-      for (uint32_t d = 0; d < n; ++d) {
-        if (!dirty[d]) continue;
-        const Point a = anchors_[d];
-        const int64_t cx = static_cast<int64_t>(std::floor(a.x / cell));
-        const int64_t cy = static_cast<int64_t>(std::floor(a.y / cell));
-        for (int64_t dx = -1; dx <= 1; ++dx) {
-          for (int64_t dy = -1; dy <= 1; ++dy) {
-            auto range = std::equal_range(cell_index_,
-                                          cell_index_ + cell_count_,
-                                          CellEntry{cx + dx, cy + dy, 0},
-                                          CellPosLess<CellEntry>);
-            for (auto it = range.first; it != range.second; ++it) {
-              const uint32_t h = it->idx;
-              if (h == d) continue;
-              if (dirty[h] && h < d) continue;  // evaluated at the h probe
-              ++ops;
-              // tcomp-lint: allow(soa-raw-loop): dirty-anchor rₑ probes
-              // touch only the churned minority; see the rebuild-path
-              // rationale above.
-              if (WithinEps(a, anchors_[h], re_pad2_)) {
-                InsertSorted(lists_[d], ids_[h]);
-                InsertSorted(lists_[h], ids_[d]);
-              }
-            }
-          }
-        }
-      }
+      // 3. Probe only the dirty anchors: the shared sweep with sources =
+      //    dirty evaluates each dirty-dirty pair once and each
+      //    dirty-stable pair from the dirty side, and the new edges join
+      //    the carried lists in sorted position.
+      ops += ProbeAnchors(dirty);
     }
   }
 
@@ -434,7 +335,7 @@ Status IncrementalClusterer::LoadState(std::istream& in) {
   // The neighbor lists are a pure function of the anchors; rebuilding
   // them here (uncounted — the uninterrupted run never paid for this)
   // reproduces the carried graph bit-for-bit.
-  arena_.Reset();  // the rebuild's cell index is per-call scratch too
+  arena_.Reset();  // the rebuild's sweep grid is per-call scratch too
   RebuildListsFromAnchors(nullptr);
   return Status::OK();
 }

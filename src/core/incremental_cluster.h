@@ -18,8 +18,8 @@ namespace tcomp {
 struct ClusterDeltaStats {
   /// Objects whose carried neighborhood state was reused as-is.
   int64_t reuse = 0;
-  /// Objects re-probed against the spatial grid (movers, arrivals, plus
-  /// every object of a fallback snapshot).
+  /// Objects re-probed at rₑ (movers, arrivals, plus every object of a
+  /// fallback snapshot).
   int64_t dirty = 0;
   /// Snapshots where the stability test could not bound the churn and the
   /// whole snapshot was re-clustered from scratch.
@@ -50,7 +50,8 @@ struct ClusterDeltaStats {
 ///  - an object is **stable** while it stays within Δ of its anchor;
 ///    otherwise (moved beyond Δ, appeared, or anchor unknown) it is
 ///    **dirty** and is re-probed: its anchor snaps to the current
-///    position and its list is rebuilt from an rₑ-grid;
+///    position and its list is rebuilt by the shared ε-neighborhood
+///    sweep (internal::SweepNeighborPairs) at radius rₑ;
 ///  - by the triangle inequality, two objects within ε of each other are
 ///    within Δ + ε + Δ = rₑ of their anchors, so the carried lists are a
 ///    superset of the true ε-neighbor pairs. The exact ε-graph is then
@@ -92,16 +93,16 @@ class IncrementalClusterer {
   void SaveState(std::ostream& out) const;
   Status LoadState(std::istream& in);
 
-  /// Heap bytes held by the per-snapshot scratch arena (SoA views, cell
-  /// index, id→index table, edge buffers). Stable across snapshots once
+  /// Heap bytes held by the per-snapshot scratch arena (SoA views, sweep
+  /// grid, id→index table, edge buffers). Stable across snapshots once
   /// the workload's high-water mark has been seen — the no-heap-growth
   /// invariant tests/soa_differential_test.cc pins.
   size_t ScratchArenaBytes() const { return arena_.allocated_bytes(); }
 
  private:
   /// Re-anchors every object of `snapshot` and rebuilds the neighbor
-  /// lists from an rₑ-grid. Counts one distance op per candidate pair
-  /// tested when `ops` is non-null.
+  /// lists at rₑ. Counts one distance op per candidate pair tested when
+  /// `ops` is non-null.
   void RebuildFromScratch(const Snapshot& snapshot, int64_t* ops);
 
   /// Rebuilds lists_ from ids_/anchors_ alone (the lists are a pure
@@ -120,36 +121,31 @@ class IncrementalClusterer {
   void RefreshIndexLookup();
   uint32_t IndexOfId(ObjectId id) const;
 
-  /// Rebuilds cell_index_ (the rₑ-grid as a sorted flat array — cheaper
-  /// than a node-based hash map rebuilt every snapshot) and returns the
-  /// cell width used.
-  double BuildCellIndex();
+  /// Probes the anchors against each other at rₑ through the shared
+  /// ε-neighborhood sweep (internal::SweepNeighborPairs) with `source` as
+  /// its source mask (null = every anchor), and adds each pair found to
+  /// both lists_ entries in sorted position. Returns the candidate pairs
+  /// evaluated.
+  int64_t ProbeAnchors(const uint8_t* source);
 
   DbscanParams params_;
   double delta2_;    // (ε/2)², the stability slack, squared
   double re_pad_;    // 2ε padded for FP: probe radius for anchor lists
-  double re_pad2_;   // re_pad_²
 
   bool has_state_ = false;
   std::vector<ObjectId> ids_;                  // ascending; == last snapshot
   std::vector<Point> anchors_;                 // parallel to ids_
   std::vector<std::vector<ObjectId>> lists_;   // sorted, symmetric, no self
 
-  // Per-snapshot scratch, arena-allocated: cell_index_ is the anchor grid
-  // sorted by (cx, cy, idx); index_of_ is the dense id → index table,
-  // valid only when dense_lookup_ is set (sparse id spaces fall back to
-  // binary search over ids_). Pointers are valid until the arena's next
-  // Reset(), which happens only at Cluster() entry and in LoadState() —
-  // never mid-snapshot. The arena retains its capacity across snapshots,
-  // so the steady state allocates nothing from the heap.
-  struct CellEntry {
-    int64_t cx;
-    int64_t cy;
-    uint32_t idx;
-  };
+  // Per-snapshot scratch, arena-allocated: index_of_ is the dense
+  // id → index table, valid only when dense_lookup_ is set (sparse id
+  // spaces fall back to binary search over ids_). Pointers are valid
+  // until the arena's next Reset(), which happens only at Cluster() entry
+  // and in LoadState() — never mid-snapshot. The arena and the sweep's
+  // pair buffer retain their capacity across snapshots, so the steady
+  // state allocates nothing from the heap.
   Arena arena_;
-  CellEntry* cell_index_ = nullptr;
-  size_t cell_count_ = 0;
+  std::vector<uint64_t> pairs_;
   uint32_t* index_of_ = nullptr;
   bool dense_lookup_ = false;
 };

@@ -7,6 +7,7 @@
 #include "core/dbscan.h"
 #include "core/snapshot.h"
 #include "shard/partition.h"
+#include "util/arena.h"
 
 namespace tcomp {
 
@@ -20,20 +21,27 @@ struct ShardResult {
   int64_t distance_ops = 0;
 };
 
-/// Computes the exact ε-neighborhoods of a slice's owned indices over
-/// owned ∪ halo, via a column-sorted flat grid (entries sorted by
-/// (ε-column, y, local) — no unordered containers, same idiom as the
-/// incremental clusterer's anchor grid) whose probes binary-search the
-/// exact y-range instead of walking whole cell rows, cutting the
-/// candidate region from 9ε² to ~6ε². Pure function of (snapshot, slice,
-/// params):
-/// deterministic results and deterministic distance_ops, whichever thread
-/// runs it. Exact because the slice's halo invariant guarantees every
-/// true ε-neighbor of an owned index is present locally, and membership
-/// is decided by the shared WithinEps predicate.
+/// Per-stripe-slot scratch, owned by the caller and reused across
+/// snapshots: the sweep's arena and its pair buffer. Carried capacity is
+/// the only thing that survives a call.
+struct StripeScratch {
+  Arena arena;
+  std::vector<uint64_t> pairs;
+};
+
+/// Computes the exact ε-neighborhoods of a slice's owned indices: the
+/// shared ε-neighborhood sweep (internal::SweepNeighborPairs) over
+/// owned ∪ halo with the owned points as sources, so owned-owned pairs are
+/// evaluated once and owned-halo pairs from the owned side. Pure function
+/// of (snapshot, slice, params): deterministic results and deterministic
+/// distance_ops, whichever thread runs it. Exact because the slice's halo
+/// invariant guarantees every true ε-neighbor of an owned index is
+/// present locally, and membership is decided by the WithinEps compare.
+/// `scratch` must not be shared by concurrent calls.
 ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
                                   const ShardSlice& slice,
-                                  const DbscanParams& params);
+                                  const DbscanParams& params,
+                                  StripeScratch* scratch);
 
 }  // namespace tcomp
 

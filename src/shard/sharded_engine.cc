@@ -1,6 +1,6 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -36,10 +36,14 @@ Clustering ShardedClusterEngine::Cluster(const Snapshot& snapshot,
   Timer work_timer;
   work_timer.Start();
   const size_t shards = plan.slices.size();
+  while (scratch_.size() < shards) {
+    scratch_.push_back(std::make_unique<StripeScratch>());
+  }
   std::vector<ShardResult> results(shards);
   ParallelForShards(static_cast<int>(shards), [&](int k, int) {
-    results[static_cast<size_t>(k)] = ComputeShardNeighbors(
-        snapshot, plan.slices[static_cast<size_t>(k)], params_);
+    const size_t slot = static_cast<size_t>(k);
+    results[slot] = ComputeShardNeighbors(snapshot, plan.slices[slot],
+                                          params_, scratch_[slot].get());
   });
   work_timer.Stop();
   if (stage_sink_ != nullptr) {

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/dbscan.h"
 #include "core/snapshot.h"
@@ -35,7 +37,8 @@ struct ShardEngineStats {
 /// also uses: shard 0 is computed inline on the calling thread, shards
 /// 1..N-1 on the pool's workers. Snapshots are processed one at a time —
 /// Cluster() returns only after the merge — so no shard state survives a
-/// snapshot close. That is the whole checkpoint story: a checkpoint taken
+/// snapshot close (the per-stripe scratch slots carry capacity, not
+/// results). That is the whole checkpoint story: a checkpoint taken
 /// under --shards K resumes at any other shard count because there is
 /// nothing shard-shaped to save (DESIGN.md §1.8).
 ///
@@ -70,6 +73,10 @@ class ShardedClusterEngine {
   const DbscanParams params_;
   const int num_shards_;
   StageTimerSink* stage_sink_ = nullptr;
+  // One sweep scratch slot per stripe, indexed by shard: each stripe task
+  // owns its slot for the fan-out, and the slots keep their capacity
+  // across snapshots (capacity only — no results survive a snapshot).
+  std::vector<std::unique_ptr<StripeScratch>> scratch_;
 
   std::atomic<int64_t> snapshots_{0};
   std::atomic<int64_t> routed_objects_{0};

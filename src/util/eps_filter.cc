@@ -17,7 +17,13 @@
 // flag, so the rest of the binary stays portable. Contraction is off
 // (above), so every clone performs the identical IEEE op sequence and
 // the results are byte-identical across ISAs by construction.
-#if defined(__x86_64__) && defined(__has_attribute) && !defined(__clang__)
+//
+// ThreadSanitizer builds get the baseline copy only: the ifunc resolver
+// runs during relocation, before the TSan runtime is initialized, and an
+// instrumented resolver crashes every binary linking this file at load.
+#if defined(__SANITIZE_THREAD__)
+#define TCOMP_TARGET_CLONES
+#elif defined(__x86_64__) && defined(__has_attribute) && !defined(__clang__)
 #if __has_attribute(target_clones)
 #define TCOMP_TARGET_CLONES \
   __attribute__((target_clones("avx2", "default")))
@@ -44,43 +50,12 @@ constexpr uint32_t kScalarCutoff = 16;
 
 }  // namespace
 
-// Both kernels split each chunk into a branch-free compare pass that the
+// The kernel splits each chunk into a branch-free compare pass that the
 // compiler can vectorize (independent lanes, no control flow, contiguous
 // loads) and a branch-free compaction pass (out[k] is written
 // unconditionally; the cursor advances only on a hit). A fused
 // compare-and-append loop would force the vectorizer to prove a
 // conditional store safe, which baseline x86-64/AArch64 codegen cannot.
-
-TCOMP_TARGET_CLONES
-size_t EpsFilterBatch(const double* xs, const double* ys, uint32_t begin,
-                      uint32_t end, double qx, double qy, double eps2,
-                      uint32_t* out) {
-  if (end - begin < kScalarCutoff) {
-    size_t count = 0;
-    for (uint32_t i = begin; i < end; ++i) {
-      const double dx = xs[i] - qx;
-      const double dy = ys[i] - qy;
-      if (dx * dx + dy * dy <= eps2) out[count++] = i;
-    }
-    return count;
-  }
-  unsigned char hit[kChunk];
-  size_t count = 0;
-  for (uint32_t base = begin; base < end;) {
-    const uint32_t lim = base + std::min<uint32_t>(kChunk, end - base);
-    for (uint32_t i = base; i < lim; ++i) {
-      const double dx = xs[i] - qx;
-      const double dy = ys[i] - qy;
-      hit[i - base] = dx * dx + dy * dy <= eps2 ? 1 : 0;
-    }
-    for (uint32_t i = base; i < lim; ++i) {
-      out[count] = i;
-      count += hit[i - base];
-    }
-    base = lim;
-  }
-  return count;
-}
 
 TCOMP_TARGET_CLONES
 size_t EpsFilterGather(const double* xs, const double* ys,

@@ -170,8 +170,10 @@ TEST(ShardWorkerTest, NeighborListsMatchBruteForce) {
   const double eps2 = params.epsilon * params.epsilon;
   Snapshot snapshot = RandomSnapshot(11, 300, 800.0);
   ShardPlan plan = PartitionSnapshot(snapshot, 3, params.epsilon);
+  StripeScratch scratch;  // reused across stripes, as an engine slot is
   for (const ShardSlice& slice : plan.slices) {
-    ShardResult result = ComputeShardNeighbors(snapshot, slice, params);
+    ShardResult result =
+        ComputeShardNeighbors(snapshot, slice, params, &scratch);
     ASSERT_EQ(result.neighbors.size(), slice.owned.size());
     for (size_t t = 0; t < slice.owned.size(); ++t) {
       std::vector<uint32_t> want;
@@ -197,8 +199,10 @@ TEST(MergeTest, ByteIdenticalToDbscanAcrossShardCounts) {
     for (int shards : {1, 2, 3, 8}) {
       ShardPlan plan = PartitionSnapshot(snapshot, shards, params.epsilon);
       std::vector<ShardResult> results;
+      StripeScratch scratch;
       for (const ShardSlice& slice : plan.slices) {
-        results.push_back(ComputeShardNeighbors(snapshot, slice, params));
+        results.push_back(
+            ComputeShardNeighbors(snapshot, slice, params, &scratch));
       }
       int64_t ops = 0;
       Clustering got = MergeShardResults(snapshot, plan, std::move(results),

@@ -6,15 +6,20 @@
 /// produces the identical Clustering to the O(n²) Dbscan, and CI, SC,
 /// and the convoy baseline produce the same companions, candidates, and
 /// intersection counts through the kernels as with Dbscan injected as
-/// their cluster provider. Also pins the incremental clusterer's
-/// steady-state no-heap-growth invariant: the per-snapshot scratch arena
-/// stops growing once the workload's high-water mark has been seen.
+/// their cluster provider. The shared ε-neighborhood sweep is compared
+/// with a brute-force all-pairs oracle under every source-mask shape.
+/// Also pins the incremental clusterer's steady-state no-heap-growth
+/// invariant on both the reuse and the full-rebuild path: the
+/// per-snapshot scratch arena stops growing once the workload's
+/// high-water mark has been seen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/convoy.h"
@@ -24,6 +29,7 @@
 #include "core/snapshot.h"
 #include "data/group_model.h"
 #include "test_util.h"
+#include "util/arena.h"
 #include "util/eps_filter.h"
 #include "util/random.h"
 
@@ -35,8 +41,8 @@ using testing_util::NormalizedState;
 using testing_util::ReferenceDbscanProvider;
 
 // ---------------------------------------------------------------------
-// Kernel-level differentials: EpsFilterBatch / EpsFilterGather against
-// the scalar WithinEps walk, lane for lane.
+// Kernel-level differentials: EpsFilterGather against the scalar
+// WithinEps walk, lane for lane.
 
 std::vector<uint32_t> ScalarRange(const std::vector<double>& xs,
                                   const std::vector<double>& ys,
@@ -67,38 +73,6 @@ std::vector<uint32_t> ScalarGather(const std::vector<double>& xs,
 /// Sizes straddling both kernel structure boundaries: the scalar cutover
 /// (16) and the chunk width (256).
 const uint32_t kSizes[] = {0, 1, 3, 8, 15, 16, 17, 64, 255, 256, 257, 777};
-
-TEST(EpsFilterKernelTest, BatchMatchesScalarWalkAcrossSizes) {
-  Pcg32 rng(901);
-  for (uint32_t n : kSizes) {
-    std::vector<double> xs(n), ys(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      xs[i] = rng.NextDouble(0.0, 200.0);
-      ys[i] = rng.NextDouble(0.0, 200.0);
-    }
-    std::vector<uint32_t> out(n);
-    for (int trial = 0; trial < 8; ++trial) {
-      const double qx = rng.NextDouble(0.0, 200.0);
-      const double qy = rng.NextDouble(0.0, 200.0);
-      const double eps = rng.NextDouble(1.0, 40.0);
-      const double eps2 = eps * eps;
-      // Random sub-windows exercise nonzero `begin` (the grid backends
-      // always pass cell-aligned interior ranges).
-      const uint32_t begin = n == 0 ? 0 : rng.NextBounded(n);
-      const uint32_t end =
-          begin + (n == begin ? 0 : rng.NextBounded(n - begin + 1));
-      const size_t got =
-          EpsFilterBatch(xs.data(), ys.data(), begin, end, qx, qy, eps2,
-                         out.data());
-      const std::vector<uint32_t> want =
-          ScalarRange(xs, ys, begin, end, qx, qy, eps2);
-      ASSERT_EQ(got, want.size()) << "n=" << n << " trial=" << trial;
-      for (size_t k = 0; k < got; ++k) {
-        EXPECT_EQ(out[k], want[k]) << "n=" << n << " lane " << k;
-      }
-    }
-  }
-}
 
 TEST(EpsFilterKernelTest, GatherMatchesScalarWalkAcrossSizes) {
   Pcg32 rng(902);
@@ -131,7 +105,7 @@ TEST(EpsFilterKernelTest, GatherMatchesScalarWalkAcrossSizes) {
   }
 }
 
-/// Exact-ε boundary coordinates. The contract says the kernels evaluate
+/// Exact-ε boundary coordinates. The contract says the kernel evaluates
 /// literally `dx*dx + dy*dy <= eps2` with scalar IEEE rounding — a lost
 /// -ffp-contract=off on the kernel TU (which would let the AVX2 clones
 /// fuse the expression) shows up here as a boundary lane flipping.
@@ -180,23 +154,18 @@ TEST(EpsFilterKernelTest, ExactBoundaryCoordinatesMatchScalarWalk) {
   std::vector<uint32_t> out(n);
   for (auto [qpx, qpy] : {std::pair{qx, qy}, std::pair{1e8, 1e8},
                           std::pair{1e12, 1e12}, std::pair{1e15, 1e15}}) {
-    // Full range (chunked path) and a leading 8-lane window (scalar
+    // Every lane (chunked path) and a leading 8-lane window (scalar
     // cutover path) must both agree with the reference walk.
     for (uint32_t end : {n, std::min<uint32_t>(8, n)}) {
-      const size_t got = EpsFilterBatch(xs.data(), ys.data(), 0, end, qpx,
-                                        qpy, eps2, out.data());
       const std::vector<uint32_t> want =
           ScalarRange(xs, ys, 0, end, qpx, qpy, eps2);
-      ASSERT_EQ(got, want.size()) << "query (" << qpx << ", " << qpy << ")";
-      for (size_t k = 0; k < got; ++k) EXPECT_EQ(out[k], want[k]);
-
       std::vector<uint32_t> cand(end);
       for (uint32_t i = 0; i < end; ++i) cand[i] = i;
-      const size_t ggot =
+      const size_t got =
           EpsFilterGather(xs.data(), ys.data(), cand.data(), cand.size(),
                           qpx, qpy, eps2, out.data());
-      ASSERT_EQ(ggot, want.size());
-      for (size_t k = 0; k < ggot; ++k) EXPECT_EQ(out[k], want[k]);
+      ASSERT_EQ(got, want.size()) << "query (" << qpx << ", " << qpy << ")";
+      for (size_t k = 0; k < got; ++k) EXPECT_EQ(out[k], want[k]);
     }
   }
   // The boundary rows themselves: exact-distance points accepted, one-ulp
@@ -208,10 +177,198 @@ TEST(EpsFilterKernelTest, ExactBoundaryCoordinatesMatchScalarWalk) {
 }
 
 // ---------------------------------------------------------------------
-// DbscanGrid: the forward plane-sweep must reproduce the reference Dbscan
-// exactly — labels, core flags, and cluster sets. Its distance_ops counts
-// ordered candidate pairs (each evaluated unordered pair twice; see
-// src/core/dbscan.cc), so it is even and never above n(n-1).
+// The ε-neighborhood sweep (internal::SweepNeighborPairs) against a
+// brute-force all-pairs oracle: every within-radius pair that involves a
+// source, exactly once, reported from the side the contract names — the
+// smaller index for two sources, the source for a source–non-source pair.
+
+using SweptPair = std::pair<uint32_t, uint32_t>;  // (source side, partner)
+
+std::vector<SweptPair> BruteForcePairs(const std::vector<double>& xs,
+                                       const std::vector<double>& ys,
+                                       double r, const uint8_t* source) {
+  const auto is_source = [source](uint32_t i) {
+    return source == nullptr || source[i] != 0;
+  };
+  std::vector<SweptPair> out;
+  const uint32_t n = static_cast<uint32_t>(xs.size());
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      if (!WithinEps(Point{xs[i], ys[i]}, Point{xs[j], ys[j]}, r * r)) {
+        continue;
+      }
+      if (is_source(i)) {
+        out.emplace_back(i, j);
+      } else if (is_source(j)) {
+        out.emplace_back(j, i);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<SweptPair> SweptPairs(const std::vector<double>& xs,
+                                  const std::vector<double>& ys, double r,
+                                  const uint8_t* source, int64_t* ops) {
+  Arena arena;
+  std::vector<uint64_t> packed;
+  *ops = internal::SweepNeighborPairs(xs.data(), ys.data(), xs.size(), r,
+                                      source, &arena, &packed);
+  std::vector<SweptPair> out;
+  for (uint64_t p : packed) {
+    out.emplace_back(static_cast<uint32_t>(p >> 32),
+                     static_cast<uint32_t>(p));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Runs the sweep under the four source masks — none (null), all,
+/// sparse random, alternating — and compares each with the oracle. The
+/// null and all-ones masks must agree pair for pair and op for op, and
+/// with every point a source no unordered pair is evaluated twice.
+void ExpectSweepMatchesBruteForce(const std::vector<double>& xs,
+                                  const std::vector<double>& ys, double r,
+                                  const std::string& name) {
+  const size_t n = xs.size();
+  Pcg32 rng(907);
+  std::vector<uint8_t> all(n, 1), sparse(n, 0), alternating(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    sparse[i] = rng.NextBounded(7) == 0 ? 1 : 0;
+    alternating[i] = i % 2 == 0 ? 1 : 0;
+  }
+  int64_t none_ops = 0;
+  const std::vector<SweptPair> none =
+      SweptPairs(xs, ys, r, nullptr, &none_ops);
+  EXPECT_EQ(none, BruteForcePairs(xs, ys, r, nullptr)) << name << " none";
+  const int64_t nn = static_cast<int64_t>(n);
+  EXPECT_LE(none_ops, nn * (nn - 1) / 2) << name;
+  EXPECT_GE(none_ops, static_cast<int64_t>(none.size())) << name;
+  const std::pair<const char*, const std::vector<uint8_t>*> masks[] = {
+      {"all", &all}, {"sparse", &sparse}, {"alternating", &alternating}};
+  for (const auto& [mask_name, mask] : masks) {
+    int64_t ops = 0;
+    const std::vector<SweptPair> got =
+        SweptPairs(xs, ys, r, mask->data(), &ops);
+    EXPECT_EQ(got, BruteForcePairs(xs, ys, r, mask->data()))
+        << name << " " << mask_name;
+    EXPECT_GE(ops, static_cast<int64_t>(got.size())) << name << mask_name;
+    if (mask == &all) {
+      EXPECT_EQ(ops, none_ops) << name;
+    }
+  }
+}
+
+TEST(NeighborSweepTest, RandomPointsMatchBruteForce) {
+  Pcg32 rng(908);
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 400; ++i) {
+    xs.push_back(rng.NextDouble(0.0, 240.0));
+    ys.push_back(rng.NextDouble(0.0, 240.0));
+  }
+  ExpectSweepMatchesBruteForce(xs, ys, 9.0, "uniform");
+}
+
+TEST(NeighborSweepTest, ExactRadiusPairsOnColumnAndBandEdges) {
+  // A lattice of spacing exactly r: every axis neighbor sits at distance
+  // exactly r, straddling a column border along x and lying on the band
+  // edge along y; the 3-4-5 offsets add exact-r diagonals. A second
+  // lattice shifted by just over r along x must not pair with the first
+  // across that gap.
+  const double r = 5.0;
+  std::vector<double> xs, ys;
+  for (int k = -6; k <= 6; ++k) {
+    for (int l = -6; l <= 6; ++l) {
+      xs.push_back(k * r);
+      ys.push_back(l * r);
+      xs.push_back(k * r + 3.0);
+      ys.push_back(l * r + 4.0);
+      xs.push_back(200.0 + k * (r + 1e-9));
+      ys.push_back(l * r);
+    }
+  }
+  ExpectSweepMatchesBruteForce(xs, ys, r, "lattice");
+}
+
+TEST(NeighborSweepTest, LargeMagnitudeCoordinates) {
+  // Around 1e12 one ulp of a coordinate is ~1.2e-4, so x / w and the
+  // y ± w band bounds round by far more than an unpadded grid absorbs;
+  // GridCellWidth's pad must still keep exact-r pairs one column apart
+  // and inside the band.
+  Pcg32 rng(909);
+  const double base = 1e12;
+  const double r = 5.0;
+  std::vector<double> xs, ys;
+  for (int k = 0; k < 40; ++k) {
+    xs.push_back(base + k * r);
+    ys.push_back(-base + (k % 3) * r);
+    xs.push_back(base + rng.NextDouble(0.0, 200.0));
+    ys.push_back(-base + rng.NextDouble(0.0, 30.0));
+  }
+  ExpectSweepMatchesBruteForce(xs, ys, r, "1e12");
+}
+
+TEST(NeighborSweepTest, CollocatedBandPastChunkWidth) {
+  // More than 256 collocated points: one band spans several of the
+  // kernel's 256-lane chunks, and every pair among them is at distance 0.
+  std::vector<double> xs(300, 50.0), ys(300, 50.0);
+  Pcg32 rng(910);
+  for (int i = 0; i < 60; ++i) {
+    xs.push_back(rng.NextDouble(40.0, 60.0));
+    ys.push_back(rng.NextDouble(40.0, 60.0));
+  }
+  ExpectSweepMatchesBruteForce(xs, ys, 4.0, "collocated");
+}
+
+TEST(NeighborSweepTest, EmptyAndSinglePoint) {
+  ExpectSweepMatchesBruteForce({}, {}, 3.0, "empty");
+  ExpectSweepMatchesBruteForce({1.0}, {2.0}, 3.0, "single");
+  int64_t ops = -1;
+  EXPECT_TRUE(SweptPairs({}, {}, 3.0, nullptr, &ops).empty());
+  EXPECT_EQ(ops, 0);
+  EXPECT_TRUE(SweptPairs({1.0}, {2.0}, 3.0, nullptr, &ops).empty());
+  EXPECT_EQ(ops, 0);
+}
+
+TEST(NeighborSweepTest, RowsHelperBuildsSortedNeighborhoods) {
+  // Sweep + rows helper == the brute-force N_ε rows, self included, with
+  // values mapped through `value` and rows only for the leading points.
+  Pcg32 rng(911);
+  const double r = 8.0;
+  std::vector<double> xs, ys;
+  std::vector<uint32_t> value;
+  for (uint32_t i = 0; i < 250; ++i) {
+    xs.push_back(rng.NextDouble(0.0, 150.0));
+    ys.push_back(rng.NextDouble(0.0, 150.0));
+    value.push_back(1000 + 3 * i);
+  }
+  const size_t with_rows = 180;
+  std::vector<uint8_t> source(xs.size(), 0);
+  std::fill(source.begin(), source.begin() + with_rows, uint8_t{1});
+  Arena arena;
+  std::vector<uint64_t> pairs;
+  internal::SweepNeighborPairs(xs.data(), ys.data(), xs.size(), r,
+                               source.data(), &arena, &pairs);
+  std::vector<std::vector<uint32_t>> rows(with_rows);
+  internal::AppendPairsToRows(pairs.data(), pairs.size(), value.data(),
+                              /*include_self=*/true, &arena, &rows);
+  for (size_t i = 0; i < with_rows; ++i) {
+    std::vector<uint32_t> want;
+    for (size_t j = 0; j < xs.size(); ++j) {
+      if (WithinEps(Point{xs[i], ys[i]}, Point{xs[j], ys[j]}, r * r)) {
+        want.push_back(value[j]);
+      }
+    }
+    EXPECT_EQ(rows[i], want) << "row " << i;
+  }
+}
+
+// ---------------------------------------------------------------------
+// DbscanGrid: the sweep over every point must reproduce the reference
+// Dbscan exactly — labels, core flags, and cluster sets. Its distance_ops
+// counts each evaluated unordered pair once, so it never exceeds
+// n(n-1)/2.
 
 void ExpectSameClustering(const Clustering& a, const Clustering& b,
                           const char* what) {
@@ -255,8 +412,7 @@ TEST(DbscanGridTest, MatchesDbscanAcrossSnapshotShapes) {
     Clustering reference = Dbscan(snapshot, params);
     ExpectSameClustering(reference, grid, name.c_str());
     const int64_t n = static_cast<int64_t>(snapshot.size());
-    EXPECT_EQ(grid_ops % 2, 0) << name;
-    EXPECT_LE(grid_ops, n * (n - 1)) << name;
+    EXPECT_LE(grid_ops, n * (n - 1) / 2) << name;
   }
 }
 
@@ -337,8 +493,8 @@ TEST_P(SoADifferentialTest, GridProviderByteIdenticalAcrossSoAModes) {
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
 
-  // DbscanGrid injected as the cluster provider: this is the forward
-  // plane-sweep inside a full pipeline.
+  // DbscanGrid injected as the cluster provider: this is the shared
+  // ε-neighborhood sweep inside a full pipeline.
   RunResult grid = RunDiscoverer(Algorithm::kSmartClosed, data.stream, params,
                                  Clusterer::kGrid);
   RunResult reference = RunDiscoverer(Algorithm::kSmartClosed, data.stream,
@@ -421,6 +577,32 @@ TEST(ScratchArenaTest, SteadyStateStopsGrowingHeap) {
         << "arena grew at snapshot " << t
         << " — per-snapshot scratch is leaking into fresh allocations";
   }
+}
+
+TEST(ScratchArenaTest, RebuildPathStopsGrowingHeap) {
+  // Every object jumps to a fresh uniform position each snapshot, so the
+  // churn is far above 30% and every snapshot takes the full-rebuild
+  // path: the rₑ sweep over all anchors, then the exact pass.
+  Pcg32 rng(912);
+  SnapshotStream stream;
+  for (int t = 0; t < 24; ++t) {
+    stream.push_back(testing_util::RandomSnapshot(150, 500.0, rng));
+  }
+  DbscanParams params;
+  params.epsilon = 18.0;
+  params.mu = 3;
+  IncrementalClusterer clusterer(params);
+  ClusterDeltaStats delta;
+  for (const Snapshot& s : stream) clusterer.Cluster(s, nullptr, &delta);
+  EXPECT_EQ(delta.full_rebuilds, static_cast<int64_t>(stream.size()));
+  const size_t steady = clusterer.ScratchArenaBytes();
+  EXPECT_GT(steady, 0u) << "arena is not being used at all";
+  for (size_t t = 0; t < stream.size(); ++t) {
+    clusterer.Cluster(stream[t], nullptr, &delta);
+    EXPECT_EQ(clusterer.ScratchArenaBytes(), steady)
+        << "arena grew at rebuild snapshot " << t;
+  }
+  EXPECT_EQ(delta.full_rebuilds, 2 * static_cast<int64_t>(stream.size()));
 }
 
 }  // namespace

@@ -369,9 +369,10 @@ _SOA_DIST_CALLS = frozenset(["WithinEps", "SquaredDistance"])
 _SOA_SCOPE_PREFIXES = ("src/core/", "src/shard/")
 _SOA_RAW_LOOP_MSG = (
     "scalar per-point ε-distance evaluation inside a loop on a snapshot "
-    "hot path; stream the candidate batch through EpsFilterBatch / "
-    "EpsFilterGather (util/eps_filter.h) so the compare vectorizes, or "
-    "annotate why this site must stay scalar")
+    "hot path; stream the candidate batch through EpsFilterGather "
+    "(util/eps_filter.h) or internal::SweepNeighborPairs (core/dbscan.h) "
+    "so the compare vectorizes, or annotate why this site must stay "
+    "scalar")
 
 
 def _skip_paren_group(code, i):

@@ -1,4 +1,4 @@
-#include "service/blast.h"
+#include "tools/blast.h"
 
 #include <algorithm>
 #include <chrono>

@@ -1,5 +1,5 @@
-#ifndef TCOMP_SERVICE_BLAST_H_
-#define TCOMP_SERVICE_BLAST_H_
+#ifndef TCOMP_TOOLS_BLAST_H_
+#define TCOMP_TOOLS_BLAST_H_
 
 #include <cstdint>
 #include <string>
@@ -109,4 +109,4 @@ std::string BlastReportJson(const BlastReport& report);
 
 }  // namespace tcomp
 
-#endif  // TCOMP_SERVICE_BLAST_H_
+#endif  // TCOMP_TOOLS_BLAST_H_

@@ -37,7 +37,6 @@
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "service/binary_protocol.h"
-#include "service/blast.h"
 #include "service/lifecycle.h"
 #include "service/pipeline.h"
 #include "service/protocol.h"
@@ -45,6 +44,7 @@
 #include "service/socket.h"
 #include "stream/inactive_period.h"
 #include "stream/sliding_window.h"
+#include "tools/blast.h"
 #include "util/flags.h"
 #include "util/timer.h"
 
