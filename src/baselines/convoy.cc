@@ -4,7 +4,7 @@
 #include <map>
 
 #include "core/incremental_cluster.h"
-#include "util/dense_bitset.h"
+#include "util/label_rows.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
 #include "util/timer.h"
@@ -43,6 +43,9 @@ std::vector<Convoy> DiscoverConvoys(const SnapshotStream& stream,
   // to per-snapshot Dbscan (and to this function before the clusterer
   // existed) by the layer's byte-identity guarantee.
   IncrementalClusterer clusterer(params.cluster);
+  LabelTable cluster_labels;  // rebuilt per snapshot, storage reused
+  std::vector<int32_t> row;
+  std::vector<uint32_t> counts;
 
   for (size_t t = 0; t < stream.size(); ++t) {
     Timer cluster_timer;
@@ -72,35 +75,32 @@ std::vector<Convoy> DiscoverConvoys(const SnapshotStream& stream,
       }
     };
 
-    // Word-parallel fast path, as in the CI discoverer: cluster-side
-    // bitsets built lazily on first probe and shared by every candidate,
-    // so each candidate×cluster intersection walks only the candidate's
-    // objects when the snapshot's id universe is dense.
-    const Snapshot& snap = stream[t];
-    const uint64_t universe =
-        snap.empty() ? 0 : uint64_t{snap.ids().back()} + 1;
-    const bool use_bitset =
-        !candidates.empty() && BitsetProfitable(universe, snap.size());
-    std::vector<DenseBitset> cluster_bits(
-        use_bitset ? clustering.clusters.size() : 0);
+    // Label-row fast path, as in the CI discoverer: with a dense id
+    // universe each candidate gathers its members' cluster labels once,
+    // and each candidate×cluster intersection is a compare-scan of that
+    // row for the cluster's label, built into a set only when it
+    // reaches m.
+    const bool use_rows =
+        !candidates.empty() &&
+        cluster_labels.Assign(stream[t].ids(), clustering.clusters);
+    counts.resize(use_rows ? clustering.clusters.size() : 0);
     ObjectSet inter;  // reused across pairs; moved out only when kept
 
     for (const Cand& v : candidates) {
+      if (use_rows) {
+        cluster_labels.Gather(v.objects, &row);
+        CountLabels(row.data(), row.size(), counts.size(), counts.data());
+      }
       bool continued_whole = false;
       for (size_t k = 0; k < clustering.clusters.size(); ++k) {
-        const ObjectSet& c = clustering.clusters[k];
         ++local.intersections;
-        if (use_bitset) {
-          DenseBitset& bits = cluster_bits[k];
-          if (bits.universe() == 0) {  // first probe of this cluster
-            bits.Resize(universe);
-            bits.SetSparse(c);
-          }
-          IntersectInto(v.objects, bits, &inter);
+        if (use_rows) {
+          if (counts[k] < m) continue;
+          SelectLabel(v.objects, row, static_cast<int32_t>(k), &inter);
         } else {
-          SortedIntersect(v.objects, c, &inter);
+          SortedIntersect(v.objects, clustering.clusters[k], &inter);
+          if (inter.size() < m) continue;
         }
-        if (inter.size() < m) continue;
         if (inter.size() == v.objects.size()) continued_whole = true;
         add(std::move(inter), v.begin);
         inter = ObjectSet();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/dense_bitset.h"
 #include "util/sorted_ops.h"
 
 namespace tcomp {
@@ -52,12 +51,14 @@ bool CompanionLog::Report(const ObjectSet& objects, double duration,
   return true;
 }
 
-void CompanionLog::RestoreEntry(Companion companion) {
-  TCOMP_DCHECK(index_.find(companion.objects) == index_.end());
-  index_.emplace(companion.objects, companions_.size());
+bool CompanionLog::RestoreEntry(Companion companion) {
+  if (!index_.emplace(companion.objects, companions_.size()).second) {
+    return false;
+  }
   signatures_.push_back(SetSignature::Of(companion.objects));
   companions_.push_back(std::move(companion));
   dirty_ = true;
+  return true;
 }
 
 const std::vector<Companion>& CompanionLog::companions() const {

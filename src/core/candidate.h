@@ -60,10 +60,10 @@ class CompanionLog {
   bool Report(const ObjectSet& objects, double duration,
               int64_t snapshot_index);
 
-  /// Inserts a companion verbatim — no dedup or closedness checks. For
-  /// checkpoint restore only; the entry must not duplicate an existing
-  /// set.
-  void RestoreEntry(Companion companion);
+  /// Inserts a companion verbatim — no closedness checks. For checkpoint
+  /// restore only. Returns false, inserting nothing, when the object set
+  /// is already logged (a well-formed checkpoint never repeats one).
+  bool RestoreEntry(Companion companion);
 
   bool closed_mode() const { return closed_mode_; }
 

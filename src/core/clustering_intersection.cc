@@ -1,11 +1,8 @@
 #include "core/clustering_intersection.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string>
 
-#include "util/dense_bitset.h"
+#include "util/label_rows.h"
 #include "util/sorted_ops.h"
 #include "util/timer.h"
 
@@ -53,20 +50,21 @@ void ClusteringIntersectionDiscoverer::ProcessSnapshot(
     ReportCompanion(objects, duration, newly_qualified);
   };
 
-  // Word-parallel fast path: with a dense id universe each cluster's
-  // membership lives in a bitset, built on the cluster's first probe and
-  // then shared by every candidate, so a candidate×cluster intersection
-  // walks only the candidate's objects — O(|r|) bit probes instead of the
-  // merge's O(|r| + |c|) element walk — with no per-candidate setup. The
-  // products are identical to the merge path (differential-tested); only
-  // the cost changes. Candidate ids beyond the snapshot's id range can't
-  // match any cluster, so the bitset probes skip them.
-  const uint64_t universe =
-      snapshot.empty() ? 0 : uint64_t{snapshot.ids().back()} + 1;
-  const bool use_bitset = !candidates_.empty() &&
-                          BitsetProfitable(universe, snapshot.size());
-  std::vector<DenseBitset> cluster_bits(
-      use_bitset ? clustering.clusters.size() : 0);
+  // Label-row fast path (DESIGN.md §1.6b): with a dense id universe the
+  // clustering is written once into an id → label table and each
+  // candidate gathers its members' labels once. A candidate×cluster
+  // intersection is then a vectorized compare-scan of that row for the
+  // cluster's label (one kernel call counts every cluster), and the
+  // intersection is built only when it reaches δs. Every pair still
+  // costs one scan of the candidate — CI is the unpruned baseline whose
+  // cost Proposition 1 charges per pair. Products and counters are
+  // identical to the merge path (differential-tested); ids that left the
+  // snapshot gather label -1 and match no cluster.
+  const bool use_rows =
+      !candidates_.empty() &&
+      cluster_labels_.Assign(snapshot.ids(), clustering.clusters);
+  std::vector<int32_t> row;
+  std::vector<uint32_t> counts(use_rows ? clustering.clusters.size() : 0);
   ObjectSet inter;  // reused across pairs; moved out only when kept
 
   // Lines 4–11: intersect every candidate with every cluster. A result
@@ -75,20 +73,19 @@ void ClusteringIntersectionDiscoverer::ProcessSnapshot(
   // < δt (this is also what lets larger δt shrink the working set,
   // Fig. 17).
   for (const Candidate& r : candidates_) {
+    if (use_rows) {
+      cluster_labels_.Gather(r.objects, &row);
+      CountLabels(row.data(), row.size(), counts.size(), counts.data());
+    }
     for (size_t k = 0; k < clustering.clusters.size(); ++k) {
-      const ObjectSet& c = clustering.clusters[k];
       ++stats_.intersections;
-      if (use_bitset) {
-        DenseBitset& bits = cluster_bits[k];
-        if (bits.universe() == 0) {  // first probe of this cluster
-          bits.Resize(universe);
-          bits.SetSparse(c);
-        }
-        IntersectInto(r.objects, bits, &inter);
+      if (use_rows) {
+        if (counts[k] < min_size) continue;
+        SelectLabel(r.objects, row, static_cast<int32_t>(k), &inter);
       } else {
-        SortedIntersect(r.objects, c, &inter);
+        SortedIntersect(r.objects, clustering.clusters[k], &inter);
+        if (inter.size() < min_size) continue;
       }
-      if (inter.size() < min_size) continue;
       double duration = r.duration + snapshot.duration();
       if (duration >= params_.duration_threshold) {
         report(inter, duration);
@@ -135,46 +132,14 @@ void ClusteringIntersectionDiscoverer::Reset() {
 
 Status ClusteringIntersectionDiscoverer::SaveState(std::ostream& out) const {
   SaveCommon(out);
-  out << "candidates " << candidates_.size() << '\n';
-  for (const Candidate& r : candidates_) {
-    out << r.duration << ' ' << r.objects.size();
-    for (ObjectId o : r.objects) out << ' ' << o;
-    out << '\n';
-  }
+  SaveCandidates(out, candidates_);
   clusterer_.SaveState(out);
   return Status::OK();
 }
 
 Status ClusteringIntersectionDiscoverer::LoadState(std::istream& in) {
   TCOMP_RETURN_IF_ERROR(LoadCommon(in));
-  std::string tag;
-  size_t count = 0;
-  if (!(in >> tag >> count) || tag != "candidates") {
-    return Status::Corruption("expected 'candidates' section");
-  }
-  if (count > kMaxCheckpointCount) {
-    return Status::Corruption("implausible candidate count");
-  }
-  candidates_.clear();
-  candidates_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    Candidate r;
-    size_t n = 0;
-    if (!(in >> r.duration >> n)) {
-      return Status::Corruption("bad candidate record");
-    }
-    if (n > kMaxCheckpointCount) {
-      return Status::Corruption("implausible candidate size");
-    }
-    r.objects.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      if (!(in >> r.objects[k])) {
-        return Status::Corruption("bad candidate member");
-      }
-    }
-    r.signature = SetSignature::Of(r.objects);
-    candidates_.push_back(std::move(r));
-  }
+  TCOMP_RETURN_IF_ERROR(LoadCandidates(in, &candidates_));
   return clusterer_.LoadState(in);
 }
 

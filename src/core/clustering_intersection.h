@@ -6,6 +6,7 @@
 
 #include "core/discoverer.h"
 #include "core/incremental_cluster.h"
+#include "util/label_rows.h"
 
 namespace tcomp {
 
@@ -50,6 +51,9 @@ class ClusteringIntersectionDiscoverer : public CompanionDiscoverer {
   /// Snapshot-to-snapshot clustering state; exact (byte-identical to
   /// Dbscan).
   IncrementalClusterer clusterer_;
+  /// The I-step's id → cluster-label table: rebuilt every snapshot, kept
+  /// as a member only to reuse its storage. Never serialized.
+  LabelTable cluster_labels_;
 };
 
 }  // namespace tcomp

@@ -11,6 +11,38 @@
 
 namespace tcomp {
 
+namespace {
+
+/// Reads one counted object set, "n id_1 ... id_n", from a checkpoint
+/// stream. Returns Status::Corruption naming `what` when the count is
+/// unreadable or above kMaxCheckpointCount, a member is unreadable, or
+/// the members are not strictly ascending — the ObjectSet invariant
+/// every set operation relies on, which a corrupt file must not break
+/// silently.
+Status ReadObjectSet(std::istream& in, const char* what, ObjectSet* out) {
+  size_t n = 0;
+  if (!(in >> n)) {
+    return Status::Corruption(std::string("bad ") + what + " size");
+  }
+  if (n > kMaxCheckpointCount) {
+    return Status::Corruption(std::string("implausible ") + what +
+                              " size " + std::to_string(n));
+  }
+  out->resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    if (!(in >> (*out)[k])) {
+      return Status::Corruption(std::string("bad ") + what + " member");
+    }
+    if (k > 0 && (*out)[k] <= (*out)[k - 1]) {
+      return Status::Corruption(std::string(what) +
+                                " members not strictly ascending");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 void CompanionDiscoverer::SaveCommon(std::ostream& out) const {
   out << "common " << snapshot_index_ << '\n';
   const DiscoveryStats& s = stats_;
@@ -66,21 +98,44 @@ Status CompanionDiscoverer::LoadCommon(std::istream& in) {
   log_.Clear();
   for (size_t i = 0; i < count; ++i) {
     Companion c;
-    size_t n = 0;
-    if (!(in >> c.snapshot_index >> c.duration >> n)) {
+    if (!(in >> c.snapshot_index >> c.duration)) {
       return Status::Corruption("bad companion record");
     }
-    if (n > kMaxCheckpointCount) {
-      return Status::Corruption("implausible companion size " +
-                                std::to_string(n));
+    TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "companion", &c.objects));
+    if (!log_.RestoreEntry(std::move(c))) {
+      return Status::Corruption("companion log repeats an object set");
     }
-    c.objects.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      if (!(in >> c.objects[k])) {
-        return Status::Corruption("bad companion member");
-      }
-    }
-    log_.RestoreEntry(std::move(c));
+  }
+  return Status::OK();
+}
+
+void CompanionDiscoverer::SaveCandidates(
+    std::ostream& out, const std::vector<Candidate>& candidates) {
+  out << "candidates " << candidates.size() << '\n';
+  for (const Candidate& r : candidates) {
+    out << r.duration << ' ' << r.objects.size();
+    for (ObjectId o : r.objects) out << ' ' << o;
+    out << '\n';
+  }
+}
+
+Status CompanionDiscoverer::LoadCandidates(
+    std::istream& in, std::vector<Candidate>* candidates) {
+  std::string tag;
+  size_t count = 0;
+  if (!(in >> tag >> count) || tag != "candidates") {
+    return Status::Corruption("expected 'candidates' section");
+  }
+  if (count > kMaxCheckpointCount) {
+    return Status::Corruption("implausible candidate count");
+  }
+  candidates->clear();
+  for (size_t i = 0; i < count; ++i) {
+    double duration = 0.0;
+    if (!(in >> duration)) return Status::Corruption("bad candidate record");
+    ObjectSet objects;
+    TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "candidate", &objects));
+    candidates->push_back(Candidate{std::move(objects), duration});
   }
   return Status::OK();
 }

@@ -184,6 +184,12 @@ class CompanionDiscoverer {
   /// (defined in discoverer.cc).
   void SaveCommon(std::ostream& out) const;
   Status LoadCommon(std::istream& in);
+  /// The "candidates" section of CI and SC, whose candidates are plain
+  /// object sets with a duration.
+  static void SaveCandidates(std::ostream& out,
+                             const std::vector<Candidate>& candidates);
+  static Status LoadCandidates(std::istream& in,
+                               std::vector<Candidate>* candidates);
   /// Shared reporting path: feeds the sink, the deduplicating log, and
   /// the caller's newly-qualified list. Implementations call this for
   /// every qualifying candidate.

@@ -1,11 +1,8 @@
 #include "core/smart_closed.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string>
 
-#include "util/dense_bitset.h"
+#include "util/label_rows.h"
 #include "util/sorted_ops.h"
 #include "util/timer.h"
 
@@ -65,44 +62,39 @@ void SmartClosedDiscoverer::ProcessSnapshot(
     ReportCompanion(objects, duration, newly_qualified);
   };
 
-  // Word-parallel fast path: clusters are fixed for the whole snapshot
-  // while the candidate's working set shrinks (Lemma 1), so the bitsets
-  // live on the *cluster* side — built lazily on a cluster's first probe
-  // and shared by every candidate after that. Each later probe walks only
-  // the candidate's remaining objects, O(|remaining|) instead of the
-  // merge's O(|remaining| + |c|), with no per-candidate setup (the
-  // Lemma-1 early stop means most candidates probe one or two clusters,
-  // too few to amortize anything per-candidate). Products match the merge
-  // path bit for bit (differential-tested).
-  const uint64_t universe =
-      snapshot.empty() ? 0 : uint64_t{snapshot.ids().back()} + 1;
-  const bool use_bitset = !candidates_.empty() &&
-                          BitsetProfitable(universe, snapshot.size());
-  std::vector<DenseBitset> cluster_bits(
-      use_bitset ? clustering.clusters.size() : 0);
+  // Label-row fast path (DESIGN.md §1.6b): with a dense id universe the
+  // clustering is written once into an id → label table, and each
+  // candidate gathers its members' labels once into a row that travels
+  // with its shrinking working set. Probing a cluster is then one pass
+  // that splits the working set and its row into the intersection and
+  // the rest. Products and counters are identical to the merge path
+  // (differential-tested); ids that left the snapshot gather label -1,
+  // match no cluster, and stay in the working set as the merge path
+  // leaves them.
+  const bool use_rows =
+      !candidates_.empty() &&
+      cluster_labels_.Assign(snapshot.ids(), clustering.clusters);
+  ObjectSet remaining;        // the candidate's working set
+  std::vector<int32_t> row;   // labels of `remaining`, in step with it
   ObjectSet inter;  // reused across pairs; moved out only when kept
 
   for (const Candidate& r : candidates_) {
     // Working copy; matched objects are removed after each intersection
     // (smart intersection, Lemma 1).
-    ObjectSet remaining = r.objects;
+    remaining = r.objects;
+    if (use_rows) cluster_labels_.Gather(remaining, &row);
     double duration = r.duration + snapshot.duration();
 
     auto intersect_with = [&](size_t k) {
-      const ObjectSet& c = clustering.clusters[k];
       ++stats_.intersections;
-      if (use_bitset) {
-        DenseBitset& bits = cluster_bits[k];
-        if (bits.universe() == 0) {  // first probe of this cluster
-          bits.Resize(universe);
-          bits.SetSparse(c);
-        }
-        IntersectInto(remaining, bits, &inter);
+      if (use_rows) {
+        SplitLabel(&remaining, &row, static_cast<int32_t>(k), &inter);
+        if (inter.empty()) return;
       } else {
-        SortedIntersect(remaining, c, &inter);
+        SortedIntersect(remaining, clustering.clusters[k], &inter);
+        if (inter.empty()) return;
+        SortedSubtractInPlace(&remaining, inter);
       }
-      if (inter.empty()) return;
-      SortedSubtractInPlace(&remaining, inter);
       if (inter.size() < min_size) return;
       // Qualified companions are output and leave the candidate set
       // (Definition 4: candidate duration < δt).
@@ -117,9 +109,14 @@ void SmartClosedDiscoverer::ProcessSnapshot(
     // Probe the cluster holding the candidate's first object before the
     // rest: an intact candidate is consumed by that one intersection and
     // the Lemma-1 early stop fires immediately. Products are independent
-    // of scan order (hard clustering), so only cost changes.
+    // of scan order (hard clustering), so only cost changes. The label
+    // row already holds that cluster; the merge path, which has no
+    // table, looks the object up in the snapshot so both paths probe in
+    // the same order and count the same intersections.
     int32_t first_label = -1;
-    if (!r.objects.empty()) {
+    if (use_rows) {
+      if (!row.empty()) first_label = row[0];
+    } else if (!r.objects.empty()) {
       size_t idx = snapshot.IndexOf(r.objects.front());
       if (idx != Snapshot::kNpos) first_label = clustering.labels[idx];
     }
@@ -178,46 +175,14 @@ void SmartClosedDiscoverer::Reset() {
 
 Status SmartClosedDiscoverer::SaveState(std::ostream& out) const {
   SaveCommon(out);
-  out << "candidates " << candidates_.size() << '\n';
-  for (const Candidate& r : candidates_) {
-    out << r.duration << ' ' << r.objects.size();
-    for (ObjectId o : r.objects) out << ' ' << o;
-    out << '\n';
-  }
+  SaveCandidates(out, candidates_);
   clusterer_.SaveState(out);
   return Status::OK();
 }
 
 Status SmartClosedDiscoverer::LoadState(std::istream& in) {
   TCOMP_RETURN_IF_ERROR(LoadCommon(in));
-  std::string tag;
-  size_t count = 0;
-  if (!(in >> tag >> count) || tag != "candidates") {
-    return Status::Corruption("expected 'candidates' section");
-  }
-  if (count > kMaxCheckpointCount) {
-    return Status::Corruption("implausible candidate count");
-  }
-  candidates_.clear();
-  candidates_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    Candidate r;
-    size_t n = 0;
-    if (!(in >> r.duration >> n)) {
-      return Status::Corruption("bad candidate record");
-    }
-    if (n > kMaxCheckpointCount) {
-      return Status::Corruption("implausible candidate size");
-    }
-    r.objects.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      if (!(in >> r.objects[k])) {
-        return Status::Corruption("bad candidate member");
-      }
-    }
-    r.signature = SetSignature::Of(r.objects);
-    candidates_.push_back(std::move(r));
-  }
+  TCOMP_RETURN_IF_ERROR(LoadCandidates(in, &candidates_));
   return clusterer_.LoadState(in);
 }
 

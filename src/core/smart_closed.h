@@ -7,6 +7,7 @@
 
 #include "core/discoverer.h"
 #include "core/incremental_cluster.h"
+#include "util/label_rows.h"
 
 namespace tcomp {
 
@@ -69,6 +70,9 @@ class SmartClosedDiscoverer : public CompanionDiscoverer {
   /// a custom metric has no anchor/triangle-inequality structure to
   /// exploit). Exact: byte-identical to Dbscan.
   IncrementalClusterer clusterer_;
+  /// The I-step's id → cluster-label table: rebuilt every snapshot, kept
+  /// as a member only to reuse its storage. Never serialized.
+  LabelTable cluster_labels_;
 };
 
 }  // namespace tcomp

@@ -156,8 +156,20 @@ void CompanionServer::EventLoop() {
   std::vector<struct epoll_event> events(64);
 
   while (!stop_.load(std::memory_order_relaxed)) {
+    // A connection with parked records has its reads paused, so nothing
+    // wakes the loop when the worker frees queue space: poll every 1 ms
+    // until the records are admitted, instead of once per housekeeping
+    // tick (one tick per parked record at a small queue capacity).
+    bool any_parked = false;
+    for (const auto& entry : conns_) {
+      if (entry.second->logic->has_parked()) {
+        any_parked = true;
+        break;
+      }
+    }
     int n = epoll_wait(epoll_fd_, events.data(),
-                       static_cast<int>(events.size()), tick_ms);
+                       static_cast<int>(events.size()),
+                       any_parked ? 1 : tick_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       TCOMP_LOG_ERROR << "epoll_wait failed, stopping server: "
@@ -197,7 +209,11 @@ void CompanionServer::EventLoop() {
         std::chrono::duration_cast<std::chrono::milliseconds>(now - last_tick)
             .count());
     if (elapsed_ms > 0) {
-      last_tick = now;
+      // Advance by the whole milliseconds handed out, not to `now`: the
+      // sub-millisecond remainder carries into the next tick, so idle
+      // and stall timers track real elapsed time however short the
+      // polls get.
+      last_tick += std::chrono::milliseconds(elapsed_ms);
       TickHousekeeping(elapsed_ms);
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/target_clones.h"
+
 // The exact-compare contract (util/eps_filter.h) requires every lane to
 // round exactly like the scalar WithinEps walk. The wide clones below
 // run on FMA-capable ISAs where GCC's default fp-contract=fast would
@@ -9,29 +11,9 @@
 // boundary-distance pairs, so this translation unit is compiled with
 // -ffp-contract=off (set in src/CMakeLists.txt; the differential test
 // exercises exact-ε boundary pairs, which is what catches a lost flag).
-
-// Baseline x86-64 codegen is SSE2, which leaves 2x-8x of compare-lane
-// width on the table on the AVX2/AVX-512 fleet hardware. target_clones
-// emits one copy of each kernel per listed ISA plus the baseline and
-// picks at load time via the glibc ifunc resolver — no global -march
-// flag, so the rest of the binary stays portable. Contraction is off
-// (above), so every clone performs the identical IEEE op sequence and
-// the results are byte-identical across ISAs by construction.
-//
-// ThreadSanitizer builds get the baseline copy only: the ifunc resolver
-// runs during relocation, before the TSan runtime is initialized, and an
-// instrumented resolver crashes every binary linking this file at load.
-#if defined(__SANITIZE_THREAD__)
-#define TCOMP_TARGET_CLONES
-#elif defined(__x86_64__) && defined(__has_attribute) && !defined(__clang__)
-#if __has_attribute(target_clones)
-#define TCOMP_TARGET_CLONES \
-  __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef TCOMP_TARGET_CLONES
-#define TCOMP_TARGET_CLONES
-#endif
+// With contraction off every clone performs the identical IEEE op
+// sequence, so the results are byte-identical across ISAs by
+// construction.
 
 namespace tcomp {
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "data/group_model.h"
 #include "data/military_gen.h"
@@ -249,14 +251,149 @@ TEST(CheckpointTest, ImplausibleLogCountRejected) {
 TEST(CheckpointTest, ImplausibleCompanionSizeRejected) {
   // Handcrafted checkpoint whose single log entry claims 2^40 members.
   std::stringstream bad(
-      "tcomp-checkpoint 1 SC\n"
+      "tcomp-checkpoint 2 SC\n"
       "common 3\n"
-      "stats 3 0 0 0 0 1 0 0 0 0 0 0 0 0\n"
+      "stats 3 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0\n"
       "log 1\n"
       "2 7 1099511627776 1 2 3\n"
       "end\n");
   auto sc = MakeDiscoverer(Algorithm::kSmartClosed, TestParams());
-  EXPECT_EQ(LoadDiscoverer(sc.get(), bad).code(), StatusCode::kCorruption);
+  Status s = LoadDiscoverer(sc.get(), bad);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("implausible companion size"),
+            std::string::npos)
+      << s.ToString();
+}
+
+// ---------------------------------------------------------------------
+// Object sets read from a checkpoint must keep the ObjectSet invariant
+// (strictly ascending), and the companion log must not repeat a set. A
+// tampered file that breaks either is Corruption, never a run that
+// quietly reports a reversed or duplicated companion later.
+
+/// A discoverer of `algorithm` after the first `snapshots` snapshots of
+/// TestStream(), saved as checkpoint lines.
+std::vector<std::string> SavedLines(Algorithm algorithm, size_t snapshots) {
+  GroupDataset data = TestStream();
+  auto d = MakeDiscoverer(algorithm, TestParams());
+  for (size_t t = 0; t < snapshots && t < data.stream.size(); ++t) {
+    d->ProcessSnapshot(data.stream[t], nullptr);
+  }
+  std::stringstream buffer;
+  EXPECT_TRUE(SaveDiscoverer(*d, buffer).ok());
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(buffer, line)) lines.push_back(line);
+  return lines;
+}
+
+/// Index of the first line that starts with `prefix` and has at least
+/// one record after it; fails the test if there is none.
+size_t SectionWithRecords(const std::vector<std::string>& lines,
+                          const std::string& prefix) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind(prefix, 0) == 0) {
+      std::istringstream header(lines[i].substr(prefix.size()));
+      size_t count = 0;
+      header >> count;
+      EXPECT_GT(count, 0u) << "test wants a non-empty " << prefix;
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no " << prefix << "section";
+  return lines.size();
+}
+
+std::vector<std::string> Fields(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> fields;
+  std::string f;
+  while (in >> f) fields.push_back(f);
+  return fields;
+}
+
+std::string JoinFields(const std::vector<std::string>& fields) {
+  std::string out;
+  for (const std::string& f : fields) out += (out.empty() ? "" : " ") + f;
+  return out;
+}
+
+Status LoadLines(Algorithm algorithm, const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  std::stringstream in(text);
+  auto d = MakeDiscoverer(algorithm, TestParams());
+  return LoadDiscoverer(d.get(), in);
+}
+
+TEST(CheckpointTest, DescendingCandidateRejected) {
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::vector<std::string> lines = SavedLines(algorithm, 12);
+    ASSERT_TRUE(LoadLines(algorithm, lines).ok());
+    const size_t at = SectionWithRecords(lines, "candidates ");
+    ASSERT_LT(at + 1, lines.size());
+    // "duration n id_1 ... id_n": reverse the ids.
+    std::vector<std::string> f = Fields(lines[at + 1]);
+    ASSERT_GE(f.size(), 4u);
+    std::reverse(f.begin() + 2, f.end());
+    lines[at + 1] = JoinFields(f);
+    Status s = LoadLines(algorithm, lines);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << AlgorithmName(algorithm);
+    EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(CheckpointTest, RepeatedCandidateMemberRejected) {
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::vector<std::string> lines = SavedLines(algorithm, 12);
+    const size_t at = SectionWithRecords(lines, "candidates ");
+    ASSERT_LT(at + 1, lines.size());
+    // 64 copies of id 7, keeping the record's duration.
+    std::vector<std::string> f = {Fields(lines[at + 1])[0], "64"};
+    f.insert(f.end(), 64, "7");
+    lines[at + 1] = JoinFields(f);
+    Status s = LoadLines(algorithm, lines);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << AlgorithmName(algorithm);
+    EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(CheckpointTest, RepeatedLogEntryRejected) {
+  std::vector<std::string> lines =
+      SavedLines(Algorithm::kSmartClosed, TestStream().stream.size());
+  ASSERT_TRUE(LoadLines(Algorithm::kSmartClosed, lines).ok());
+  const size_t at = SectionWithRecords(lines, "log ");
+  ASSERT_LT(at + 1, lines.size());
+  // Repeat the first entry and count it.
+  const size_t count = std::stoul(Fields(lines[at])[1]);
+  lines[at] = "log " + std::to_string(count + 1);
+  lines.insert(lines.begin() + static_cast<ptrdiff_t>(at) + 1, lines[at + 1]);
+  Status s = LoadLines(Algorithm::kSmartClosed, lines);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("repeats"), std::string::npos) << s.ToString();
+}
+
+TEST(CheckpointTest, DescendingLogEntryRejected) {
+  // BU's own sections are its own; its log goes through the shared
+  // reader like every algorithm's.
+  std::vector<std::string> lines =
+      SavedLines(Algorithm::kBuddy, TestStream().stream.size());
+  ASSERT_TRUE(LoadLines(Algorithm::kBuddy, lines).ok());
+  const size_t at = SectionWithRecords(lines, "log ");
+  ASSERT_LT(at + 1, lines.size());
+  // "snapshot_index duration n id_1 ... id_n": reverse the ids.
+  std::vector<std::string> f = Fields(lines[at + 1]);
+  ASSERT_GE(f.size(), 5u);
+  std::reverse(f.begin() + 3, f.end());
+  lines[at + 1] = JoinFields(f);
+  Status s = LoadLines(Algorithm::kBuddy, lines);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

@@ -45,24 +45,30 @@ IdVec RandomSet(Pcg32& rng, uint32_t universe, int shape) {
   return out;
 }
 
+/// The members of `b` among ids [0, limit), read back through Test().
+IdVec Members(const DenseBitset& b, uint32_t limit) {
+  IdVec out;
+  for (uint32_t id = 0; id < limit; ++id) {
+    if (b.Test(id)) out.push_back(id);
+  }
+  return out;
+}
+
 TEST(DenseBitsetTest, BasicSetTestClear) {
   DenseBitset b(130);
   EXPECT_EQ(b.universe(), 130u);
   EXPECT_EQ(b.Count(), 0u);
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  b.Set(129);
+  b.SetSparse(IdVec{0, 63, 64, 129});
   EXPECT_TRUE(b.Test(0));
   EXPECT_TRUE(b.Test(63));
   EXPECT_TRUE(b.Test(64));
   EXPECT_TRUE(b.Test(129));
   EXPECT_FALSE(b.Test(1));
   EXPECT_EQ(b.Count(), 4u);
-  b.Clear(63);
+  EXPECT_EQ(Members(b, 130), (IdVec{0, 63, 64, 129}));
+  b.Resize(130);  // Resize clears every bit
+  EXPECT_EQ(b.Count(), 0u);
   EXPECT_FALSE(b.Test(63));
-  EXPECT_EQ(b.Count(), 3u);
-  EXPECT_EQ(b.ToSorted(), (IdVec{0, 64, 129}));
 }
 
 TEST(DenseBitsetTest, OutOfUniverseIdsAreAbsent) {
@@ -70,43 +76,17 @@ TEST(DenseBitsetTest, OutOfUniverseIdsAreAbsent) {
   b.SetSparse(IdVec{3, 7, 50, 900});  // 50 and 900 don't fit: skipped
   EXPECT_FALSE(b.Test(50));
   EXPECT_FALSE(b.Test(900));
-  EXPECT_EQ(b.ToSorted(), (IdVec{3, 7}));
-  b.ClearSparse(IdVec{3, 50});  // clearing an unrepresentable id: no-op
-  EXPECT_EQ(b.ToSorted(), (IdVec{7}));
+  EXPECT_EQ(Members(b, 1000), (IdVec{3, 7}));
+  EXPECT_EQ(b.Count(), 2u);
 }
 
 TEST(DenseBitsetTest, EmptyUniverse) {
   DenseBitset b(0);
   EXPECT_FALSE(b.Test(0));
   EXPECT_EQ(b.Count(), 0u);
-  EXPECT_TRUE(b.ToSorted().empty());
   b.SetSparse(IdVec{1, 2});  // nothing representable
   EXPECT_EQ(b.Count(), 0u);
-}
-
-TEST(DenseBitsetTest, MismatchedUniverses) {
-  DenseBitset small(70);
-  small.SetSparse(IdVec{1, 65, 69});
-  DenseBitset big(300);
-  big.SetSparse(IdVec{1, 65, 200});
-
-  DenseBitset inter = small;
-  inter.IntersectWith(big);
-  EXPECT_EQ(inter.ToSorted(), (IdVec{1, 65}));
-
-  DenseBitset uni = small;
-  uni.UnionWith(big);
-  EXPECT_EQ(uni.universe(), 300u);
-  EXPECT_EQ(uni.ToSorted(), (IdVec{1, 65, 69, 200}));
-
-  DenseBitset diff = big;
-  diff.SubtractWith(small);
-  EXPECT_EQ(diff.ToSorted(), (IdVec{200}));
-
-  EXPECT_FALSE(small.IsSubsetOf(big));  // 69 missing from big
-  EXPECT_TRUE(inter.IsSubsetOf(big));
-  EXPECT_TRUE(small.Intersects(big));
-  EXPECT_EQ(small.IntersectCount(big), 2u);
+  EXPECT_TRUE(Members(b, 8).empty());
 }
 
 TEST(DenseBitsetTest, ProbeHelpersStopAtUniverse) {
@@ -116,7 +96,6 @@ TEST(DenseBitsetTest, ProbeHelpersStopAtUniverse) {
   IdVec out;
   IntersectInto(probe, bits, &out);
   EXPECT_EQ(out, (IdVec{2, 40, 99}));
-  EXPECT_EQ(IntersectCountWith(probe, bits), 3u);
   EXPECT_TRUE(IntersectsWith(probe, bits));
   EXPECT_FALSE(IntersectsWith(IdVec{150, 151}, bits));
   EXPECT_FALSE(IntersectsWith(IdVec{}, bits));
@@ -131,9 +110,10 @@ TEST(DenseBitsetTest, ProfitabilityHeuristic) {
                                 kMaxBitsetUniverse));  // capped
 }
 
-/// Oracle sweep: every kernel must agree with std::set algebra across
-/// thousands of generated pairs, including empty/disjoint/identical/
-/// singleton sets and mismatched universes.
+/// Oracle sweep: the bitset must agree with std::set membership and the
+/// probe kernels with the sorted merge across thousands of generated
+/// pairs, including empty/disjoint/identical/singleton sets and
+/// mismatched universes.
 class DenseBitsetOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DenseBitsetOracleTest, MatchesSetAlgebra) {
@@ -151,48 +131,27 @@ TEST_P(DenseBitsetOracleTest, MatchesSetAlgebra) {
 
     IdSet sa(a.begin(), a.end());
     IdSet sb(b.begin(), b.end());
-    IdSet inter_ref, union_ref, diff_ref;
+    IdSet inter_ref;
     for (uint32_t x : sa) {
       if (sb.count(x)) inter_ref.insert(x);
-      if (!sb.count(x)) diff_ref.insert(x);
-      union_ref.insert(x);
     }
-    union_ref.insert(sb.begin(), sb.end());
 
     DenseBitset ba(ua);
-    ba.AssignSorted(a);
+    ba.SetSparse(a);
     DenseBitset bb(ub);
-    bb.AssignSorted(b);
+    bb.SetSparse(b);
 
-    // Round-trip and population.
-    EXPECT_EQ(ba.ToSorted(), a);
+    // Membership and population.
+    EXPECT_EQ(Members(ba, ua + 64), a);
     EXPECT_EQ(ba.Count(), a.size());
-
-    // Word kernels.
-    DenseBitset t = ba;
-    t.IntersectWith(bb);
-    EXPECT_EQ(t.ToSorted(), ToVec(inter_ref));
-    t = ba;
-    t.UnionWith(bb);
-    EXPECT_EQ(t.ToSorted(), ToVec(union_ref));
-    t = ba;
-    t.SubtractWith(bb);
-    EXPECT_EQ(t.ToSorted(), ToVec(diff_ref));
-    EXPECT_EQ(ba.IsSubsetOf(bb), diff_ref.empty());
-    EXPECT_EQ(ba.Intersects(bb), !inter_ref.empty());
-    EXPECT_EQ(ba.IntersectCount(bb), inter_ref.size());
+    EXPECT_EQ(bb.Count(), b.size());
 
     // Sparse probe kernels against the sorted-merge reference.
     IdVec out;
     IntersectInto(a, bb, &out);
     EXPECT_EQ(out, SortedIntersect(a, b));
-    EXPECT_EQ(IntersectCountWith(a, bb), inter_ref.size());
+    EXPECT_EQ(out, ToVec(inter_ref));
     EXPECT_EQ(IntersectsWith(a, bb), !inter_ref.empty());
-
-    // Incremental clear matches subtraction.
-    t = ba;
-    t.ClearSparse(SortedIntersect(a, b));
-    EXPECT_EQ(t.ToSorted(), ToVec(diff_ref));
   }
 }
 

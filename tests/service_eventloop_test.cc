@@ -2,7 +2,8 @@
 // layer underneath it: nonblocking short-write handling, fd hygiene on
 // rejected accepts, graceful drain toward mid-frame binary clients,
 // kill+resume identity across a mid-batch shutdown, per-client write
-// backpressure, and connection admission control.
+// backpressure, prompt re-offer of records parked at a full queue, and
+// connection admission control.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -383,6 +384,57 @@ TEST(ServerRegressionTest, DrainSendsCleanShutdownFrameToMidFrameClient) {
   EXPECT_TRUE(pipeline.Stop().ok());
   // Only the acknowledged batch was admitted; the partial frame wasn't.
   EXPECT_EQ(pipeline.Stats().records_ingested, 4);
+}
+
+// ---------------------------------------------------------------------
+// Bugfix regression: records parked at a full queue were re-offered only
+// on the 50 ms housekeeping tick, because the parked connection's reads
+// are paused and nothing else woke the loop — one tick per record at
+// queue capacity 1 in the worst case.
+
+TEST(ServerRegressionTest, ParkedFramesAreAckedWithoutWaitingForTicks) {
+  ServicePipelineOptions opts = SmallPipelineOptions();
+  opts.queue_capacity = 1;
+  ServicePipeline pipeline(opts);
+  ASSERT_TRUE(pipeline.Start().ok());
+  CompanionServer server(&pipeline, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Two frames of 128 records: one tick per parked record would take
+  // ~12 s, and even the several records a tick can admit when the worker
+  // happens to be awake leave that well above the bound.
+  constexpr size_t kPerFrame = 128;
+  std::vector<TrajectoryRecord> records;
+  for (size_t i = 0; i < 2 * kPerFrame; ++i) {
+    TrajectoryRecord r;
+    r.object = static_cast<ObjectId>(i % kPerFrame);
+    r.timestamp = 10.0 + 0.1 * static_cast<double>(i);  // one window
+    r.pos.x = 100.0 + static_cast<double>(i % kPerFrame);
+    r.pos.y = 50.0;
+    records.push_back(r);
+  }
+
+  FrameClient client;
+  client.Connect(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  client.Send(EncodeIngestBatch(records.data(), kPerFrame));
+  client.Send(EncodeIngestBatch(records.data() + kPerFrame, kPerFrame));
+  for (int frame = 0; frame < 2; ++frame) {
+    BinaryResponse ack = client.ReadFrame();
+    EXPECT_EQ(ack.type, static_cast<uint8_t>(BinaryResponseType::kOk));
+    EXPECT_EQ(ack.value, kPerFrame);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 1.0) << "parked records waited for housekeeping ticks";
+
+  client.Close();
+  server.RequestStop();
+  server.Wait();
+  EXPECT_TRUE(pipeline.Stop().ok());
+  EXPECT_EQ(pipeline.Stats().records_ingested,
+            static_cast<int64_t>(2 * kPerFrame));
 }
 
 // ---------------------------------------------------------------------
