@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -9,27 +10,48 @@ namespace tcomp {
 namespace {
 
 constexpr char kMagic[] = "tcomp-checkpoint";
-// Version 2: the stats line gained the cluster_reuse / cluster_dirty /
-// cluster_full_rebuilds counters, and CI/SC records carry the incremental
-// clusterer's anchor state. Version-1 checkpoints are rejected (the
-// counters cannot be reconstructed after the fact).
-constexpr int kVersion = 2;
+// Version 3: the clusterer section records whether its rₑ lists exist,
+// and a `stream` section after the discoverer's carries the
+// inactive-period filler. Version 2 added the cluster_reuse /
+// cluster_dirty / cluster_full_rebuilds counters and the incremental
+// clusterer's anchors. Older checkpoints are rejected (what they lack
+// cannot be reconstructed after the fact).
+constexpr int kVersion = 3;
 
 }  // namespace
 
+void WriteHexDouble(std::ostream& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  out << buf;
+}
+
+bool ParseHexDouble(const std::string& token, double* out) {
+  // strtod, because libstdc++'s istream hexfloat extraction is unreliable.
+  const char* s = token.c_str();
+  char* end = nullptr;
+  double v = std::strtod(s, &end);
+  if (end == s || end == nullptr || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
 Status SaveDiscoverer(const CompanionDiscoverer& discoverer,
-                      std::ostream& out) {
+                      std::ostream& out, const CheckpointSection* stream) {
   out << kMagic << ' ' << kVersion << ' ' << discoverer.name() << '\n';
   // 17 significant digits round-trip IEEE doubles exactly.
   out << std::setprecision(17);
   Status s = discoverer.SaveState(out);
   if (!s.ok()) return s;
+  out << "stream " << (stream != nullptr ? 1 : 0) << '\n';
+  if (stream != nullptr) stream->SaveState(out);
   out << "end\n";
   if (!out) return Status::IoError("checkpoint write failed");
   return Status::OK();
 }
 
-Status LoadDiscoverer(CompanionDiscoverer* discoverer, std::istream& in) {
+Status LoadDiscoverer(CompanionDiscoverer* discoverer, std::istream& in,
+                      CheckpointSection* stream) {
   std::string magic, algo;
   int version = 0;
   if (!(in >> magic >> version >> algo)) {
@@ -49,6 +71,19 @@ Status LoadDiscoverer(CompanionDiscoverer* discoverer, std::istream& in) {
   }
   Status s = discoverer->LoadState(in);
   if (!s.ok()) return s;
+  std::string tag;
+  int has_stream = 0;
+  if (!(in >> tag >> has_stream) || tag != "stream" ||
+      (has_stream != 0 && has_stream != 1)) {
+    return Status::Corruption("expected 'stream' section");
+  }
+  if (has_stream == 1) {
+    if (stream == nullptr) {
+      return Status::InvalidArgument(
+          "checkpoint carries stream state the caller cannot restore");
+    }
+    TCOMP_RETURN_IF_ERROR(stream->LoadState(in));
+  }
   std::string tail;
   if (!(in >> tail) || tail != "end") {
     return Status::Corruption("checkpoint trailer missing");
@@ -57,7 +92,8 @@ Status LoadDiscoverer(CompanionDiscoverer* discoverer, std::istream& in) {
 }
 
 Status SaveDiscovererToFile(const CompanionDiscoverer& discoverer,
-                            const std::string& path) {
+                            const std::string& path,
+                            const CheckpointSection* stream) {
   // Write-then-rename: a crash mid-write must never destroy the previous
   // good checkpoint at `path`. The record is written to a sibling .tmp
   // file and renamed into place only once it is complete; a failed or
@@ -70,7 +106,7 @@ Status SaveDiscovererToFile(const CompanionDiscoverer& discoverer,
     if (!out) {
       return Status::IoError("cannot open " + tmp + " for writing");
     }
-    s = SaveDiscoverer(discoverer, out);
+    s = SaveDiscoverer(discoverer, out, stream);
     if (s.ok()) {
       out.flush();
       if (!out) s = Status::IoError("checkpoint write to " + tmp + " failed");
@@ -90,10 +126,11 @@ Status SaveDiscovererToFile(const CompanionDiscoverer& discoverer,
 }
 
 Status LoadDiscovererFromFile(CompanionDiscoverer* discoverer,
-                              const std::string& path) {
+                              const std::string& path,
+                              CheckpointSection* stream) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
-  return LoadDiscoverer(discoverer, in);
+  return LoadDiscoverer(discoverer, in, stream);
 }
 
 }  // namespace tcomp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "util/eps_filter.h"
@@ -21,54 +20,100 @@ double GridCellWidth(double eps, double max_abs_coord) {
 
 namespace internal {
 
-Clustering BuildClusteringFromCores(
-    const Snapshot& snapshot, const std::vector<bool>& core,
-    const std::vector<std::vector<uint32_t>>& neighbors) {
+NeighborTableBuilder::NeighborTableBuilder(size_t n, Arena* arena)
+    : n_(n), arena_(arena), offsets_(arena->AllocateArray<uint32_t>(n + 1)) {
+  std::fill(offsets_, offsets_ + n + 1, 0u);
+}
+
+void NeighborTableBuilder::CountPairs(const uint64_t* pairs, size_t count,
+                                      size_t nrows, const uint32_t* value) {
+  uint32_t* degree = offsets_ + 1;
+  for (uint32_t k = 0; k < nrows; ++k) {
+    ++degree[value == nullptr ? k : value[k]];
+  }
+  for (size_t p = 0; p < count; ++p) {
+    const uint64_t a = pairs[p] >> 32;
+    const uint32_t b = static_cast<uint32_t>(pairs[p]);
+    if (a < nrows) ++degree[value == nullptr ? a : value[a]];
+    if (b < nrows) ++degree[value == nullptr ? b : value[b]];
+  }
+}
+
+void NeighborTableBuilder::Seal() {
+  for (size_t i = 0; i < n_; ++i) offsets_[i + 1] += offsets_[i];
+  cursor_ = arena_->AllocateArray<uint32_t>(n_);
+  std::copy(offsets_, offsets_ + n_, cursor_);
+  entries_ = arena_->AllocateArray<uint32_t>(offsets_[n_]);
+}
+
+void NeighborTableBuilder::FillPairs(const uint64_t* pairs, size_t count,
+                                     size_t nrows, const uint32_t* value) {
+  const auto value_of = [value](uint64_t k) {
+    return value == nullptr ? static_cast<uint32_t>(k) : value[k];
+  };
+  for (uint32_t k = 0; k < nrows; ++k) {
+    const uint32_t row = value_of(k);
+    entries_[cursor_[row]++] = row;
+  }
+  for (size_t p = 0; p < count; ++p) {
+    const uint64_t a = pairs[p] >> 32;
+    const uint32_t b = static_cast<uint32_t>(pairs[p]);
+    if (a < nrows) entries_[cursor_[value_of(a)]++] = value_of(b);
+    if (b < nrows) entries_[cursor_[value_of(b)]++] = value_of(a);
+  }
+}
+
+NeighborTable NeighborTableFromPairs(const uint64_t* pairs, size_t count,
+                                     size_t n, Arena* arena) {
+  NeighborTableBuilder builder(n, arena);
+  builder.CountPairs(pairs, count, n, nullptr);
+  builder.Seal();
+  builder.FillPairs(pairs, count, n, nullptr);
+  return builder.table();
+}
+
+Clustering BuildClusteringFromCores(const Snapshot& snapshot,
+                                    const NeighborTable& table, int mu) {
   const size_t n = snapshot.size();
+  TCOMP_CHECK_EQ(table.n, n);
   Clustering result;
   result.labels.assign(n, -1);
-  result.core = core;
+  std::vector<uint8_t> core(n);
+  for (size_t i = 0; i < n; ++i) {
+    core[i] = static_cast<int64_t>(table.degree(i)) >= mu ? 1 : 0;
+  }
+  result.core.assign(core.begin(), core.end());
 
   DisjointSets sets(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (!core[i]) continue;
-    for (uint32_t j : neighbors[i]) {
+    for (uint32_t e = table.offsets[i]; e < table.offsets[i + 1]; ++e) {
+      const uint32_t j = table.entries[e];
       if (core[j]) sets.Union(i, j);
     }
   }
 
-  // Border objects join the cluster of their lowest-index core neighbor.
-  // neighbors[] lists are ascending, so the first core hit is the lowest.
-  std::vector<uint32_t> attach_to(n, 0);
-  std::vector<bool> attached(n, false);
+  // Border objects join the cluster of their lowest-index core neighbor,
+  // a scan of the whole row since rows come in any order. Clusters are
+  // numbered by first appearance in index order, through a dense
+  // root → label array.
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<int32_t> label_of_root(n, -1);
   for (uint32_t i = 0; i < n; ++i) {
+    uint32_t attach = kNone;
     if (core[i]) {
-      attach_to[i] = i;
-      attached[i] = true;
-      continue;
-    }
-    for (uint32_t j : neighbors[i]) {
-      if (core[j]) {
-        attach_to[i] = j;
-        attached[i] = true;
-        break;
-      }
-    }
-  }
-
-  // Number clusters by first appearance in index order.
-  std::unordered_map<uint32_t, int32_t> root_to_label;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!attached[i]) continue;
-    uint32_t root = sets.Find(attach_to[i]);
-    auto it = root_to_label.find(root);
-    int32_t label;
-    if (it == root_to_label.end()) {
-      label = static_cast<int32_t>(result.clusters.size());
-      root_to_label.emplace(root, label);
-      result.clusters.emplace_back();
+      attach = i;
     } else {
-      label = it->second;
+      for (uint32_t e = table.offsets[i]; e < table.offsets[i + 1]; ++e) {
+        const uint32_t j = table.entries[e];
+        if (core[j] && j < attach) attach = j;
+      }
+      if (attach == kNone) continue;
+    }
+    int32_t& label = label_of_root[sets.Find(attach)];
+    if (label < 0) {
+      label = static_cast<int32_t>(result.clusters.size());
+      result.clusters.emplace_back();
     }
     result.labels[i] = label;
     // Indices ascend => ids ascend, so each cluster vector stays sorted.
@@ -79,7 +124,8 @@ Clustering BuildClusteringFromCores(
 
 int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
                            double radius, const uint8_t* source,
-                           Arena* arena, std::vector<uint64_t>* pairs) {
+                           Arena* arena, std::vector<uint64_t>* pairs,
+                           int64_t* batches) {
   TCOMP_CHECK_GT(radius, 0.0);
   pairs->clear();
   double max_abs = 0.0;
@@ -139,6 +185,7 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
   // three probe columns only moves forward: one cursor per probe column
   // replaces a per-source binary search.
   int64_t ops = 0;
+  int64_t dispatched = 0;
   for (size_t c = 0; c < ncols; ++c) {
     const int64_t cx = grid[col[c]].cx;
     size_t probe[3];
@@ -170,7 +217,9 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
           if (j < i && (source == nullptr || source[j] != 0)) continue;
           cand[m++] = e;
         }
+        if (m == 0) continue;
         ops += static_cast<int64_t>(m);
+        ++dispatched;
         const size_t kept =
             EpsFilterGather(sx, sy, cand, m, sx[s], sy[s], r2, surv);
         for (size_t t = 0; t < kept; ++t) {
@@ -179,12 +228,12 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
       }
     }
   }
+  if (batches != nullptr) *batches += dispatched;
   return ops;
 }
 
 void AppendPairsToRows(const uint64_t* pairs, size_t count,
-                       const uint32_t* value, bool include_self,
-                       Arena* arena,
+                       const uint32_t* value, Arena* arena,
                        std::vector<std::vector<uint32_t>>* rows) {
   const size_t nrows = rows->size();
   uint32_t* degree = arena->AllocateArray<uint32_t>(nrows);
@@ -195,7 +244,6 @@ void AppendPairsToRows(const uint64_t* pairs, size_t count,
     if (a < nrows) ++degree[a];
     if (b < nrows) ++degree[b];
   }
-  const uint32_t self = include_self ? 1 : 0;
   const auto value_of = [value](uint32_t k) {
     return value == nullptr ? k : value[k];
   };
@@ -203,12 +251,10 @@ void AppendPairsToRows(const uint64_t* pairs, size_t count,
   // reallocations incremental push_backs would cost per row.
   uint32_t max_appended = 0;
   for (uint32_t r = 0; r < nrows; ++r) {
-    const uint32_t appended = degree[r] + self;
-    if (appended == 0) continue;
-    max_appended = std::max(max_appended, appended);
+    if (degree[r] == 0) continue;
+    max_appended = std::max(max_appended, degree[r]);
     std::vector<uint32_t>& row = (*rows)[r];
-    row.reserve(row.size() + appended);
-    if (include_self) row.push_back(value_of(r));
+    row.reserve(row.size() + degree[r]);
   }
   for (size_t k = 0; k < count; ++k) {
     const uint32_t a = static_cast<uint32_t>(pairs[k] >> 32);
@@ -221,7 +267,7 @@ void AppendPairsToRows(const uint64_t* pairs, size_t count,
   // linear pass instead of a full re-sort.
   uint32_t* tail = arena->AllocateArray<uint32_t>(max_appended);
   for (uint32_t r = 0; r < nrows; ++r) {
-    const size_t appended = degree[r] + self;
+    const size_t appended = degree[r];
     if (appended == 0) continue;
     std::vector<uint32_t>& row = (*rows)[r];
     size_t kept = row.size() - appended;
@@ -245,68 +291,42 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
                   int64_t* distance_ops) {
   const size_t n = snapshot.size();
   const double eps2 = params.epsilon * params.epsilon;
-  std::vector<std::vector<uint32_t>> neighbors(n);
   int64_t ops = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    neighbors[i].push_back(i);
-  }
   const int shards = EffectiveShards(params.threads, n);
-  if (shards == 1) {
-    for (uint32_t i = 0; i < n; ++i) {
+  // Each shard owns a strided set of rows (row i of the upper triangle
+  // is computed entirely by shard i % num_shards; striding balances the
+  // triangular row lengths) and collects its within-ε pairs (i < j) on
+  // its own; the lists are joined into the table afterwards, and the ops
+  // total is the same n(n-1)/2 at every shard count.
+  std::vector<std::vector<uint64_t>> pairs(static_cast<size_t>(shards));
+  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
+  ParallelForShards(shards, [&](int shard, int num_shards) {
+    std::vector<uint64_t>& out = pairs[static_cast<size_t>(shard)];
+    int64_t local_ops = 0;
+    for (uint32_t i = static_cast<uint32_t>(shard); i < n;
+         i += static_cast<uint32_t>(num_shards)) {
+      Point pi = snapshot.pos(i);
       for (uint32_t j = i + 1; j < n; ++j) {
-        ++ops;
+        ++local_ops;
         // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend —
         // the paper's cost model for CI/SC; deliberately unaccelerated
         // so distance_ops stays the figure the paper plots.
-        if (WithinEps(snapshot.pos(i), snapshot.pos(j), eps2)) {
-          neighbors[i].push_back(j);
-          neighbors[j].push_back(i);
+        if (WithinEps(pi, snapshot.pos(j), eps2)) {
+          out.push_back((static_cast<uint64_t>(i) << 32) | j);
         }
       }
     }
-  } else {
-    // Each worker owns a strided set of rows (row i of the upper triangle
-    // is computed entirely by shard i % num_shards; striding balances the
-    // triangular row lengths). Workers never touch shared state: hits go
-    // into the owned row of `upper`, ops into a per-shard counter. The
-    // serial scatter below then reproduces the exact adjacency the serial
-    // loop builds, and the ops total is the same n(n-1)/2.
-    std::vector<std::vector<uint32_t>> upper(n);
-    std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-    ParallelForShards(shards, [&](int shard, int num_shards) {
-      int64_t local_ops = 0;
-      for (uint32_t i = static_cast<uint32_t>(shard); i < n;
-           i += static_cast<uint32_t>(num_shards)) {
-        Point pi = snapshot.pos(i);
-        for (uint32_t j = i + 1; j < n; ++j) {
-          ++local_ops;
-          // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend —
-          // the paper's cost model for CI/SC; deliberately unaccelerated
-          // so distance_ops stays the figure the paper plots.
-          if (WithinEps(pi, snapshot.pos(j), eps2)) {
-            upper[i].push_back(j);
-          }
-        }
-      }
-      shard_ops[static_cast<size_t>(shard)] = local_ops;
-    });
-    for (int64_t s : shard_ops) ops += s;
-    for (uint32_t i = 0; i < n; ++i) {
-      for (uint32_t j : upper[i]) {
-        neighbors[i].push_back(j);
-        neighbors[j].push_back(i);
-      }
-    }
+    shard_ops[static_cast<size_t>(shard)] = local_ops;
+  });
+  for (int64_t s : shard_ops) ops += s;
+  for (size_t k = 1; k < pairs.size(); ++k) {
+    pairs[0].insert(pairs[0].end(), pairs[k].begin(), pairs[k].end());
   }
-  // Restore ascending order (j<i entries were appended after i itself).
-  for (auto& list : neighbors) std::sort(list.begin(), list.end());
-
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
-  }
+  Arena arena;
+  const NeighborTable table = internal::NeighborTableFromPairs(
+      pairs[0].data(), pairs[0].size(), n, &arena);
   if (distance_ops != nullptr) *distance_ops += ops;
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(snapshot, table, params.mu);
 }
 
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
@@ -317,16 +337,10 @@ Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
   const int64_t ops = internal::SweepNeighborPairs(
       soa.x, soa.y, n, params.epsilon, nullptr, &arena, &pairs);
-  std::vector<std::vector<uint32_t>> neighbors(n);
-  internal::AppendPairsToRows(pairs.data(), pairs.size(), nullptr,
-                              /*include_self=*/true, &arena, &neighbors);
-
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
-  }
+  const NeighborTable table =
+      internal::NeighborTableFromPairs(pairs.data(), pairs.size(), n, &arena);
   if (distance_ops != nullptr) *distance_ops += ops;
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(snapshot, table, params.mu);
 }
 
 }  // namespace tcomp

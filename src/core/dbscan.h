@@ -68,6 +68,21 @@ struct Clustering {
   std::vector<ObjectSet> clusters;
 };
 
+/// The exact ε-graph of one snapshot, the one input of the shared
+/// finisher (internal::BuildClusteringFromCores): compressed rows over
+/// snapshot indices. Row i is entries[offsets[i], offsets[i + 1]) — the
+/// indices within ε of point i, itself included (N_ε(o) ∋ o, Definition
+/// 1), in no particular order. Rows need not be symmetric: network
+/// distance (network/network_dbscan.h) evaluates each row from its own
+/// source. The table is a view; its storage belongs to whoever filled it,
+/// usually a per-snapshot Arena.
+struct NeighborTable {
+  size_t n = 0;
+  const uint32_t* offsets = nullptr;  // n + 1 entries, offsets[0] == 0
+  const uint32_t* entries = nullptr;  // offsets[n] entries
+  uint32_t degree(size_t i) const { return offsets[i + 1] - offsets[i]; }
+};
+
 /// Pluggable snapshot-clustering backend: given a snapshot, produce the
 /// Clustering described above — same determinism spec, same closed-ball
 /// neighborhood — incrementing `distance_ops` (never null is not
@@ -85,24 +100,25 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
 
 /// Grid-accelerated density clustering with identical output to Dbscan():
 /// the ε-neighborhood plane sweep (internal::SweepNeighborPairs) over every
-/// point, then the shared finishing step. `distance_ops` grows by the
-/// candidate pairs the sweep evaluated, each unordered pair at most once
-/// (so at most n(n-1)/2). Serial; `params.threads` is ignored. Used by
-/// generators/examples where a fast exact clustering is needed and as a
-/// reference point in the clustering microbenchmarks; tests pin it
-/// against Dbscan().
+/// point into a NeighborTable, then the shared finisher. `distance_ops`
+/// grows by the candidate pairs the sweep evaluated, each unordered pair
+/// at most once (so at most n(n-1)/2). Serial; `params.threads` is
+/// ignored. Used by generators/examples where a fast exact clustering is
+/// needed and as a reference point in the clustering microbenchmarks;
+/// tests pin it against Dbscan().
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
 
 namespace internal {
 
 /// The one ε-neighborhood builder behind DbscanGrid, the shard stripes
-/// and the incremental clusterer's rₑ-graph (DESIGN.md §1.6d). Given n
-/// points as SoA coordinates `xs`/`ys`, a `radius` > 0 and an optional
-/// per-point 0/1 `source` mask (null = every point is a source), it
-/// appends to `pairs` (cleared first) every pair within `radius` —
-/// closed ball, the WithinEps compare — that involves a source, exactly
-/// once, packed as (s << 32 | p) with s the source that evaluated it:
+/// and the incremental clusterer's rebuild (at ε) and rₑ lists
+/// (DESIGN.md §1.6d). Given n points as SoA coordinates `xs`/`ys`, a
+/// `radius` > 0 and an optional per-point 0/1 `source` mask (null =
+/// every point is a source), it appends to `pairs` (cleared first) every
+/// pair within `radius` — closed ball, the WithinEps compare — that
+/// involves a source, exactly once, packed as (s << 32 | p) with s the
+/// source that evaluated it:
 ///   - a source–source pair from the smaller index (s < p);
 ///   - a source–non-source pair from the source side.
 /// Pairs of two non-sources are never evaluated.
@@ -114,29 +130,71 @@ namespace internal {
 /// against 9r² for a 3×3 cell walk. Every coordinate must be finite
 /// (checked). Scratch comes from `arena` and lives until its next
 /// Reset(). Returns the candidate pairs evaluated (the distance_ops
-/// figure), a pure function of the input.
+/// figure and the kernel's lanes), a pure function of the input;
+/// `batches`, if non-null, grows by the kernel dispatches.
 int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
                            double radius, const uint8_t* source,
-                           Arena* arena, std::vector<uint64_t>* pairs);
+                           Arena* arena, std::vector<uint64_t>* pairs,
+                           int64_t* batches = nullptr);
 
 /// Materializes pairs (a << 32 | b) as ascending rows: row a gains
 /// value[b] and row b gains value[a], where an endpoint ≥ rows->size()
-/// has no row and `value` null means the identity. With `include_self`
-/// every row first gains its own value (N_ε(o) ∋ o, Definition 1). Rows
-/// keep what they already hold, which must be sorted: each row is
-/// reserved once, and its new entries are sorted and merged into what it
-/// held, so every row ends ascending. Scratch comes from `arena`.
+/// has no row and `value` null means the identity. Rows keep what they
+/// already hold, which must be sorted: each row is reserved once, and its
+/// new entries are sorted and merged into what it held, so every row ends
+/// ascending. Scratch comes from `arena`. Serves the incremental
+/// clusterer's carried rₑ lists only; ε-graphs go into a NeighborTable.
 void AppendPairsToRows(const uint64_t* pairs, size_t count,
-                       const uint32_t* value, bool include_self,
-                       Arena* arena,
+                       const uint32_t* value, Arena* arena,
                        std::vector<std::vector<uint32_t>>* rows);
 
-/// Shared finishing step: given core flags and an adjacency oracle, builds
-/// the deterministic Clustering described above. Exposed for the
-/// buddy-based clustering implementation.
-Clustering BuildClusteringFromCores(
-    const Snapshot& snapshot, const std::vector<bool>& core,
-    const std::vector<std::vector<uint32_t>>& neighbors);
+/// Fills a NeighborTable of n rows from packed pairs (a << 32 | b) over
+/// a local index space, in two passes over the same pair lists:
+///   1. CountPairs for every list: the degree of each row it touches;
+///   2. Seal(): prefix sums into offsets, entries allocated;
+///   3. FillPairs for every list: each row gets itself, then its pairs.
+/// For a list, local index k < nrows has a row, table row value[k]
+/// (`value` null = identity); an endpoint ≥ nrows has none, so the pair
+/// lands only in the other endpoint's row. Lists whose row sets are
+/// disjoint may be counted, and after Seal() filled, concurrently — the
+/// shard stripes do (§1.8). Storage comes from `arena` and lives until
+/// its next Reset().
+class NeighborTableBuilder {
+ public:
+  NeighborTableBuilder(size_t n, Arena* arena);
+
+  void CountPairs(const uint64_t* pairs, size_t count, size_t nrows,
+                  const uint32_t* value);
+  void Seal();
+  void FillPairs(const uint64_t* pairs, size_t count, size_t nrows,
+                 const uint32_t* value);
+
+  /// Valid once every list counted before Seal() has been filled.
+  NeighborTable table() const {
+    return NeighborTable{n_, offsets_, entries_};
+  }
+
+ private:
+  size_t n_;
+  Arena* arena_;
+  uint32_t* offsets_;  // degrees at [i + 1] until Seal(), then offsets
+  uint32_t* cursor_ = nullptr;
+  uint32_t* entries_ = nullptr;
+};
+
+/// The one-list case: the ε-graph of n points from their symmetric pairs
+/// (every point a row, value = identity).
+NeighborTable NeighborTableFromPairs(const uint64_t* pairs, size_t count,
+                                     size_t n, Arena* arena);
+
+/// The shared finisher: core flags from the row degrees (core iff
+/// degree ≥ μ), clusters as the connected components of core–core
+/// entries, each border object attached to its lowest-index core
+/// neighbor (found by scanning its row, so rows may come in any order),
+/// clusters numbered by their first member in index order — the
+/// deterministic Clustering described above.
+Clustering BuildClusteringFromCores(const Snapshot& snapshot,
+                                    const NeighborTable& table, int mu);
 
 /// Union-find over snapshot indices with smallest-index representatives,
 /// shared by the clustering implementations.

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <string>
 
+#include "core/checkpoint.h"
 #include "util/eps_filter.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -25,25 +24,6 @@ void EraseSorted(std::vector<ObjectId>& list, ObjectId id) {
   if (it != list.end() && *it == id) list.erase(it);
 }
 
-/// Serializes a double so the round trip is bit-exact regardless of the
-/// stream's precision settings (checkpoints may be written through
-/// streams that never called setprecision). Parsing uses strtod because
-/// libstdc++'s istream hexfloat extraction is unreliable.
-void WriteHexDouble(std::ostream& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  out << buf;
-}
-
-bool ParseHexDouble(const std::string& token, double* out) {
-  const char* s = token.c_str();
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (end == s || end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 IncrementalClusterer::IncrementalClusterer(const DbscanParams& params)
@@ -58,6 +38,7 @@ IncrementalClusterer::IncrementalClusterer(const DbscanParams& params)
 
 void IncrementalClusterer::Reset() {
   has_state_ = false;
+  lists_built_ = false;
   ids_.clear();
   anchors_.clear();
   lists_.clear();
@@ -74,7 +55,7 @@ int64_t IncrementalClusterer::ProbeAnchors(const uint8_t* source) {
   const int64_t probed = internal::SweepNeighborPairs(
       xs, ys, n, re_pad_, source, &arena_, &pairs_);
   internal::AppendPairsToRows(pairs_.data(), pairs_.size(), ids_.data(),
-                              /*include_self=*/false, &arena_, &lists_);
+                              &arena_, &lists_);
   return probed;
 }
 
@@ -100,16 +81,38 @@ uint32_t IncrementalClusterer::IndexOfId(ObjectId id) const {
       std::lower_bound(ids_.begin(), ids_.end(), id) - ids_.begin());
 }
 
-void IncrementalClusterer::RebuildFromScratch(const Snapshot& snapshot,
-                                              int64_t* ops) {
+Clustering IncrementalClusterer::Rebuild(const Snapshot& snapshot,
+                                         int64_t* ops,
+                                         ClusterDeltaStats* delta) {
   ids_ = snapshot.ids();
   anchors_ = snapshot.points();
   has_state_ = true;
-  RebuildListsFromAnchors(ops);
+  // The rₑ lists wait for the first repair that reads them; a stream that
+  // keeps rebuilding never builds them at all.
+  lists_.clear();
+  lists_built_ = false;
+  const size_t n = snapshot.size();
+  Timer filter_timer;
+  filter_timer.Start();
+  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
+  int64_t batches = 0;
+  const int64_t swept = internal::SweepNeighborPairs(
+      soa.x, soa.y, n, params_.epsilon, nullptr, &arena_, &pairs_, &batches);
+  const NeighborTable table = internal::NeighborTableFromPairs(
+      pairs_.data(), pairs_.size(), n, &arena_);
+  filter_timer.Stop();
+  *ops += swept;
+  if (delta != nullptr) {
+    delta->soa_batches += batches;
+    delta->soa_lanes += swept;
+    delta->eps_filter_seconds += filter_timer.Seconds();
+  }
+  return internal::BuildClusteringFromCores(snapshot, table, params_.mu);
 }
 
 void IncrementalClusterer::RebuildListsFromAnchors(int64_t* ops) {
   lists_.assign(ids_.size(), {});
+  lists_built_ = true;
   const int64_t probed = ProbeAnchors(nullptr);
   if (ops != nullptr) *ops += probed;
 }
@@ -119,17 +122,16 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
                                              ClusterDeltaStats* delta) {
   const size_t n = snapshot.size();
   const double eps2 = params_.epsilon * params_.epsilon;
-  // ids_ == snapshot.ids() here (both the rebuild and the repair path end
-  // by adopting the snapshot's id set), so the scratch table resolves
-  // list entries without a per-edge binary search.
+  // ids_ == snapshot.ids() here (the repair ends by adopting the
+  // snapshot's id set), so the scratch table resolves list entries
+  // without a per-edge binary search.
   RefreshIndexLookup();
-  std::vector<std::vector<uint32_t>> neighbors(n);
   Timer filter_timer;
   filter_timer.Start();
   // Gather each row's carried candidates (the list tail with id > self,
   // so each symmetric pair is filtered exactly once), stream them through
   // EpsFilterGather, and emit surviving pairs as packed (row << 32 | col)
-  // into the arena for the shared rows helper.
+  // into the arena for the neighbor table.
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
   size_t total_list = 0;
   size_t max_list = 0;
@@ -159,39 +161,33 @@ Clustering IncrementalClusterer::FinishExact(const Snapshot& snapshot,
       edges[edge_count++] = (static_cast<uint64_t>(i) << 32) | surv[k];
     }
   }
-  internal::AppendPairsToRows(edges, edge_count, nullptr,
-                              /*include_self=*/true, &arena_, &neighbors);
+  const NeighborTable table =
+      internal::NeighborTableFromPairs(edges, edge_count, n, &arena_);
+  filter_timer.Stop();
   if (delta != nullptr) {
     delta->soa_batches += batches;
     delta->soa_lanes += lanes;
+    delta->eps_filter_seconds += filter_timer.Seconds();
   }
-  filter_timer.Stop();
-  if (delta != nullptr) delta->eps_filter_seconds += filter_timer.Seconds();
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params_.mu);
-  }
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(snapshot, table, params_.mu);
 }
 
 Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
                                          int64_t* distance_ops,
                                          ClusterDeltaStats* delta) {
   // All per-snapshot scratch (dirty flags, sweep grid, id→index table,
-  // SoA view, edge buffers) lives until here and no longer; after the
-  // warm-up snapshot has sized the arena this is the only allocation
-  // event per snapshot — a cursor rewind.
+  // SoA view, edge buffers, neighbor table) lives until here and no
+  // longer; after the warm-up snapshot has sized the arena this is the
+  // only allocation event per snapshot — a cursor rewind.
   arena_.Reset();
 
   const size_t n = snapshot.size();
   int64_t ops = 0;
-  bool fell_back = false;
+  Clustering result;
+  bool rebuilt = !has_state_;
   size_t reprobed = 0;
 
-  if (!has_state_) {
-    fell_back = true;
-    RebuildFromScratch(snapshot, &ops);
-  } else {
+  if (has_state_) {
     const std::vector<IdMergeItem> merged =
         MergeIdSequences(ids_, snapshot.ids());
     uint8_t* dirty = arena_.AllocateArray<uint8_t>(n);
@@ -222,14 +218,18 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
     }
 
     // Fallback trigger: when more than 30% of the population churned, the
-    // symmetric list surgery costs more than it saves — re-probe in full.
-    // (The other trigger, no carried state, was handled above.)
+    // symmetric list surgery costs more than it saves — re-cluster in
+    // full. (The other trigger, no carried state, is the rebuilt flag's
+    // initial value.)
     const size_t churn = appeared + moved + disappeared;
-    if (churn * 10 > n * 3) {
-      fell_back = true;
-      RebuildFromScratch(snapshot, &ops);
-    } else {
+    rebuilt = churn * 10 > n * 3;
+    if (!rebuilt) {
       reprobed = appeared + moved;
+
+      // 0. The first repair after a rebuild builds the lists the rebuild
+      //    skipped, from the anchors it left (counted: this run pays for
+      //    them here).
+      if (!lists_built_) RebuildListsFromAnchors(&ops);
 
       // 1. Symmetric edge removal for everything that left or moved.
       //    (Dirty-set closure: a stable object adjacent to a mover keeps
@@ -269,11 +269,13 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
       //    dirty-stable pair from the dirty side, and the new edges join
       //    the carried lists in sorted position.
       ops += ProbeAnchors(dirty);
+      result = FinishExact(snapshot, &ops, delta);
     }
   }
+  if (rebuilt) result = Rebuild(snapshot, &ops, delta);
 
   if (delta != nullptr) {
-    if (fell_back) {
+    if (rebuilt) {
       delta->dirty += static_cast<int64_t>(n);
       ++delta->full_rebuilds;
     } else {
@@ -281,13 +283,13 @@ Clustering IncrementalClusterer::Cluster(const Snapshot& snapshot,
       delta->dirty += static_cast<int64_t>(reprobed);
     }
   }
-  Clustering result = FinishExact(snapshot, &ops, delta);
   if (distance_ops != nullptr) *distance_ops += ops;
   return result;
 }
 
 void IncrementalClusterer::SaveState(std::ostream& out) const {
-  out << "clusterer " << (has_state_ ? 1 : 0) << ' ' << ids_.size() << '\n';
+  out << "clusterer " << (has_state_ ? 1 : 0) << ' ' << (lists_built_ ? 1 : 0)
+      << ' ' << ids_.size() << '\n';
   for (size_t i = 0; i < ids_.size(); ++i) {
     out << ids_[i] << ' ';
     WriteHexDouble(out, anchors_[i].x);
@@ -300,11 +302,12 @@ void IncrementalClusterer::SaveState(std::ostream& out) const {
 Status IncrementalClusterer::LoadState(std::istream& in) {
   std::string tag;
   int has = 0;
+  int lists = 0;
   uint64_t count = 0;
-  if (!(in >> tag >> has >> count) || tag != "clusterer") {
+  if (!(in >> tag >> has >> lists >> count) || tag != "clusterer") {
     return Status::Corruption("expected 'clusterer' section");
   }
-  if (has != 0 && has != 1) {
+  if ((has != 0 && has != 1) || (lists != 0 && lists != has)) {
     return Status::Corruption("bad clusterer state flag");
   }
   if (count > kMaxStateCount || (has == 0 && count != 0)) {
@@ -333,10 +336,14 @@ Status IncrementalClusterer::LoadState(std::istream& in) {
   anchors_ = std::move(anchors);
   has_state_ = true;
   // The neighbor lists are a pure function of the anchors; rebuilding
-  // them here (uncounted — the uninterrupted run never paid for this)
-  // reproduces the carried graph bit-for-bit.
-  arena_.Reset();  // the rebuild's sweep grid is per-call scratch too
-  RebuildListsFromAnchors(nullptr);
+  // them here (uncounted — the uninterrupted run paid for them at an
+  // earlier repair) reproduces the carried graph bit-for-bit. Lists the
+  // saved run had not built yet stay unbuilt: its next repair builds and
+  // counts them, as the uninterrupted run's does.
+  if (lists == 1) {
+    arena_.Reset();  // the sweep grid is per-call scratch too
+    RebuildListsFromAnchors(nullptr);
+  }
   return Status::OK();
 }
 

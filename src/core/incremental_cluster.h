@@ -18,20 +18,21 @@ namespace tcomp {
 struct ClusterDeltaStats {
   /// Objects whose carried neighborhood state was reused as-is.
   int64_t reuse = 0;
-  /// Objects re-probed at rₑ (movers, arrivals, plus every object of a
-  /// fallback snapshot).
+  /// Objects re-probed: movers and arrivals at rₑ, plus every object of a
+  /// rebuild snapshot, swept at ε.
   int64_t dirty = 0;
   /// Snapshots where the stability test could not bound the churn and the
   /// whole snapshot was re-clustered from scratch.
   int64_t full_rebuilds = 0;
 
   /// SoA ε-filter kernel activity (util/eps_filter.h): batches dispatched
-  /// and candidate lanes streamed.
+  /// and candidate lanes streamed by the exact ε-graph construction — the
+  /// ε sweep on a rebuild, the filter over carried lists on a repair.
+  /// The rₑ probes are not counted here.
   int64_t soa_batches = 0;
   int64_t soa_lanes = 0;
-  /// Wall time spent in the exact ε-filter portion of FinishExact
-  /// (neighbor-graph construction). Timing only — never read back into
-  /// control flow.
+  /// Wall time spent building the exact ε-graph (the same two paths).
+  /// Timing only — never read back into control flow.
   double eps_filter_seconds = 0.0;
 };
 
@@ -58,12 +59,17 @@ struct ClusterDeltaStats {
 ///    recovered by filtering every listed pair through the shared
 ///    WithinEps predicate on *current* positions.
 ///
+/// When stability cannot be proven cheaply (no carried state, or churn
+/// above the fallback threshold) the snapshot is *rebuilt*: one ε sweep
+/// over the snapshot, as DbscanGrid runs, and the anchors snap to the
+/// current positions. A rebuild builds no rₑ list — the next snapshot may
+/// rebuild again and never read them. The first repair after a rebuild
+/// builds the lists from the anchors it left, then repairs them.
+///
 /// The final labeling runs through the same BuildClusteringFromCores
 /// finishing step as every other backend, so the output is byte-identical
 /// to full DBSCAN on every snapshot — including label numbering, border
-/// attachment, and noise — by construction, not by luck. When stability
-/// cannot be proven cheaply (no carried state, or churn above the
-/// fallback threshold) the snapshot is conservatively re-probed in full.
+/// attachment, and noise — by construction, not by luck.
 ///
 /// Tests pin the products against the reference Dbscan(). The clusterer
 /// is deliberately serial: its products and its distance_ops are
@@ -87,9 +93,10 @@ class IncrementalClusterer {
   /// Checkpointing: the carried state is part of a discoverer's stream
   /// state — resuming from a checkpoint must replay exactly like the
   /// uninterrupted run, ops counters included. Anchors are serialized as
-  /// hex floats (bit-exact round trip); the neighbor lists are a pure
-  /// function of the anchors and are rebuilt on load (uncounted — the
-  /// uninterrupted run never paid for them either).
+  /// hex floats (bit-exact round trip), plus whether the rₑ lists exist.
+  /// The lists are a pure function of the anchors: if they existed, load
+  /// rebuilds them uncounted (the uninterrupted run paid for them at an
+  /// earlier repair); if not, the next repair builds and counts them.
   void SaveState(std::ostream& out) const;
   Status LoadState(std::istream& in);
 
@@ -100,13 +107,16 @@ class IncrementalClusterer {
   size_t ScratchArenaBytes() const { return arena_.allocated_bytes(); }
 
  private:
-  /// Re-anchors every object of `snapshot` and rebuilds the neighbor
-  /// lists at rₑ. Counts one distance op per candidate pair tested when
-  /// `ops` is non-null.
-  void RebuildFromScratch(const Snapshot& snapshot, int64_t* ops);
+  /// Re-anchors every object of `snapshot`, drops the rₑ lists, and
+  /// clusters the snapshot from one ε sweep. `ops` grows by the sweep's
+  /// candidate pairs; `delta` (may be null) accumulates its
+  /// soa_batches/soa_lanes/eps_filter_seconds.
+  Clustering Rebuild(const Snapshot& snapshot, int64_t* ops,
+                     ClusterDeltaStats* delta);
 
-  /// Rebuilds lists_ from ids_/anchors_ alone (the lists are a pure
-  /// function of the anchors). Shared by the rebuild and load paths.
+  /// Builds lists_ from ids_/anchors_ alone (the lists are a pure
+  /// function of the anchors). Shared by the first repair after a
+  /// rebuild (counted, `ops` non-null) and the load path (uncounted).
   void RebuildListsFromAnchors(int64_t* ops);
 
   /// The exact ε-filter + core/label finishing step over carried lists,
@@ -133,6 +143,7 @@ class IncrementalClusterer {
   double re_pad_;    // 2ε padded for FP: probe radius for anchor lists
 
   bool has_state_ = false;
+  bool lists_built_ = false;                   // lists_ matches anchors_
   std::vector<ObjectId> ids_;                  // ascending; == last snapshot
   std::vector<Point> anchors_;                 // parallel to ids_
   std::vector<std::vector<ObjectId>> lists_;   // sorted, symmetric, no self

@@ -25,10 +25,14 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
     by_edge[pos[i].edge].push_back(i);
   }
 
-  // Neighbor lists under network distance.
-  std::vector<std::vector<uint32_t>> neighbors(n);
+  // Rows under network distance, each evaluated from its own source (so
+  // they may be asymmetric), appended to the shared neighbor table.
+  std::vector<uint32_t> offsets(1, 0);
+  std::vector<uint32_t> entries;
+  offsets.reserve(n + 1);
+  std::vector<uint32_t> row;
   for (uint32_t i = 0; i < n; ++i) {
-    neighbors[i].push_back(i);
+    row.assign(1, i);
 
     // Same-edge neighbors: direct along-edge distance. (A detour through
     // the endpoints cannot beat the direct distance on a shortest-path
@@ -38,7 +42,7 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
       if (j == i) continue;
       ++local.distance_evaluations;
       if (std::abs(pos[i].offset - pos[j].offset) <= eps) {
-        neighbors[i].push_back(j);
+        row.push_back(j);
       }
     }
 
@@ -48,7 +52,7 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
     for (const auto& [node, d] : graph.NodesWithin(pos[i], eps)) {
       node_dist[node] = d;
     }
-    // tcomp-lint: allow(unordered-iter): neighbors[i] is SortUnique'd below
+    // tcomp-lint: allow(unordered-iter): the row is SortUnique'd below
     for (const auto& [node, d] : node_dist) {
       for (EdgeId eid : graph.EdgesAt(node)) {
         auto it = by_edge.find(eid);
@@ -60,16 +64,14 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
                            ? d + pos[j].offset
                            : d + edge.length - pos[j].offset;
           ++local.distance_evaluations;
-          if (via <= eps) neighbors[i].push_back(j);
+          if (via <= eps) row.push_back(j);
         }
       }
     }
-    SortUnique(&neighbors[i]);
-  }
-
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
+    // Two endpoints can both reach j; the row must list it once.
+    SortUnique(&row);
+    entries.insert(entries.end(), row.begin(), row.end());
+    offsets.push_back(static_cast<uint32_t>(entries.size()));
   }
 
   if (stats != nullptr) {
@@ -77,7 +79,8 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
     stats->expansions += local.expansions;
     stats->distance_evaluations += local.distance_evaluations;
   }
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(
+      snapshot, NeighborTable{n, offsets.data(), entries.data()}, params.mu);
 }
 
 std::unique_ptr<CompanionDiscoverer> MakeNetworkDiscoverer(

@@ -1,6 +1,5 @@
 #include "service/pipeline.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -34,7 +33,7 @@ Status ServicePipeline::Start() {
     std::ifstream probe(options_.checkpoint_path);
     if (probe.good()) {
       TCOMP_RETURN_IF_ERROR(LoadDiscovererFromFile(
-          discoverer_.get(), options_.checkpoint_path));
+          discoverer_.get(), options_.checkpoint_path, &filler_));
       last_checkpoint_snapshot_ = discoverer_->stats().snapshots;
       resumed_ = true;
     }
@@ -70,11 +69,10 @@ Status ServicePipeline::Start() {
 }
 
 Status ServicePipeline::Ingest(const TrajectoryRecord& record) {
-  if (!std::isfinite(record.timestamp) || !std::isfinite(record.pos.x) ||
-      !std::isfinite(record.pos.y)) {
+  if (Status valid = ValidateRecord(record, options_.window); !valid.ok()) {
     std::lock_guard<std::mutex> lock(state_mu_);
     ++records_invalid_;
-    return Status::InvalidArgument("non-finite record field");
+    return valid;
   }
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -101,11 +99,10 @@ Status ServicePipeline::Ingest(const TrajectoryRecord& record) {
 Status ServicePipeline::TryIngest(const TrajectoryRecord& record,
                                   bool* admitted) {
   *admitted = false;
-  if (!std::isfinite(record.timestamp) || !std::isfinite(record.pos.x) ||
-      !std::isfinite(record.pos.y)) {
+  if (Status valid = ValidateRecord(record, options_.window); !valid.ok()) {
     std::lock_guard<std::mutex> lock(state_mu_);
     ++records_invalid_;
-    return Status::InvalidArgument("non-finite record field");
+    return valid;
   }
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -131,8 +128,9 @@ Status ServicePipeline::TryIngest(const TrajectoryRecord& record,
 }
 
 void ServicePipeline::PushToWindow(const TrajectoryRecord& record) {
-  // Records were validated at Ingest(); a Push failure here would mean
-  // state corruption, so surface it loudly.
+  // Records passed the window's own admission predicate (ValidateRecord)
+  // at Ingest(); a Push failure here would mean state corruption, so
+  // surface it loudly.
   Status s = window_.Push(record, &ready_);
   if (!s.ok()) {
     TCOMP_LOG_ERROR << "sliding window rejected queued record: "
@@ -262,7 +260,8 @@ Status ServicePipeline::CheckpointLocked() {
   if (options_.checkpoint_path.empty()) return Status::OK();
   Timer write_timer;
   write_timer.Start();
-  Status s = SaveDiscovererToFile(*discoverer_, options_.checkpoint_path);
+  Status s =
+      SaveDiscovererToFile(*discoverer_, options_.checkpoint_path, &filler_);
   write_timer.Stop();
   stage_sink_.RecordStage(Stage::kCheckpointWrite, write_timer.Seconds());
   TCOMP_RETURN_IF_ERROR(s);
@@ -369,7 +368,7 @@ std::string ServicePipeline::MetricsText() const {
   counter("tcomp_records_processed_total",
           "Records consumed by the pipeline worker", stats.records_processed);
   counter("tcomp_records_invalid_total",
-          "Records rejected before admission (non-finite fields)",
+          "Records rejected before admission (outside the record range)",
           stats.records_invalid);
   counter("tcomp_records_late_total",
           "Records at or behind the watermark on arrival",

@@ -45,8 +45,8 @@ struct ServicePipelineOptions {
   double allowed_lateness = 0.0;
 
   /// Checkpoint file. Empty disables checkpointing entirely. If the file
-  /// exists at Start(), the discoverer state is restored from it
-  /// (resume-on-restart).
+  /// exists at Start(), the discoverer and inactive-period filler state
+  /// are restored from it (resume-on-restart).
   std::string checkpoint_path;
   /// Auto-checkpoint period in snapshots (0 = only on Stop()).
   int64_t checkpoint_every = 0;
@@ -81,7 +81,8 @@ struct ServiceStats {
   IngestQueueCounters queue;
   int64_t records_ingested = 0;   // accepted by Ingest()
   int64_t records_processed = 0;  // consumed by the worker
-  int64_t records_invalid = 0;    // rejected before admission (non-finite)
+  int64_t records_invalid = 0;    // rejected before admission (outside
+                                  // the ValidateRecord range)
   int64_t records_late = 0;       // arrived behind the watermark
   int64_t reorder_held_peak = 0;  // high-watermark reorder-buffer size
   int64_t snapshots_emitted = 0;  // windows closed by the worker
@@ -121,7 +122,8 @@ class ServicePipeline {
   /// starts the worker. Must be called exactly once, before anything else.
   Status Start();
 
-  /// Validates and admits one record (thread-safe). Backpressure policy
+  /// Validates (ValidateRecord against options.window) and admits one
+  /// record (thread-safe). Backpressure policy
   /// decides what happens at capacity — kBlock stalls the caller, kReject
   /// returns OutOfRange, kShedOldest always succeeds.
   Status Ingest(const TrajectoryRecord& record);

@@ -1,28 +1,24 @@
 #include "shard/merge.h"
 
-#include <utility>
+#include "util/thread_pool.h"
 
 namespace tcomp {
 
-Clustering MergeShardResults(const Snapshot& snapshot, const ShardPlan& plan,
-                             std::vector<ShardResult>&& results, int mu,
-                             int64_t* distance_ops) {
-  const size_t n = snapshot.size();
-  std::vector<std::vector<uint32_t>> neighbors(n);
-  std::vector<bool> core(n, false);
-  const size_t min_neighbors = mu < 0 ? 0 : static_cast<size_t>(mu);
-
-  for (size_t k = 0; k < plan.slices.size(); ++k) {
-    const ShardSlice& slice = plan.slices[k];
-    ShardResult& result = results[k];
-    for (size_t t = 0; t < slice.owned.size(); ++t) {
-      const uint32_t g = slice.owned[t];
-      neighbors[g] = std::move(result.neighbors[t]);
-      core[g] = neighbors[g].size() >= min_neighbors;
+Clustering MergeShardResults(
+    const Snapshot& snapshot, const ShardPlan& plan,
+    const std::vector<std::unique_ptr<StripeScratch>>& stripes,
+    internal::NeighborTableBuilder* table, int mu, int64_t* distance_ops) {
+  const size_t shards = plan.slices.size();
+  table->Seal();
+  ParallelForShards(static_cast<int>(shards), [&](int k, int) {
+    FillStripeRows(*stripes[static_cast<size_t>(k)], table);
+  });
+  if (distance_ops != nullptr) {
+    for (size_t k = 0; k < shards; ++k) {
+      *distance_ops += stripes[k]->distance_ops;
     }
-    if (distance_ops != nullptr) *distance_ops += result.distance_ops;
   }
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(snapshot, table->table(), mu);
 }
 
 }  // namespace tcomp

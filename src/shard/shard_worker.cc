@@ -2,14 +2,10 @@
 
 namespace tcomp {
 
-ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
-                                  const ShardSlice& slice,
-                                  const DbscanParams& params,
-                                  StripeScratch* scratch) {
-  ShardResult result;
-  result.neighbors.resize(slice.owned.size());
-  if (slice.owned.empty()) return result;
-
+void SweepStripe(const Snapshot& snapshot, const ShardSlice& slice,
+                 const DbscanParams& params,
+                 internal::NeighborTableBuilder* table,
+                 StripeScratch* scratch) {
   // Local working set: owned first, then halo. Owned position t is row t,
   // and owned pairs keep their global order, so the sweep's pair-once
   // rule (smaller index) evaluates each owned-owned pair from the same
@@ -29,12 +25,21 @@ ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
     ys[k] = p.y;
     source[k] = k < owned ? 1 : 0;  // halo: candidate only, never a source
   }
-  result.distance_ops = internal::SweepNeighborPairs(
+  scratch->global = global;
+  scratch->owned = owned;
+  scratch->distance_ops = 0;
+  scratch->pairs.clear();
+  if (owned == 0) return;
+  scratch->distance_ops = internal::SweepNeighborPairs(
       xs, ys, m, params.epsilon, source, &arena, &scratch->pairs);
-  internal::AppendPairsToRows(scratch->pairs.data(), scratch->pairs.size(),
-                              global, /*include_self=*/true, &arena,
-                              &result.neighbors);
-  return result;
+  table->CountPairs(scratch->pairs.data(), scratch->pairs.size(), owned,
+                    global);
+}
+
+void FillStripeRows(const StripeScratch& scratch,
+                    internal::NeighborTableBuilder* table) {
+  table->FillPairs(scratch.pairs.data(), scratch.pairs.size(), scratch.owned,
+                   scratch.global);
 }
 
 }  // namespace tcomp

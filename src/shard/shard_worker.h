@@ -11,37 +11,39 @@
 
 namespace tcomp {
 
-/// One shard's contribution to a snapshot: the exact ε-neighbor list of
-/// every owned index (global snapshot indices, ascending, self included —
-/// the representation BuildClusteringFromCores consumes), plus the
-/// distance evaluations spent producing them.
-struct ShardResult {
-  /// Parallel to ShardSlice::owned.
-  std::vector<std::vector<uint32_t>> neighbors;
-  int64_t distance_ops = 0;
-};
-
-/// Per-stripe-slot scratch, owned by the caller and reused across
-/// snapshots: the sweep's arena and its pair buffer. Carried capacity is
-/// the only thing that survives a call.
+/// One stripe's sweep of the current snapshot, kept until the merge has
+/// filled the stripe's rows from it. The engine owns one per stripe slot
+/// and reuses it across snapshots; only capacity survives a snapshot.
 struct StripeScratch {
   Arena arena;
-  std::vector<uint64_t> pairs;
+  std::vector<uint64_t> pairs;       // local-index pairs of the last sweep
+  const uint32_t* global = nullptr;  // local → snapshot index, owned first
+  size_t owned = 0;                  // local indices [0, owned) own rows
+  int64_t distance_ops = 0;          // candidate pairs the sweep evaluated
 };
 
-/// Computes the exact ε-neighborhoods of a slice's owned indices: the
+/// Sweeps a slice for the exact ε-neighborhoods of its owned indices: the
 /// shared ε-neighborhood sweep (internal::SweepNeighborPairs) over
-/// owned ∪ halo with the owned points as sources, so owned-owned pairs are
-/// evaluated once and owned-halo pairs from the owned side. Pure function
-/// of (snapshot, slice, params): deterministic results and deterministic
-/// distance_ops, whichever thread runs it. Exact because the slice's halo
-/// invariant guarantees every true ε-neighbor of an owned index is
-/// present locally, and membership is decided by the WithinEps compare.
-/// `scratch` must not be shared by concurrent calls.
-ShardResult ComputeShardNeighbors(const Snapshot& snapshot,
-                                  const ShardSlice& slice,
-                                  const DbscanParams& params,
-                                  StripeScratch* scratch);
+/// owned ∪ halo with the owned points as sources, so owned-owned pairs
+/// are evaluated once and owned-halo pairs from the owned side. Leaves
+/// the pairs in `scratch` and counts the owned rows — only those — into
+/// `table` (NeighborTableBuilder::CountPairs); after the table is sealed,
+/// FillStripeRows writes them. Pure function of (snapshot, slice,
+/// params): deterministic pairs and distance_ops, whichever thread runs
+/// it. Exact because the slice's halo invariant guarantees every true
+/// ε-neighbor of an owned index is present locally, and membership is
+/// decided by the WithinEps compare. Stripes own disjoint rows, so they
+/// may count into, and fill, one table concurrently; `scratch` must not
+/// be shared by concurrent calls.
+void SweepStripe(const Snapshot& snapshot, const ShardSlice& slice,
+                 const DbscanParams& params,
+                 internal::NeighborTableBuilder* table,
+                 StripeScratch* scratch);
+
+/// Fills the stripe's owned rows of the sealed `table` from the pairs the
+/// last SweepStripe left in `scratch`.
+void FillStripeRows(const StripeScratch& scratch,
+                    internal::NeighborTableBuilder* table);
 
 }  // namespace tcomp
 

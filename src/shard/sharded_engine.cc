@@ -1,7 +1,6 @@
 #include "shard/sharded_engine.h"
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -39,11 +38,12 @@ Clustering ShardedClusterEngine::Cluster(const Snapshot& snapshot,
   while (scratch_.size() < shards) {
     scratch_.push_back(std::make_unique<StripeScratch>());
   }
-  std::vector<ShardResult> results(shards);
+  table_arena_.Reset();
+  internal::NeighborTableBuilder table(snapshot.size(), &table_arena_);
   ParallelForShards(static_cast<int>(shards), [&](int k, int) {
     const size_t slot = static_cast<size_t>(k);
-    results[slot] = ComputeShardNeighbors(snapshot, plan.slices[slot],
-                                          params_, scratch_[slot].get());
+    SweepStripe(snapshot, plan.slices[slot], params_, &table,
+                scratch_[slot].get());
   });
   work_timer.Stop();
   if (stage_sink_ != nullptr) {
@@ -52,9 +52,8 @@ Clustering ShardedClusterEngine::Cluster(const Snapshot& snapshot,
 
   Timer merge_timer;
   merge_timer.Start();
-  Clustering clustering = MergeShardResults(snapshot, plan,
-                                            std::move(results), params_.mu,
-                                            distance_ops);
+  Clustering clustering = MergeShardResults(snapshot, plan, scratch_, &table,
+                                            params_.mu, distance_ops);
   merge_timer.Stop();
   if (stage_sink_ != nullptr) {
     stage_sink_->RecordStage(Stage::kMergeStitch, merge_timer.Seconds());

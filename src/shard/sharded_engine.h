@@ -77,6 +77,9 @@ class ShardedClusterEngine {
   // owns its slot for the fan-out, and the slots keep their capacity
   // across snapshots (capacity only — no results survive a snapshot).
   std::vector<std::unique_ptr<StripeScratch>> scratch_;
+  // The snapshot's neighbor table, which the stripes fill; reset per
+  // snapshot, capacity retained.
+  Arena table_arena_;
 
   std::atomic<int64_t> snapshots_{0};
   std::atomic<int64_t> routed_objects_{0};

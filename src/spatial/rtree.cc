@@ -436,24 +436,22 @@ Clustering DbscanRtree(const Snapshot& snapshot, const DbscanParams& params,
     }
   }
 
+  // Each row is the tree's ε-search from its point (which finds the point
+  // itself), appended to the shared neighbor table.
   const size_t n = snapshot.size();
-  std::vector<std::vector<uint32_t>> neighbors(n);
+  std::vector<uint32_t> offsets(1, 0);
+  std::vector<uint32_t> entries;
+  offsets.reserve(n + 1);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<ObjectId> hits =
-        tree->Search(snapshot.pos(i), params.epsilon);
-    neighbors[i].reserve(hits.size());
-    for (ObjectId id : hits) {
+    for (ObjectId id : tree->Search(snapshot.pos(i), params.epsilon)) {
       size_t idx = snapshot.IndexOf(id);
       TCOMP_DCHECK(idx != Snapshot::kNpos);
-      neighbors[i].push_back(static_cast<uint32_t>(idx));
+      entries.push_back(static_cast<uint32_t>(idx));
     }
-    // Search returns id-sorted hits; indices are id-ordered too.
+    offsets.push_back(static_cast<uint32_t>(entries.size()));
   }
-  std::vector<bool> core(n, false);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = neighbors[i].size() >= static_cast<size_t>(params.mu);
-  }
-  return internal::BuildClusteringFromCores(snapshot, core, neighbors);
+  return internal::BuildClusteringFromCores(
+      snapshot, NeighborTable{n, offsets.data(), entries.data()}, params.mu);
 }
 
 }  // namespace tcomp

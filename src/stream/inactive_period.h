@@ -1,9 +1,13 @@
 #ifndef TCOMP_STREAM_INACTIVE_PERIOD_H_
 #define TCOMP_STREAM_INACTIVE_PERIOD_H_
 
+#include <cstdint>
+#include <iosfwd>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/snapshot.h"
+#include "util/status.h"
 
 namespace tcomp {
 
@@ -22,8 +26,13 @@ namespace tcomp {
 /// (Fig. 24a). An object seen only once has no velocity estimate and is
 /// carried forward in place.
 ///
-/// A threshold of 0 disables filling (strict mode).
-class InactivePeriodFiller {
+/// A threshold of 0 disables filling (strict mode): Fill() passes the
+/// snapshot through and tracks nothing.
+///
+/// The last sightings are stream state: a checkpoint must carry them, or
+/// a resumed run forgets every absent object (core/checkpoint.h's
+/// `stream` section).
+class InactivePeriodFiller : public CheckpointSection {
  public:
   explicit InactivePeriodFiller(int max_inactive_snapshots);
 
@@ -35,8 +44,17 @@ class InactivePeriodFiller {
 
   void Reset();
 
+  /// Checkpointing: the snapshot counter and every last sighting, doubles
+  /// as hex floats (bit-exact round trip). LoadState returns Corruption
+  /// for a malformed section — a count above kMaxCheckpointCount, ids not
+  /// strictly ascending, a sighting not older than the counter, or a
+  /// coordinate that is unparsable or non-finite.
+  void SaveState(std::ostream& out) const override;
+  Status LoadState(std::istream& in) override;
+
  private:
   struct LastSeen {
+    ObjectId id = 0;
     Point pos;
     Point velocity;  // per snapshot; zero until two reports observed
     int64_t snapshot = -1;
@@ -44,8 +62,8 @@ class InactivePeriodFiller {
 
   int max_inactive_;
   int64_t current_ = 0;
-  std::vector<LastSeen> last_;   // indexed by ObjectId
-  std::vector<bool> known_;
+  std::vector<LastSeen> seen_;    // ascending id; every object reported
+  std::vector<LastSeen> merged_;  // Fill() scratch, capacity retained
 };
 
 }  // namespace tcomp

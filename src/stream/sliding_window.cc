@@ -6,6 +6,27 @@
 
 namespace tcomp {
 
+Status ValidateRecord(const TrajectoryRecord& record,
+                      const SlidingWindowOptions& options) {
+  // NaN fails every comparison below, so it is rejected too. A NaN/Inf
+  // or huge coordinate would overflow the window average or the filler's
+  // dead reckoning and, further downstream, abort the plane sweep's
+  // finite-coordinate check.
+  if (!(std::fabs(record.pos.x) <= kMaxRecordCoordinate) ||
+      !(std::fabs(record.pos.y) <= kMaxRecordCoordinate)) {
+    return Status::InvalidArgument("record position outside +-1e15");
+  }
+  if (!std::isfinite(record.timestamp)) {
+    return Status::InvalidArgument("non-finite record timestamp");
+  }
+  if (options.mode == WindowMode::kEqualLength &&
+      !(std::fabs(record.timestamp) <= 0x1p52 * options.window_length)) {
+    return Status::InvalidArgument(
+        "record timestamp beyond 2^52 window lengths");
+  }
+  return Status::OK();
+}
+
 SlidingWindowSnapshotter::SlidingWindowSnapshotter(
     const SlidingWindowOptions& options)
     : options_(options) {
@@ -31,35 +52,38 @@ void SlidingWindowSnapshotter::EmitWindow(std::vector<Snapshot>* out) {
   ++emitted_;
 }
 
+int64_t SlidingWindowSnapshotter::WindowIndex(double timestamp) const {
+  const double length = options_.window_length;
+  auto k = static_cast<int64_t>(std::floor(timestamp / length));
+  // The quotient is rounded; one step restores k·L ≤ t < (k + 1)·L.
+  if (static_cast<double>(k) * length > timestamp) {
+    --k;
+  } else if (static_cast<double>(k + 1) * length <= timestamp) {
+    ++k;
+  }
+  return k;
+}
+
 Status SlidingWindowSnapshotter::Push(const TrajectoryRecord& record,
                                       std::vector<Snapshot>* out) {
-  if (!std::isfinite(record.timestamp)) {
-    return Status::InvalidArgument("non-finite record timestamp");
-  }
-  if (!std::isfinite(record.pos.x) || !std::isfinite(record.pos.y)) {
-    // A NaN/Inf coordinate would poison the window average and, further
-    // downstream, hit undefined behavior in the grid clusterers'
-    // floor-and-cast cell computation. Reject it at the stream boundary.
-    return Status::InvalidArgument("non-finite record position");
-  }
+  TCOMP_RETURN_IF_ERROR(ValidateRecord(record, options_));
 
   if (options_.mode == WindowMode::kEqualLength) {
-    if (!window_started_) {
-      // Anchor the first window at the first record's span boundary so
-      // windows are [k·L, (k+1)·L) regardless of where the stream starts.
-      window_start_ =
-          std::floor(record.timestamp / options_.window_length) *
-          options_.window_length;
+    // Windows are [k·L, (k+1)·L) for integer k regardless of where the
+    // stream starts; the first record anchors the current one.
+    const bool past = window_started_ && record.timestamp >= window_end_;
+    if (past) {
+      // Close the current window and step over every empty one the gap
+      // spans at once — gaps produce no empty snapshots.
+      EmitWindow(out);
+    }
+    if (past || !window_started_) {
+      const int64_t k = WindowIndex(record.timestamp);
+      window_end_ = static_cast<double>(k + 1) * options_.window_length;
       window_started_ = true;
     }
-    // Close every window the new timestamp has moved past. Gaps produce no
-    // empty snapshots — an empty window simply advances.
-    while (record.timestamp >= window_start_ + options_.window_length) {
-      EmitWindow(out);
-      window_start_ += options_.window_length;
-    }
-    // Late records (timestamp < window_start_) fold into the current
-    // window; see the class comment.
+    // Late records (before the current window) fold into it; see the
+    // class comment.
   }
 
   Accum& accum = window_[record.object];

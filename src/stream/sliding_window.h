@@ -1,6 +1,7 @@
 #ifndef TCOMP_STREAM_SLIDING_WINDOW_H_
 #define TCOMP_STREAM_SLIDING_WINDOW_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,21 @@ struct SlidingWindowOptions {
   double snapshot_duration = 1.0;
 };
 
+/// The documented range of a stream record. Every record must have
+///  - finite coordinates with |x|, |y| ≤ kMaxRecordCoordinate (10¹⁵).
+///    Window averages and dead-reckoned positions (stream/
+///    inactive_period.h: at most 1 + 2·threshold < 2³² times the range)
+///    then stay finite;
+///  - a finite timestamp, and in equal-length mode at most 2⁵² window
+///    lengths from the epoch, so the window index k = ⌊t / L⌋ is exact
+///    and consecutive windows have distinct bounds k·L.
+/// ValidateRecord returns InvalidArgument for a record outside it. It is
+/// the one admission predicate: SlidingWindowSnapshotter::Push and the
+/// service's ingest (service/pipeline.h) both call it.
+inline constexpr double kMaxRecordCoordinate = 1e15;
+Status ValidateRecord(const TrajectoryRecord& record,
+                      const SlidingWindowOptions& options);
+
 /// Batches a (possibly out-of-order, delayed) record stream into
 /// snapshots using the sliding-window model of Section VI:
 ///  * multiple reports by one object within a window are averaged
@@ -42,7 +58,7 @@ struct SlidingWindowOptions {
 ///
 /// Empty-window contract: a window with no reports NEVER produces a
 /// snapshot and never advances emitted(), wherever it occurs — a
-/// mid-stream gap (the while loop skips over it), a trailing gap before
+/// mid-stream gap (one step skips all of it), a trailing gap before
 /// Flush(), or a Flush() with nothing buffered (including a second
 /// Flush() in a row). Emitting zero-object snapshots would feed the
 /// discoverers degenerate clustering inputs and make `snapshots_emitted`
@@ -65,7 +81,8 @@ class SlidingWindowSnapshotter {
   explicit SlidingWindowSnapshotter(const SlidingWindowOptions& options);
 
   /// Feeds one record. Snapshots completed by it are appended to `out`.
-  /// Returns InvalidArgument for non-finite timestamps.
+  /// Returns InvalidArgument for a record outside the documented range
+  /// (ValidateRecord).
   Status Push(const TrajectoryRecord& record, std::vector<Snapshot>* out);
 
   /// Emits the in-progress window (if it holds any reports).
@@ -77,14 +94,16 @@ class SlidingWindowSnapshotter {
  private:
   struct Accum {
     Point sum;
-    int count = 0;
+    int64_t count = 0;
   };
 
   void EmitWindow(std::vector<Snapshot>* out);
+  /// The k with k·L ≤ t < (k + 1)·L, L the window length.
+  int64_t WindowIndex(double timestamp) const;
 
   SlidingWindowOptions options_;
   std::unordered_map<ObjectId, Accum> window_;
-  double window_start_ = 0.0;
+  double window_end_ = 0.0;  // equal-length: (k+1)·L, current window k
   bool window_started_ = false;
   int64_t emitted_ = 0;
 };

@@ -7,6 +7,19 @@
 #include <type_traits>
 #include <vector>
 
+// Under AddressSanitizer the arena poisons what it has not handed out, so
+// an overrun from one span into the next is reported; see Arena.
+#if defined(__SANITIZE_ADDRESS__)
+#define TCOMP_ARENA_POISON 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TCOMP_ARENA_POISON 1
+#endif
+#endif
+#ifdef TCOMP_ARENA_POISON
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace tcomp {
 
 /// Bump allocator for per-snapshot scratch. The hot paths (SoA snapshot
@@ -30,12 +43,23 @@ namespace tcomp {
 /// then consolidates the total into one larger retained block, so
 /// overflow is a warm-up phenomenon, not a steady-state one.
 ///
+/// Under AddressSanitizer (TCOMP_ARENA_POISON) the retained block is
+/// poisoned when it is created and on every Reset(), each span is
+/// unpoisoned as it is handed out, and a poisoned redzone follows it, so
+/// a read or write past a span's end is reported instead of landing in
+/// the next span. Overflow blocks are separate heap allocations that
+/// ASan guards already. Other builds compile none of this: the redzone
+/// is 0 and the poison calls are empty.
+///
 /// Not thread-safe; one arena per owner, like the discoverers.
 class Arena {
  public:
   Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
+#ifdef TCOMP_ARENA_POISON
+  ~Arena() { Unpoison(block_.get(), capacity_); }
+#endif
 
   template <typename T>
   T* AllocateArray(size_t count) {
@@ -56,12 +80,14 @@ class Arena {
       size_t want = used_ + overflow_bytes_;
       size_t capacity = capacity_ < 64 ? 64 : capacity_;
       while (capacity < want) capacity *= 2;
+      Unpoison(block_.get(), capacity_);
       block_ = std::make_unique<unsigned char[]>(capacity);
       capacity_ = capacity;
       overflow_.clear();
       overflow_bytes_ = 0;
     }
     used_ = 0;
+    Poison(block_.get(), capacity_);
   }
 
   /// Total heap bytes this arena holds. Stable across snapshots once the
@@ -74,9 +100,11 @@ class Arena {
 
  private:
   void* AllocateBytes(size_t bytes, size_t align) {
+    if (align < kSpanAlign) align = kSpanAlign;
     size_t aligned = (used_ + (align - 1)) & ~(align - 1);
-    if (aligned + bytes <= capacity_) {
-      used_ = aligned + bytes;
+    if (aligned + bytes + kRedzone <= capacity_) {
+      used_ = aligned + bytes + kRedzone;
+      Unpoison(block_.get() + aligned, bytes);
       return block_.get() + aligned;
     }
     // Overflow: a dedicated block, consolidated at the next Reset().
@@ -86,6 +114,24 @@ class Arena {
     overflow_bytes_ += bytes;
     return overflow_.back().get();
   }
+
+#ifdef TCOMP_ARENA_POISON
+  // Spans start on an ASan shadow granule and are followed by two
+  // poisoned granules.
+  static constexpr size_t kSpanAlign = 8;
+  static constexpr size_t kRedzone = 16;
+  static void Poison(unsigned char* p, size_t n) {
+    ASAN_POISON_MEMORY_REGION(p, n);
+  }
+  static void Unpoison(unsigned char* p, size_t n) {
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+  }
+#else
+  static constexpr size_t kSpanAlign = 1;
+  static constexpr size_t kRedzone = 0;
+  static void Poison(unsigned char*, size_t) {}
+  static void Unpoison(unsigned char*, size_t) {}
+#endif
 
   std::unique_ptr<unsigned char[]> block_;
   size_t capacity_ = 0;

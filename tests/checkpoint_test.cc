@@ -12,7 +12,12 @@
 
 #include "data/group_model.h"
 #include "data/military_gen.h"
+#include "data/trajectory_io.h"
+#include "eval/export.h"
+#include "stream/inactive_period.h"
+#include "stream/sliding_window.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace tcomp {
 namespace {
@@ -42,6 +47,144 @@ std::set<ObjectSet> Reported(const CompanionDiscoverer& d) {
   std::set<ObjectSet> out;
   for (const Companion& c : d.log().companions()) out.insert(c.objects);
   return out;
+}
+
+/// What `tcomp discover` leaves behind: its products and its state.
+struct DiscoverResult {
+  std::string csv;
+  std::string state;
+  std::string checkpoint;
+};
+
+/// The `tcomp discover` loop (records → window → inactive-period filler →
+/// discoverer), resumed from `resume_from` if non-empty and saved at the
+/// end. `filler_in_checkpoint` = false saves and restores the discoverer
+/// alone, as checkpoints did before they carried the filler.
+DiscoverResult RunDiscover(const std::vector<TrajectoryRecord>& records,
+                           int inactive, const std::string& resume_from,
+                           bool filler_in_checkpoint = true) {
+  auto discoverer = MakeDiscoverer(Algorithm::kSmartClosed, TestParams());
+  InactivePeriodFiller filler(inactive);
+  CheckpointSection* stream = filler_in_checkpoint ? &filler : nullptr;
+  if (!resume_from.empty()) {
+    std::istringstream in(resume_from);
+    EXPECT_TRUE(LoadDiscoverer(discoverer.get(), in, stream).ok());
+  }
+  SlidingWindowOptions wopts;
+  wopts.window_length = 60.0;
+  SlidingWindowSnapshotter window(wopts);
+  std::vector<Snapshot> ready;
+  for (const TrajectoryRecord& r : records) {
+    EXPECT_TRUE(window.Push(r, &ready).ok());
+    for (const Snapshot& snap : ready) {
+      discoverer->ProcessSnapshot(filler.Fill(snap), nullptr);
+    }
+    ready.clear();
+  }
+  window.Flush(&ready);
+  for (const Snapshot& snap : ready) {
+    discoverer->ProcessSnapshot(filler.Fill(snap), nullptr);
+  }
+  DiscoverResult result;
+  std::ostringstream csv;
+  WriteCompanionsCsv(discoverer->log().companions(), csv);
+  result.csv = csv.str();
+  result.state = testing_util::NormalizedState(*discoverer);
+  std::ostringstream saved;
+  EXPECT_TRUE(SaveDiscoverer(*discoverer, saved, stream).ok());
+  result.checkpoint = saved.str();
+  return result;
+}
+
+/// Resume forgot the inactive-period filler: a run split at a window
+/// boundary and resumed with --inactive 3 must equal the uninterrupted
+/// run — products, discoverer state and filler state — on a stream where
+/// objects drop out.
+TEST(CheckpointStreamStateTest, InactiveFillSurvivesDiscoverResume) {
+  GroupDataset data = TestStream(72);
+  std::vector<TrajectoryRecord> all = StreamToRecords(data.stream, 60.0);
+  std::vector<TrajectoryRecord> records;
+  Pcg32 rng(7);
+  for (const TrajectoryRecord& r : all) {
+    if (rng.NextDouble() >= 0.15) records.push_back(r);
+  }
+  const double split = 60.0 * static_cast<double>(data.stream.size() / 2);
+  std::vector<TrajectoryRecord> head;
+  std::vector<TrajectoryRecord> tail;
+  for (const TrajectoryRecord& r : records) {
+    (r.timestamp < split ? head : tail).push_back(r);
+  }
+
+  const DiscoverResult whole = RunDiscover(records, 3, "");
+  const DiscoverResult first = RunDiscover(head, 3, "");
+  const DiscoverResult resumed = RunDiscover(tail, 3, first.checkpoint);
+  EXPECT_FALSE(whole.csv.empty());
+  EXPECT_EQ(resumed.csv, whole.csv);
+  EXPECT_EQ(resumed.state, whole.state);
+  // The filler's own section (the stats line holds wall-clock timings).
+  const auto stream_section = [](const std::string& checkpoint) {
+    return checkpoint.substr(checkpoint.find("\nstream "));
+  };
+  EXPECT_EQ(stream_section(resumed.checkpoint),
+            stream_section(whole.checkpoint));
+
+  // The control: without the filler in the checkpoint the resumed run
+  // diverges on this stream, and without filling there is nothing to
+  // forget.
+  const DiscoverResult forgetful = RunDiscover(
+      tail, 3, RunDiscover(head, 3, "", false).checkpoint, false);
+  EXPECT_NE(forgetful.csv, whole.csv);
+  const DiscoverResult strict_first = RunDiscover(head, 0, "");
+  EXPECT_EQ(RunDiscover(tail, 0, strict_first.checkpoint).csv,
+            RunDiscover(records, 0, "").csv);
+}
+
+TEST(CheckpointStreamStateTest, CorruptFillerSectionIsRejected) {
+  GroupDataset data = TestStream(73);
+  const DiscoverResult run =
+      RunDiscover(StreamToRecords(data.stream, 60.0), 2, "");
+  const std::string good = run.checkpoint;
+  const size_t at = good.find("filler ");
+  ASSERT_NE(at, std::string::npos);
+  const size_t end_at = good.rfind("end\n");
+  const std::string head = good.substr(0, at);
+  const std::string bad_cases[] = {
+      head + "fillerX 5 0\nend\n",
+      head + "filler -1 0\nend\n",
+      head + "filler 5 999999999\nend\n",
+      // Ids out of order.
+      head + "filler 5 2\n9 1 0x1p+0 0x1p+0 0x0p+0 0x0p+0\n"
+             "4 1 0x1p+0 0x1p+0 0x0p+0 0x0p+0\nend\n",
+      // A sighting not older than the snapshot counter.
+      head + "filler 5 1\n9 5 0x1p+0 0x1p+0 0x0p+0 0x0p+0\nend\n",
+      // Non-finite and unparsable coordinates.
+      head + "filler 5 1\n9 1 inf 0x1p+0 0x0p+0 0x0p+0\nend\n",
+      head + "filler 5 1\n9 1 0x1p+0 zz 0x0p+0 0x0p+0\nend\n",
+      // Truncated record.
+      head + "filler 5 1\n9 1 0x1p+0\n",
+  };
+  for (const std::string& bad : bad_cases) {
+    auto fresh = MakeDiscoverer(Algorithm::kSmartClosed, TestParams());
+    InactivePeriodFiller filler(2);
+    std::istringstream in(bad);
+    Status st = LoadDiscoverer(fresh.get(), in, &filler);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << bad.substr(at);
+  }
+  // The good record loads; without a filler to restore into it is
+  // refused instead of silently dropping the section.
+  ASSERT_NE(end_at, std::string::npos);
+  {
+    auto fresh = MakeDiscoverer(Algorithm::kSmartClosed, TestParams());
+    InactivePeriodFiller filler(2);
+    std::istringstream in(good);
+    EXPECT_TRUE(LoadDiscoverer(fresh.get(), in, &filler).ok());
+  }
+  {
+    auto fresh = MakeDiscoverer(Algorithm::kSmartClosed, TestParams());
+    std::istringstream in(good);
+    EXPECT_EQ(LoadDiscoverer(fresh.get(), in).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 /// The defining property: save mid-stream, restore into a fresh instance,
@@ -251,7 +394,7 @@ TEST(CheckpointTest, ImplausibleLogCountRejected) {
 TEST(CheckpointTest, ImplausibleCompanionSizeRejected) {
   // Handcrafted checkpoint whose single log entry claims 2^40 members.
   std::stringstream bad(
-      "tcomp-checkpoint 2 SC\n"
+      "tcomp-checkpoint 3 SC\n"
       "common 3\n"
       "stats 3 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0\n"
       "log 1\n"

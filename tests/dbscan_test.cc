@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "tests/test_util.h"
@@ -127,11 +128,8 @@ Clustering ReferenceDbscan(const Snapshot& s, const DbscanParams& p) {
       if (Distance(s.pos(i), s.pos(j)) <= p.epsilon) nbrs[i].push_back(j);
     }
   }
-  std::vector<bool> core(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = nbrs[i].size() >= static_cast<size_t>(p.mu);
-  }
-  return internal::BuildClusteringFromCores(s, core, nbrs);
+  return testing_util::RowFinisher(s, testing_util::CoreFromRows(nbrs, p.mu),
+                                   nbrs);
 }
 
 class DbscanEquivalenceTest
@@ -194,6 +192,60 @@ TEST(DbscanTest, ClustersArePartition) {
                                      s.id(i)));
     } else {
       EXPECT_EQ(seen.count(s.id(i)), 0u);
+    }
+  }
+}
+
+/// The table finisher against the row-based one it replaced, on random
+/// neighbor graphs: symmetric rows (every ε-backend) and directed ones
+/// (network distance), with isolated points and μ ∈ {1, 2, 3, 5}. The
+/// table gets each row shuffled — it must not depend on row order — and
+/// the oracle gets it sorted, as it requires.
+TEST(FinisherOracleTest, TableMatchesRowFinisherOnRandomGraphs) {
+  Pcg32 rng(4242);
+  for (int trial = 0; trial < 120; ++trial) {
+    const uint32_t n = 1 + rng.NextBounded(300);
+    const bool symmetric = trial % 2 == 0;
+    // Mean degree from ~0.5 to ~8, so sparse trials leave many points
+    // isolated and dense ones merge most of the graph.
+    const double p = rng.NextDouble(0.5, 8.0) / n;
+    std::vector<bool> isolated(n);
+    for (uint32_t i = 0; i < n; ++i) isolated[i] = rng.NextBounded(10) == 0;
+    std::vector<std::vector<uint32_t>> rows(n);
+    for (uint32_t i = 0; i < n; ++i) rows[i].push_back(i);
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t j = symmetric ? i + 1 : 0; j < n; ++j) {
+        if (j == i || isolated[i] || isolated[j] || rng.NextDouble() >= p) {
+          continue;
+        }
+        rows[i].push_back(j);
+        if (symmetric) rows[j].push_back(i);
+      }
+    }
+    std::vector<ObjectPosition> pos;
+    for (uint32_t i = 0; i < n; ++i) {
+      pos.push_back(ObjectPosition{3 * i + 7, Point{0.0, 0.0}});
+    }
+    const Snapshot s(pos, 1.0);
+    std::vector<std::vector<uint32_t>> shuffled = rows;
+    for (std::vector<uint32_t>& row : shuffled) {
+      for (size_t k = row.size(); k > 1; --k) {
+        std::swap(row[k - 1], row[rng.NextBounded(static_cast<uint32_t>(k))]);
+      }
+    }
+    for (std::vector<uint32_t>& row : rows) std::sort(row.begin(), row.end());
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> entries;
+    const NeighborTable table =
+        testing_util::TableFromRows(shuffled, &offsets, &entries);
+    for (int mu : {1, 2, 3, 5}) {
+      const Clustering want = testing_util::RowFinisher(
+          s, testing_util::CoreFromRows(rows, mu), rows);
+      const Clustering got = internal::BuildClusteringFromCores(s, table, mu);
+      EXPECT_EQ(got.labels, want.labels) << "trial " << trial << " mu " << mu;
+      EXPECT_EQ(got.core, want.core) << "trial " << trial << " mu " << mu;
+      EXPECT_EQ(got.clusters, want.clusters)
+          << "trial " << trial << " mu " << mu;
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "stream/sliding_window.h"
 #include "tests/test_util.h"
 
 namespace tcomp {
@@ -70,6 +73,23 @@ TEST(InactivePeriodTest, SingleSightingCarriesForwardInPlace) {
   ASSERT_TRUE(filled.Contains(1));
   EXPECT_DOUBLE_EQ(filled.pos(filled.IndexOf(1)).x, 7.0);
   EXPECT_DOUBLE_EQ(filled.pos(filled.IndexOf(1)).y, 3.0);
+}
+
+TEST(InactivePeriodTest, DeadReckoningStaysFiniteAtTheRecordRange) {
+  // Reports at opposite edges of the record range (stream/
+  // sliding_window.h) give the largest velocity; dead reckoning over a
+  // long gap stays finite.
+  const double edge = kMaxRecordCoordinate;
+  InactivePeriodFiller filler(1 << 30);
+  filler.Fill(MakeSnapshot({{1, edge, -edge}, {2, 0, 0}}));
+  filler.Fill(MakeSnapshot({{1, -edge, edge}, {2, 0, 0}}));
+  for (int t = 0; t < 500; ++t) {
+    Snapshot filled = filler.Fill(MakeSnapshot({{2, 0, 0}}));
+    ASSERT_TRUE(filled.Contains(1));
+    const Point p = filled.pos(filled.IndexOf(1));
+    ASSERT_TRUE(std::isfinite(p.x) && std::isfinite(p.y)) << t;
+    EXPECT_EQ(p.x, -edge - 2 * edge * (t + 1));
+  }
 }
 
 TEST(InactivePeriodTest, PaperExampleObject3TravelsThroughGap) {

@@ -141,6 +141,45 @@ SnapshotStream ExactEpsStream() {
   return stream;
 }
 
+/// Coherent stream whose churn alternates around the 30% rebuild
+/// threshold: 40% of the population (one whole set of groups' ids)
+/// teleports at every 4th snapshot and at t = 9, so the clusterer walks
+/// rebuild → first repair (lists built) → repair → rebuild, and once
+/// (t = 8, 9) rebuild → rebuild.
+SnapshotStream TransitionStream(uint64_t seed) {
+  GroupDataset data = CoherentStream(seed);
+  SnapshotStream stream;
+  int jumps = 0;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    if (t > 0 && (t % 4 == 0 || t == 9)) ++jumps;
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> moved;
+    for (size_t i = 0; i < s.size(); ++i) {
+      Point p = s.pos(i);
+      if (s.id(i) % 5 < 2) {
+        p.x += 1e5 * jumps;
+        p.y += 7e4 * jumps;
+      }
+      moved.push_back(ObjectPosition{s.id(i), p});
+    }
+    stream.push_back(Snapshot(std::move(moved), s.duration()));
+  }
+  return stream;
+}
+
+/// Whether the clusterer's rₑ lists exist, read from its checkpoint
+/// section ("clusterer <has> <lists> <count>").
+bool ListsBuilt(const IncrementalClusterer& clusterer) {
+  std::ostringstream out;
+  clusterer.SaveState(out);
+  std::istringstream in(out.str());
+  std::string tag;
+  int has = 0;
+  int lists = 0;
+  in >> tag >> has >> lists;
+  return lists == 1;
+}
+
 DbscanParams ClusterParams() {
   DbscanParams params;
   params.epsilon = 18.0;
@@ -250,8 +289,97 @@ TEST_P(IncrementalClusterTest, StalePositionReverts) {
   ExpectIncrementalMatchesFull(stream, ClusterParams());
 }
 
+TEST_P(IncrementalClusterTest, RebuildRepairTransitions) {
+  const SnapshotStream stream = TransitionStream(GetParam());
+  IncrementalClusterer clusterer(ClusterParams());
+  ClusterDeltaStats delta;
+  bool prev_rebuilt = false;
+  bool prev_lists = false;
+  int rebuild_to_repair = 0;
+  int repair_to_repair = 0;
+  int repair_to_rebuild = 0;
+  int rebuild_to_rebuild = 0;
+  for (size_t t = 0; t < stream.size(); ++t) {
+    const int64_t rebuilds_before = delta.full_rebuilds;
+    Clustering got = clusterer.Cluster(stream[t], nullptr, &delta);
+    ExpectSameClustering(Dbscan(stream[t], ClusterParams()), got, t);
+    const bool rebuilt = delta.full_rebuilds > rebuilds_before;
+    const bool lists = ListsBuilt(clusterer);
+    // A rebuild builds no rₑ list; every repair leaves them built.
+    EXPECT_EQ(lists, !rebuilt) << "snapshot " << t;
+    if (t > 0) {
+      if (prev_rebuilt && !rebuilt) {
+        ++rebuild_to_repair;
+        EXPECT_FALSE(prev_lists) << "first repair at " << t;
+      }
+      if (!prev_rebuilt && !rebuilt) ++repair_to_repair;
+      if (!prev_rebuilt && rebuilt) ++repair_to_rebuild;
+      if (prev_rebuilt && rebuilt) ++rebuild_to_rebuild;
+    }
+    prev_rebuilt = rebuilt;
+    prev_lists = lists;
+  }
+  EXPECT_GE(rebuild_to_repair, 5);
+  EXPECT_GE(repair_to_repair, 5);
+  EXPECT_GE(repair_to_rebuild, 5);
+  EXPECT_GE(rebuild_to_rebuild, 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalClusterTest,
                          ::testing::Values(701, 702, 703));
+
+// ---------------------------------------------------------------------------
+// A rebuild is one ε sweep: on a stream that rebuilds every snapshot the
+// clusterer spends exactly DbscanGrid's distance ops, plus one stability
+// test per surviving object.
+
+TEST(IncrementalRebuildTest, AllRebuildStreamCostsOneEpsSweep) {
+  const GroupDataset data = ChurnyStream(731);
+  const DbscanParams params = ClusterParams();
+  // Fresh ids every snapshot: nothing survives, so no stability test runs.
+  SnapshotStream fresh;
+  // Same ids, everyone jumps far beyond Δ every snapshot.
+  SnapshotStream jumping;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> renamed;
+    std::vector<ObjectPosition> moved;
+    for (size_t i = 0; i < s.size(); ++i) {
+      renamed.push_back(ObjectPosition{
+          s.id(i) + static_cast<ObjectId>(1000 * t), s.pos(i)});
+      moved.push_back(ObjectPosition{
+          s.id(i), s.pos(i) + Point{5000.0 * static_cast<double>(t), 0.0}});
+    }
+    fresh.push_back(Snapshot(std::move(renamed), s.duration()));
+    jumping.push_back(Snapshot(std::move(moved), s.duration()));
+  }
+  for (const SnapshotStream* stream : {&fresh, &jumping}) {
+    IncrementalClusterer clusterer(params);
+    ClusterDeltaStats delta;
+    int64_t ops = 0;
+    int64_t grid_ops = 0;
+    int64_t survivors = 0;
+    for (size_t t = 0; t < stream->size(); ++t) {
+      const Snapshot& s = (*stream)[t];
+      Clustering got = clusterer.Cluster(s, &ops, &delta);
+      ExpectSameClustering(DbscanGrid(s, params, &grid_ops), got, t);
+      if (t > 0) {
+        for (const IdMergeItem& m :
+             MergeIdSequences((*stream)[t - 1].ids(), s.ids())) {
+          if (m.index_a != Snapshot::kNpos && m.index_b != Snapshot::kNpos) {
+            ++survivors;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(delta.full_rebuilds, static_cast<int64_t>(stream->size()));
+    EXPECT_EQ(ops, grid_ops + survivors);
+    EXPECT_EQ(delta.soa_lanes, grid_ops);
+    EXPECT_GT(delta.soa_batches, 0);
+    EXPECT_EQ(delta.reuse, 0);
+    EXPECT_FALSE(ListsBuilt(clusterer));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Eps-boundary agreement (the shared WithinEps convention, satellite 1).
@@ -474,6 +602,51 @@ TEST(IncrementalCheckpointTest, MidStreamKillResumeReplaysExactly) {
         << AlgorithmName(algorithm);
     EXPECT_GT(first->stats().cluster_reuse, 0)
         << "stream should exercise carried state, not just fallbacks";
+  }
+}
+
+/// Kill+resume at every snapshot index of the transition stream,
+/// including right after each rebuild (lists not built yet) and right
+/// after each first repair: the resumed run is the uninterrupted run, its
+/// state and counters included, and it streams the same SoA lanes over
+/// the resumed suffix.
+TEST(IncrementalCheckpointTest, KillResumeAtEverySnapshotReplaysExactly) {
+  const SnapshotStream stream = TransitionStream(722);
+  const DiscoveryParams params = BaseParams();
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::unique_ptr<CompanionDiscoverer> full =
+        MakeDiscoverer(algorithm, params);
+    std::vector<std::string> checkpoints;
+    std::vector<int64_t> lanes_at;
+    for (size_t t = 0; t <= stream.size(); ++t) {
+      std::ostringstream saved;
+      ASSERT_TRUE(full->SaveState(saved).ok());
+      checkpoints.push_back(saved.str());
+      lanes_at.push_back(full->stats().soa_lanes);
+      if (t < stream.size()) full->ProcessSnapshot(stream[t], nullptr);
+    }
+    const std::string want = NormalizedState(*full);
+    int unbuilt_kills = 0;
+    for (size_t kill = 0; kill <= stream.size(); ++kill) {
+      if (checkpoints[kill].find("clusterer 1 0 ") != std::string::npos) {
+        ++unbuilt_kills;
+      }
+      std::unique_ptr<CompanionDiscoverer> resumed =
+          MakeDiscoverer(algorithm, params);
+      std::istringstream in(checkpoints[kill]);
+      ASSERT_TRUE(resumed->LoadState(in).ok()) << "kill " << kill;
+      for (size_t t = kill; t < stream.size(); ++t) {
+        resumed->ProcessSnapshot(stream[t], nullptr);
+      }
+      EXPECT_EQ(NormalizedState(*resumed), want)
+          << AlgorithmName(algorithm) << " killed at " << kill;
+      EXPECT_EQ(resumed->stats().soa_lanes,
+                full->stats().soa_lanes - lanes_at[kill])
+          << AlgorithmName(algorithm) << " killed at " << kill;
+    }
+    EXPECT_GE(unbuilt_kills, 5) << "kill points right after rebuilds";
+    EXPECT_GT(full->stats().cluster_reuse, 0);
   }
 }
 

@@ -101,11 +101,8 @@ TEST_P(NetworkDbscanOracleSweep, MatchesBruteForceAcrossParams) {
     }
     std::sort(nbrs[i].begin(), nbrs[i].end());
   }
-  std::vector<bool> core(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = nbrs[i].size() >= static_cast<size_t>(mu);
-  }
-  Clustering want = internal::BuildClusteringFromCores(s, core, nbrs);
+  Clustering want = testing_util::RowFinisher(
+      s, testing_util::CoreFromRows(nbrs, mu), nbrs);
   EXPECT_EQ(got.labels, want.labels);
   EXPECT_EQ(got.clusters, want.clusters);
 }
@@ -151,11 +148,8 @@ TEST(NetworkDbscanTest, MatchesBruteForceNetworkDistances) {
     }
     std::sort(nbrs[i].begin(), nbrs[i].end());
   }
-  std::vector<bool> core(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    core[i] = nbrs[i].size() >= static_cast<size_t>(params.mu);
-  }
-  Clustering want = internal::BuildClusteringFromCores(s, core, nbrs);
+  Clustering want = testing_util::RowFinisher(
+      s, testing_util::CoreFromRows(nbrs, params.mu), nbrs);
 
   EXPECT_EQ(got.core, want.core);
   EXPECT_EQ(got.labels, want.labels);

@@ -15,7 +15,9 @@
 #include "eval/export.h"
 #include "service/ingest_queue.h"
 #include "service/pipeline.h"
+#include "stream/inactive_period.h"
 #include "stream/sliding_window.h"
+#include "util/random.h"
 
 namespace tcomp {
 namespace {
@@ -53,19 +55,25 @@ std::string CompanionsCsv(const std::vector<Companion>& companions) {
 /// The reference: the batch discover path (records → window → discoverer
 /// on the caller's thread), exactly as tools/tcomp_cli.cc discover runs.
 std::string BatchCsv(Algorithm algorithm,
-                     const std::vector<TrajectoryRecord>& records) {
+                     const std::vector<TrajectoryRecord>& records,
+                     int inactive = 0) {
   auto discoverer = MakeDiscoverer(algorithm, BaseParams());
   SlidingWindowOptions wopts;
   wopts.window_length = kSecondsPerSnapshot;
   SlidingWindowSnapshotter window(wopts);
+  InactivePeriodFiller filler(inactive);
   std::vector<Snapshot> ready;
   for (const TrajectoryRecord& r : records) {
     EXPECT_TRUE(window.Push(r, &ready).ok());
-    for (const Snapshot& s : ready) discoverer->ProcessSnapshot(s, nullptr);
+    for (const Snapshot& s : ready) {
+      discoverer->ProcessSnapshot(filler.Fill(s), nullptr);
+    }
     ready.clear();
   }
   window.Flush(&ready);
-  for (const Snapshot& s : ready) discoverer->ProcessSnapshot(s, nullptr);
+  for (const Snapshot& s : ready) {
+    discoverer->ProcessSnapshot(filler.Fill(s), nullptr);
+  }
   return CompanionsCsv(discoverer->log().companions());
 }
 
@@ -181,6 +189,54 @@ TEST(ServicePipelineTest, CheckpointResumeMatchesUninterrupted) {
   std::remove(ckpt.c_str());
 }
 
+/// The same stop/restart with inactive-period filling on a stream whose
+/// objects drop out: the filler's last sightings are in the checkpoint,
+/// so the resumed daemon still fills the objects absent across the split.
+TEST(ServicePipelineTest, InactiveFillSurvivesCheckpointResume) {
+  GroupDataset data = ChurnyStream(906);
+  std::vector<TrajectoryRecord> records;
+  Pcg32 rng(7);
+  for (const TrajectoryRecord& r :
+       StreamToRecords(data.stream, kSecondsPerSnapshot)) {
+    if (rng.NextDouble() >= 0.15) records.push_back(r);
+  }
+  constexpr int kInactive = 3;
+  const std::string expected =
+      BatchCsv(Algorithm::kSmartClosed, records, kInactive);
+  ASSERT_NE(expected, BatchCsv(Algorithm::kSmartClosed, records))
+      << "the stream must exercise the filler";
+
+  const double split_time = 12 * kSecondsPerSnapshot;
+  std::string ckpt = ::testing::TempDir() + "/service_inactive.ckpt";
+  std::remove(ckpt.c_str());
+  ServicePipelineOptions opts = PipelineOptions(Algorithm::kSmartClosed);
+  opts.inactive_fill = kInactive;
+  opts.checkpoint_path = ckpt;
+  {
+    ServicePipeline first(opts);
+    ASSERT_TRUE(first.Start().ok());
+    for (const TrajectoryRecord& r : records) {
+      if (r.timestamp < split_time) {
+        ASSERT_TRUE(first.Ingest(r).ok());
+      }
+    }
+    ASSERT_TRUE(first.Stop().ok());
+  }
+  {
+    ServicePipeline second(opts);
+    ASSERT_TRUE(second.Start().ok());
+    EXPECT_TRUE(second.Stats().resumed);
+    for (const TrajectoryRecord& r : records) {
+      if (r.timestamp >= split_time) {
+        ASSERT_TRUE(second.Ingest(r).ok());
+      }
+    }
+    ASSERT_TRUE(second.Stop().ok());
+    EXPECT_EQ(CompanionsCsv(second.Companions()), expected);
+  }
+  std::remove(ckpt.c_str());
+}
+
 /// Auto-checkpointing writes every N snapshots without disturbing the
 /// stream results.
 TEST(ServicePipelineTest, AutoCheckpointEveryN) {
@@ -261,6 +317,45 @@ TEST(ServicePipelineTest, RejectsNonFiniteRecords) {
   EXPECT_TRUE(pipeline.Stop().ok());
   EXPECT_EQ(pipeline.Stats().records_invalid, 2);
   EXPECT_EQ(pipeline.Stats().records_ingested, 0);
+}
+
+/// Records outside the window's range (ValidateRecord) are refused in
+/// the ack and counted as invalid. Before, a finite timestamp of 1e300
+/// passed admission and then spun the worker's window loop forever with
+/// state_mu_ held, stalling every FLUSH and QUERY; two x = 1.5e308 reports
+/// overflowed the window sum and aborted the sweep.
+TEST(ServicePipelineTest, OutOfRangeRecordsAreRefusedAtAdmission) {
+  const auto start = std::chrono::steady_clock::now();
+  ServicePipeline pipeline(PipelineOptions(Algorithm::kSmartClosed));
+  ASSERT_TRUE(pipeline.Start().ok());
+  TrajectoryRecord r;
+  for (ObjectId id = 0; id < 4; ++id) {
+    r.object = id;
+    r.timestamp = 0.0;
+    r.pos = Point{static_cast<double>(id), 0.0};
+    ASSERT_TRUE(pipeline.Ingest(r).ok());
+  }
+  r.object = 0;
+  r.timestamp = 1e300;
+  EXPECT_EQ(pipeline.Ingest(r).code(), StatusCode::kInvalidArgument);
+  r.timestamp = 1.0;
+  r.pos = Point{1.5e308, 0.0};
+  for (int k = 0; k < 2; ++k) {
+    bool admitted = true;
+    EXPECT_EQ(pipeline.TryIngest(r, &admitted).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(admitted);
+  }
+  ASSERT_TRUE(pipeline.Flush().ok());
+  ServiceStats stats = pipeline.Stats();
+  EXPECT_EQ(stats.records_invalid, 3);
+  EXPECT_EQ(stats.records_ingested, 4);
+  EXPECT_EQ(stats.snapshots_emitted, 1);
+  ASSERT_TRUE(pipeline.Stop().ok());
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/dbscan.h"
@@ -163,6 +164,19 @@ TEST(PartitionTest, EmptyAndTinySnapshots) {
   EXPECT_TRUE(plan.slices[0].halo.empty());
 }
 
+/// Runs every stripe of `plan` into one table, serially, with one
+/// scratch slot per stripe as the engine keeps them.
+std::vector<std::unique_ptr<StripeScratch>> SweepAllStripes(
+    const Snapshot& snapshot, const ShardPlan& plan,
+    const DbscanParams& params, internal::NeighborTableBuilder* table) {
+  std::vector<std::unique_ptr<StripeScratch>> stripes;
+  for (const ShardSlice& slice : plan.slices) {
+    stripes.push_back(std::make_unique<StripeScratch>());
+    SweepStripe(snapshot, slice, params, table, stripes.back().get());
+  }
+  return stripes;
+}
+
 TEST(ShardWorkerTest, NeighborListsMatchBruteForce) {
   DbscanParams params;
   params.epsilon = 18.0;
@@ -170,21 +184,29 @@ TEST(ShardWorkerTest, NeighborListsMatchBruteForce) {
   const double eps2 = params.epsilon * params.epsilon;
   Snapshot snapshot = RandomSnapshot(11, 300, 800.0);
   ShardPlan plan = PartitionSnapshot(snapshot, 3, params.epsilon);
-  StripeScratch scratch;  // reused across stripes, as an engine slot is
+  ASSERT_GT(plan.slices.size(), 1u);
+  Arena arena;
+  internal::NeighborTableBuilder builder(snapshot.size(), &arena);
+  std::vector<std::unique_ptr<StripeScratch>> stripes =
+      SweepAllStripes(snapshot, plan, params, &builder);
+  builder.Seal();
+  for (const std::unique_ptr<StripeScratch>& stripe : stripes) {
+    FillStripeRows(*stripe, &builder);
+  }
+  // Every row is filled by exactly the stripe that owns it.
+  const NeighborTable table = builder.table();
   for (const ShardSlice& slice : plan.slices) {
-    ShardResult result =
-        ComputeShardNeighbors(snapshot, slice, params, &scratch);
-    ASSERT_EQ(result.neighbors.size(), slice.owned.size());
-    for (size_t t = 0; t < slice.owned.size(); ++t) {
+    for (uint32_t g : slice.owned) {
       std::vector<uint32_t> want;
       for (size_t j = 0; j < snapshot.size(); ++j) {
-        if (WithinEps(snapshot.pos(slice.owned[t]), snapshot.pos(j),
-                      eps2)) {
+        if (WithinEps(snapshot.pos(g), snapshot.pos(j), eps2)) {
           want.push_back(static_cast<uint32_t>(j));
         }
       }
-      EXPECT_EQ(result.neighbors[t], want)
-          << "owned index " << slice.owned[t];
+      std::vector<uint32_t> got(table.entries + table.offsets[g],
+                                table.entries + table.offsets[g + 1]);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "owned index " << g;
     }
   }
 }
@@ -198,14 +220,12 @@ TEST(MergeTest, ByteIdenticalToDbscanAcrossShardCounts) {
     Clustering want = Dbscan(snapshot, params);
     for (int shards : {1, 2, 3, 8}) {
       ShardPlan plan = PartitionSnapshot(snapshot, shards, params.epsilon);
-      std::vector<ShardResult> results;
-      StripeScratch scratch;
-      for (const ShardSlice& slice : plan.slices) {
-        results.push_back(
-            ComputeShardNeighbors(snapshot, slice, params, &scratch));
-      }
+      Arena arena;
+      internal::NeighborTableBuilder table(snapshot.size(), &arena);
+      std::vector<std::unique_ptr<StripeScratch>> stripes =
+          SweepAllStripes(snapshot, plan, params, &table);
       int64_t ops = 0;
-      Clustering got = MergeShardResults(snapshot, plan, std::move(results),
+      Clustering got = MergeShardResults(snapshot, plan, stripes, &table,
                                          params.mu, &ops);
       EXPECT_TRUE(SameClustering(got, want))
           << "seed " << seed << ", shards " << shards;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 
 namespace tcomp {
@@ -134,6 +135,85 @@ TEST(SlidingWindowTest, RejectsNonFinitePosition) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].size(), 1u);
   EXPECT_TRUE(out[0].Contains(2));
+}
+
+// ---------------------------------------------------------------------
+// The record range (ValidateRecord): one finite record far outside it
+// used to hang the window (a timestamp where start + L == start) or
+// abort the sweep (a window sum overflowing to inf). Each input now gets
+// a clean error, or correct output, at once.
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(SlidingWindowTest, HugeTimestampIsRejectedNotLooped) {
+  const auto start = std::chrono::steady_clock::now();
+  SlidingWindowOptions options;
+  options.window_length = 60.0;
+  SlidingWindowSnapshotter win(options);
+  std::vector<Snapshot> out;
+  ASSERT_TRUE(win.Push(R(0, 0.0, 1.0, 1.0), &out).ok());
+  ASSERT_TRUE(win.Push(R(1, 0.0, 2.0, 2.0), &out).ok());
+  EXPECT_EQ(win.Push(R(0, 1e300, 1.0, 1.0), &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.empty());
+  win.Flush(&out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].size(), 2u);
+  EXPECT_LT(SecondsSince(start), 1.0);
+}
+
+TEST(SlidingWindowTest, HugeCoordinatesAreRejectedBeforeTheyOverflow) {
+  const auto start = std::chrono::steady_clock::now();
+  SlidingWindowSnapshotter win(SlidingWindowOptions{});
+  std::vector<Snapshot> out;
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(win.Push(R(0, 1.0, 1.5e308, 0.0), &out).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(win.Push(R(0, 1.0, 0.0, -2e15), &out).code(),
+            StatusCode::kInvalidArgument);
+  // The edge of the range is inside it, and a window of many reports
+  // there averages to a finite position.
+  for (int k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(win.Push(R(1, 1.0, kMaxRecordCoordinate,
+                           -kMaxRecordCoordinate), &out).ok());
+  }
+  win.Flush(&out);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].size(), 1u);
+  EXPECT_EQ(out[0].pos(0).x, kMaxRecordCoordinate);
+  EXPECT_EQ(out[0].pos(0).y, -kMaxRecordCoordinate);
+  EXPECT_LT(SecondsSince(start), 1.0);
+}
+
+TEST(SlidingWindowTest, FarJumpInsideTheRangeIsOneStepWithExactBounds) {
+  const auto start = std::chrono::steady_clock::now();
+  SlidingWindowOptions options;
+  options.window_length = 60.0;
+  SlidingWindowSnapshotter win(options);
+  std::vector<Snapshot> out;
+  // k = 2⁴⁴ windows from the epoch: k·L ≈ 1.06e15 s, still exact.
+  const double k_l = 60.0 * 0x1p44;
+  ASSERT_TRUE(win.Push(R(1, 0.0, 0.0, 0.0), &out).ok());
+  ASSERT_TRUE(win.Push(R(1, k_l - 1.0, 0.0, 0.0), &out).ok());
+  EXPECT_EQ(out.size(), 1u);  // [0, L) closes; 2⁴⁴ − 2 empty ones skipped
+  ASSERT_TRUE(win.Push(R(2, k_l, 0.0, 0.0), &out).ok());
+  EXPECT_EQ(out.size(), 2u);  // k·L opens window k exactly
+  ASSERT_TRUE(win.Push(R(3, k_l + 59.5, 0.0, 0.0), &out).ok());
+  EXPECT_EQ(out.size(), 2u);
+  ASSERT_TRUE(win.Push(R(4, k_l + 60.0, 0.0, 0.0), &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].size(), 2u);  // objects 2 and 3
+  // 2⁵² windows from the epoch is the last accepted timestamp.
+  EXPECT_TRUE(win.Push(R(5, 60.0 * 0x1p52, 0.0, 0.0), &out).ok());
+  EXPECT_EQ(win.Push(R(5, 60.0 * 0x1p53, 0.0, 0.0), &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(win.emitted(), 4);
+  EXPECT_LT(SecondsSince(start), 1.0);
 }
 
 // ---------------------------------------------------------------------

@@ -332,8 +332,9 @@ TEST(NeighborSweepTest, EmptyAndSinglePoint) {
 }
 
 TEST(NeighborSweepTest, RowsHelperBuildsSortedNeighborhoods) {
-  // Sweep + rows helper == the brute-force N_ε rows, self included, with
-  // values mapped through `value` and rows only for the leading points.
+  // Sweep + rows helper == the brute-force neighbor rows, self excluded
+  // (the carried rₑ lists' form), with values mapped through `value` and
+  // rows only for the leading points.
   Pcg32 rng(911);
   const double r = 8.0;
   std::vector<double> xs, ys;
@@ -352,11 +353,12 @@ TEST(NeighborSweepTest, RowsHelperBuildsSortedNeighborhoods) {
                                source.data(), &arena, &pairs);
   std::vector<std::vector<uint32_t>> rows(with_rows);
   internal::AppendPairsToRows(pairs.data(), pairs.size(), value.data(),
-                              /*include_self=*/true, &arena, &rows);
+                              &arena, &rows);
   for (size_t i = 0; i < with_rows; ++i) {
     std::vector<uint32_t> want;
     for (size_t j = 0; j < xs.size(); ++j) {
-      if (WithinEps(Point{xs[i], ys[i]}, Point{xs[j], ys[j]}, r * r)) {
+      if (j != i &&
+          WithinEps(Point{xs[i], ys[i]}, Point{xs[j], ys[j]}, r * r)) {
         want.push_back(value[j]);
       }
     }

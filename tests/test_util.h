@@ -1,6 +1,7 @@
 #ifndef TCOMP_TESTS_TEST_UTIL_H_
 #define TCOMP_TESTS_TEST_UTIL_H_
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +45,78 @@ inline SnapshotStream SparsifyIds(const SnapshotStream& stream,
   return out;
 }
 
+/// The row-based finisher the library used before the neighbor table,
+/// kept as the oracle for internal::BuildClusteringFromCores: rows must
+/// be ascending, so a border's first core hit is its lowest-index core
+/// neighbor; clusters are numbered through a root → label map.
+inline Clustering RowFinisher(const Snapshot& snapshot,
+                              const std::vector<bool>& core,
+                              const std::vector<std::vector<uint32_t>>& rows) {
+  const size_t n = snapshot.size();
+  Clustering result;
+  result.labels.assign(n, -1);
+  result.core = core;
+  internal::DisjointSets sets(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!core[i]) continue;
+    for (uint32_t j : rows[i]) {
+      if (core[j]) sets.Union(i, j);
+    }
+  }
+  std::vector<uint32_t> attach_to(n, 0);
+  std::vector<bool> attached(n, false);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (core[i]) {
+      attach_to[i] = i;
+      attached[i] = true;
+      continue;
+    }
+    for (uint32_t j : rows[i]) {
+      if (core[j]) {
+        attach_to[i] = j;
+        attached[i] = true;
+        break;
+      }
+    }
+  }
+  std::map<uint32_t, int32_t> root_to_label;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!attached[i]) continue;
+    const uint32_t root = sets.Find(attach_to[i]);
+    auto [it, fresh] = root_to_label.emplace(
+        root, static_cast<int32_t>(result.clusters.size()));
+    if (fresh) result.clusters.emplace_back();
+    result.labels[i] = it->second;
+    result.clusters[static_cast<size_t>(it->second)].push_back(
+        snapshot.id(i));
+  }
+  return result;
+}
+
+/// Row lists as a NeighborTable, stored in `offsets`/`entries` (which
+/// must outlive the table). Rows keep their order.
+inline NeighborTable TableFromRows(
+    const std::vector<std::vector<uint32_t>>& rows,
+    std::vector<uint32_t>* offsets, std::vector<uint32_t>* entries) {
+  offsets->assign(1, 0);
+  entries->clear();
+  for (const std::vector<uint32_t>& row : rows) {
+    entries->insert(entries->end(), row.begin(), row.end());
+    offsets->push_back(static_cast<uint32_t>(entries->size()));
+  }
+  return NeighborTable{rows.size(), offsets->data(), entries->data()};
+}
+
+/// Core flags by the finisher's rule: |row| ≥ μ.
+inline std::vector<bool> CoreFromRows(
+    const std::vector<std::vector<uint32_t>>& rows, int mu) {
+  std::vector<bool> core(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    core[i] = static_cast<int64_t>(rows[i].size()) >= mu;
+  }
+  return core;
+}
+
 /// A discoverer's serialized state with the wall-clock fields of the
 /// "stats" line (its last three tokens) zeroed, and — when
 /// `products_only` — also the clusterer's carried-state section and the
@@ -70,7 +143,8 @@ inline std::string NormalizedState(const CompanionDiscoverer& d,
       std::istringstream fields(line);
       std::string tag;
       int has = 0;
-      fields >> tag >> has >> skip_anchor_lines;
+      int lists = 0;
+      fields >> tag >> has >> lists >> skip_anchor_lines;
       continue;
     }
     if (line.rfind("stats ", 0) == 0) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "util/arena.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -119,6 +121,40 @@ TEST(TimerTest, AccumulatesAcrossIntervals) {
   EXPECT_GE(t.Seconds(), first);
   t.Reset();
   EXPECT_EQ(t.Seconds(), 0.0);
+}
+
+TEST(ArenaTest, SpansAreDisjointAndSurviveReset) {
+  Arena arena;
+  for (int round = 0; round < 3; ++round) {
+    uint32_t* a = arena.AllocateArray<uint32_t>(5);
+    uint8_t* b = arena.AllocateArray<uint8_t>(3);
+    double* c = arena.AllocateArray<double>(4);
+    for (uint32_t i = 0; i < 5; ++i) a[i] = 7 * i;
+    for (uint8_t i = 0; i < 3; ++i) b[i] = static_cast<uint8_t>(200 + i);
+    for (int i = 0; i < 4; ++i) c[i] = 0.5 * i;
+    for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(a[i], 7 * i);
+    for (uint8_t i = 0; i < 3; ++i) EXPECT_EQ(b[i], 200 + i);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(c[i], 0.5 * i);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % alignof(double), 0u);
+    arena.Reset();
+  }
+}
+
+TEST(ArenaDeathTest, ReadOnePastASpanIsReported) {
+#ifndef TCOMP_ARENA_POISON
+  GTEST_SKIP() << "arena poisoning is compiled only under AddressSanitizer";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Arena arena;
+  // The first round sizes the retained block; the spans of the second
+  // round share it, so only the poisoned redzone separates them.
+  arena.AllocateArray<uint32_t>(64);
+  arena.Reset();
+  volatile uint32_t* span = arena.AllocateArray<uint32_t>(5);
+  arena.AllocateArray<uint32_t>(5);
+  for (int i = 0; i < 5; ++i) span[i] = static_cast<uint32_t>(i);
+  EXPECT_DEATH({ (void)span[5]; }, "AddressSanitizer");
+#endif
 }
 
 TEST(FlagParserTest, ParsesAllForms) {

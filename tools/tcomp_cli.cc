@@ -303,18 +303,6 @@ int Discover(const FlagParser& flags) {
   }
   auto discoverer = MakeDiscoverer(algorithm, params);
 
-  std::string load_state = flags.GetString("load-state", "");
-  if (!load_state.empty()) {
-    Status ls = LoadDiscovererFromFile(discoverer.get(), load_state);
-    if (!ls.ok()) {
-      std::fprintf(stderr, "discover: %s\n", ls.ToString().c_str());
-      return 1;
-    }
-    std::printf("resumed from %s (%lld snapshots processed so far)\n",
-                load_state.c_str(),
-                static_cast<long long>(discoverer->stats().snapshots));
-  }
-
   CompanionTimeline timeline;
   bool want_timeline = false;
   bool quiet = false;
@@ -329,6 +317,21 @@ int Discover(const FlagParser& flags) {
                 &window_seconds) ||
       !ReadFlag("discover", flags, "inactive", 0, &inactive)) {
     return Usage();
+  }
+  // The filler's last sightings are stream state: they ride in the
+  // checkpoint beside the discoverer's.
+  InactivePeriodFiller filler(inactive);
+
+  std::string load_state = flags.GetString("load-state", "");
+  if (!load_state.empty()) {
+    Status ls = LoadDiscovererFromFile(discoverer.get(), load_state, &filler);
+    if (!ls.ok()) {
+      std::fprintf(stderr, "discover: %s\n", ls.ToString().c_str());
+      return 1;
+    }
+    std::printf("resumed from %s (%lld snapshots processed so far)\n",
+                load_state.c_str(),
+                static_cast<long long>(discoverer->stats().snapshots));
   }
   if (want_timeline) timeline.Track(discoverer.get());
 
@@ -355,7 +358,6 @@ int Discover(const FlagParser& flags) {
     wopts.window_length = window_seconds;
   }
   SlidingWindowSnapshotter window(wopts);
-  InactivePeriodFiller filler(inactive);
   int64_t snapshots = 0;
   std::vector<Snapshot> ready;
   auto process = [&](const Snapshot& snap) {
@@ -490,7 +492,7 @@ int Discover(const FlagParser& flags) {
 
   std::string save_state = flags.GetString("save-state", "");
   if (!save_state.empty()) {
-    Status ss = SaveDiscovererToFile(*discoverer, save_state);
+    Status ss = SaveDiscovererToFile(*discoverer, save_state, &filler);
     if (!ss.ok()) {
       std::fprintf(stderr, "discover: %s\n", ss.ToString().c_str());
       return 1;
