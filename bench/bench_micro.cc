@@ -8,7 +8,6 @@
 #include "core/buddy_clustering.h"
 #include "core/dbscan.h"
 #include "tests/test_util.h"
-#include "util/dense_bitset.h"
 #include "util/random.h"
 #include "util/set_signature.h"
 #include "util/sorted_ops.h"
@@ -92,29 +91,6 @@ void BM_SortedIntersect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortedIntersect)->Range(16, 4096);
-
-// Dense-id counterpart of BM_SortedIntersect: the bitset probe against
-// the sorted-merge path over the same sets. The bitset is built once per
-// cluster in BU's I-step, so the build is outside the timed loop.
-void BM_DenseBitsetIntersect(benchmark::State& state) {
-  const uint32_t universe = 4 * static_cast<uint32_t>(state.range(0));
-  Pcg32 rng(3);
-  std::vector<ObjectId> a, b;
-  for (int i = 0; i < state.range(0); ++i) {
-    a.push_back(rng.NextBounded(universe));
-    b.push_back(rng.NextBounded(universe));
-  }
-  SortUnique(&a);
-  SortUnique(&b);
-  DenseBitset members(universe);
-  members.SetSparse(a);
-  std::vector<ObjectId> out;
-  for (auto _ : state) {
-    IntersectInto(b, members, &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_DenseBitsetIntersect)->Range(16, 4096);
 
 void BM_SignaturePrefilter(benchmark::State& state) {
   Pcg32 rng(9);

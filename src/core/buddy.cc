@@ -1,9 +1,9 @@
 #include "core/buddy.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 
+#include "core/dbscan.h"
+#include "util/arena.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
 #include "util/thread_pool.h"
@@ -13,20 +13,9 @@ namespace {
 
 constexpr uint32_t kNoBuddy = static_cast<uint32_t>(-1);
 
-struct CellKey {
-  int64_t cx;
-  int64_t cy;
-  bool operator==(const CellKey& o) const { return cx == o.cx && cy == o.cy; }
-};
-
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<uint64_t>(k.cy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
+/// Slots an id-indexed table needs to hold `id`, in 64 bits: `id + 1` in
+/// ObjectId arithmetic wraps to 0 for the largest id.
+size_t SlotsFor(ObjectId id) { return size_t{id} + 1; }
 
 }  // namespace
 
@@ -39,8 +28,11 @@ BuddySet::SerializedState BuddySet::ExportState() const {
   SerializedState state;
   state.next_id = next_id_;
   state.buddies = buddies_;
-  for (ObjectId oid = 0; oid < has_pos_.size(); ++oid) {
-    if (has_pos_[oid]) state.last_positions.push_back({oid, last_pos_[oid]});
+  for (size_t oid = 0; oid < has_pos_.size(); ++oid) {
+    if (has_pos_[oid]) {
+      state.last_positions.push_back(
+          {static_cast<ObjectId>(oid), last_pos_[oid]});
+    }
   }
   return state;
 }
@@ -51,8 +43,8 @@ void BuddySet::ImportState(const SerializedState& state) {
   buddies_ = state.buddies;
   for (const auto& [oid, pos] : state.last_positions) {
     if (oid >= last_pos_.size()) {
-      last_pos_.resize(oid + 1, Point{});
-      has_pos_.resize(oid + 1, false);
+      last_pos_.resize(SlotsFor(oid), Point{});
+      has_pos_.resize(SlotsFor(oid), false);
     }
     last_pos_[oid] = pos;
     has_pos_[oid] = true;
@@ -74,7 +66,7 @@ void BuddySet::RebuildObjectMap() {
   for (uint32_t bi = 0; bi < buddies_.size(); ++bi) {
     for (ObjectId oid : buddies_[bi].members) {
       if (oid >= object_to_buddy_.size()) {
-        object_to_buddy_.resize(oid + 1, kNoBuddy);
+        object_to_buddy_.resize(SlotsFor(oid), kNoBuddy);
       }
       object_to_buddy_[oid] = bi;
     }
@@ -102,28 +94,34 @@ void BuddySet::Initialize(const Snapshot& snapshot) {
   if (n == 0) return;
 
   // Record positions.
-  ObjectId max_id = snapshot.id(n - 1);
-  last_pos_.assign(max_id + 1, Point{});
-  has_pos_.assign(max_id + 1, false);
+  last_pos_.assign(SlotsFor(snapshot.id(n - 1)), Point{});
+  has_pos_.assign(SlotsFor(snapshot.id(n - 1)), false);
   for (size_t i = 0; i < n; ++i) {
     last_pos_[snapshot.id(i)] = snapshot.pos(i);
     has_pos_[snapshot.id(i)] = true;
   }
 
-  // Grid over 2·δγ cells: any two members of one buddy are within 2·δγ of
-  // each other, so a seed's potential members all live in the 3×3 block.
-  const double cell = 2.0 * radius_threshold_;
-  std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
-  auto cell_of = [cell](Point p) {
-    return CellKey{static_cast<int64_t>(std::floor(p.x / cell)),
-                   static_cast<int64_t>(std::floor(p.y / cell))};
-  };
-  for (uint32_t i = 0; i < n; ++i) {
-    grid[cell_of(snapshot.pos(i))].push_back(i);
-  }
+  // Any two members of one buddy lie within 2·δγ of each other, so a
+  // seed's potential members are its pairs from the shared sweep at 2·δγ.
+  // Seeds are taken in index order, so every index below seed i is
+  // already assigned and its unassigned candidates are exactly its
+  // pairs (i, j > i): the sweep emits each pair once from the smaller
+  // index, and sorting the packed pairs groups them by seed.
+  Arena arena;
+  std::vector<uint64_t> pairs;
+  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
+  internal::SweepNeighborPairs(soa.x, soa.y, n, 2.0 * radius_threshold_,
+                               nullptr, &arena, &pairs);
+  std::sort(pairs.begin(), pairs.end());
 
   std::vector<bool> assigned(n, false);
+  std::vector<uint32_t> candidates;
+  size_t next_pair = 0;
   for (uint32_t i = 0; i < n; ++i) {
+    const size_t first_pair = next_pair;
+    while (next_pair < pairs.size() && (pairs[next_pair] >> 32) == i) {
+      ++next_pair;
+    }
     if (assigned[i]) continue;
     assigned[i] = true;
     Buddy b;
@@ -134,16 +132,10 @@ void BuddySet::Initialize(const Snapshot& snapshot) {
 
     // Nearest-first greedy growth (paper: "merge with nearest neighbors,
     // stop when the radius exceeds the threshold").
-    std::vector<uint32_t> candidates;
-    CellKey c = cell_of(snapshot.pos(i));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        auto it = grid.find(CellKey{c.cx + dx, c.cy + dy});
-        if (it == grid.end()) continue;
-        for (uint32_t j : it->second) {
-          if (!assigned[j]) candidates.push_back(j);
-        }
-      }
+    candidates.clear();
+    for (size_t k = first_pair; k < next_pair; ++k) {
+      const uint32_t j = static_cast<uint32_t>(pairs[k]);
+      if (!assigned[j]) candidates.push_back(j);
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](uint32_t a, uint32_t bidx) {
@@ -193,9 +185,9 @@ void BuddySet::Update(const Snapshot& snapshot,
   for (size_t i = 0; i < snapshot.size(); ++i) {
     ObjectId oid = snapshot.id(i);
     if (oid >= last_pos_.size()) {
-      last_pos_.resize(oid + 1, Point{});
-      has_pos_.resize(oid + 1, false);
-      object_to_buddy_.resize(oid + 1, kNoBuddy);
+      last_pos_.resize(SlotsFor(oid), Point{});
+      has_pos_.resize(SlotsFor(oid), false);
+      object_to_buddy_.resize(SlotsFor(oid), kNoBuddy);
     }
     last_pos_[oid] = snapshot.pos(i);
     has_pos_[oid] = true;
@@ -303,67 +295,67 @@ void BuddySet::Update(const Snapshot& snapshot,
     changed.push_back(true);
   }
 
-  // --- Merge phase (Algorithm 3, lines 10–13). Sweeps until fixpoint.
-  // The merge condition d + γi + γj ≤ 2δγ implies d ≤ 2δγ, so a grid on
-  // buddy centers with 2δγ cells restricts each sweep to 3×3-cell
-  // candidate pairs (pairs skipped by the grid provably fail the
-  // condition; the check itself is unchanged).
+  // --- Merge phase (Algorithm 3, lines 10–13). Passes until fixpoint.
+  // The merge condition d + γi + γj ≤ 2δγ implies d ≤ 2δγ, so each pass
+  // sweeps the live centers at 2δγ (the shared builder) and tests only
+  // those pairs, in ascending (i, j) order against the current centers
+  // and radii. A pair that comes within range only after an earlier merge
+  // moved a center waits for the next pass; the loop ends when a pass
+  // merges nothing, so no mergeable pair is left. Each pass's scratch is
+  // its own, released when the pass ends.
   std::vector<bool> dead(work.size(), false);
-  const double cell = 2.0 * radius_threshold_;
   bool merged_any = true;
   while (merged_any) {
     merged_any = false;
-    std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
+    Arena arena;
+    std::vector<uint64_t> pairs;
+    uint32_t* work_at = arena.AllocateArray<uint32_t>(work.size());
+    double* xs = arena.AllocateArray<double>(work.size());
+    double* ys = arena.AllocateArray<double>(work.size());
+    size_t live = 0;
     for (uint32_t k = 0; k < work.size(); ++k) {
       if (dead[k]) continue;
-      Point c = work[k].center();
-      grid[CellKey{static_cast<int64_t>(std::floor(c.x / cell)),
-                   static_cast<int64_t>(std::floor(c.y / cell))}]
-          .push_back(k);
+      const Point c = work[k].center();
+      work_at[live] = k;
+      xs[live] = c.x;
+      ys[live] = c.y;
+      ++live;
     }
-    for (size_t i = 0; i < work.size(); ++i) {
-      if (dead[i]) continue;
-      Point ci_now = work[i].center();
-      CellKey base{static_cast<int64_t>(std::floor(ci_now.x / cell)),
-                   static_cast<int64_t>(std::floor(ci_now.y / cell))};
-      for (int64_t dx = -1; dx <= 1; ++dx) {
-        for (int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(CellKey{base.cx + dx, base.cy + dy});
-          if (it == grid.end()) continue;
-          for (uint32_t j : it->second) {
-        if (j <= i || dead[j] || dead[i]) continue;
-        ++local.distance_ops;
-        Point ci = work[i].center();
-        Point cj = work[j].center();
-        double d = Distance(ci, cj);
-        if (d + work[i].radius + work[j].radius >
-            2.0 * radius_threshold_) {
-          continue;
-        }
-        // Merge j into i without touching member coordinates: centers add
-        // via coordinate sums; the radius gets the conservative bound
-        // max(γi + d·mj/m, γj + d·mi/m), tightened next pass.
-        double mi = static_cast<double>(work[i].members.size());
-        double mj = static_cast<double>(work[j].members.size());
-        double m = mi + mj;
-        double bound = std::max(work[i].radius + d * mj / m,
-                                work[j].radius + d * mi / m);
-        if (!changed[i]) {
-          retired_ids_.push_back(work[i].id);
-          changed[i] = true;
-        }
-        if (!changed[j]) {
-          retired_ids_.push_back(work[j].id);
-        }
-        work[i].members = SortedUnion(work[i].members, work[j].members);
-        work[i].coord_sum = work[i].coord_sum + work[j].coord_sum;
-        work[i].radius = bound;
-        dead[j] = true;
-        merged_any = true;
-        ++local.merges;
-          }
-        }
+    local.distance_ops += internal::SweepNeighborPairs(
+        xs, ys, live, 2.0 * radius_threshold_, nullptr, &arena, &pairs);
+    // Live positions keep work order, so ascending packed pairs are
+    // ascending (i, j) in `work` too.
+    std::sort(pairs.begin(), pairs.end());
+    for (uint64_t pair : pairs) {
+      const uint32_t i = work_at[pair >> 32];
+      const uint32_t j = work_at[static_cast<uint32_t>(pair)];
+      if (dead[i] || dead[j]) continue;
+      ++local.distance_ops;
+      double d = Distance(work[i].center(), work[j].center());
+      if (d + work[i].radius + work[j].radius > 2.0 * radius_threshold_) {
+        continue;
       }
+      // Merge j into i without touching member coordinates: centers add
+      // via coordinate sums; the radius gets the conservative bound
+      // max(γi + d·mj/m, γj + d·mi/m), tightened next pass.
+      double mi = static_cast<double>(work[i].members.size());
+      double mj = static_cast<double>(work[j].members.size());
+      double m = mi + mj;
+      double bound = std::max(work[i].radius + d * mj / m,
+                              work[j].radius + d * mi / m);
+      if (!changed[i]) {
+        retired_ids_.push_back(work[i].id);
+        changed[i] = true;
+      }
+      if (!changed[j]) {
+        retired_ids_.push_back(work[j].id);
+      }
+      work[i].members = SortedUnion(work[i].members, work[j].members);
+      work[i].coord_sum = work[i].coord_sum + work[j].coord_sum;
+      work[i].radius = bound;
+      dead[j] = true;
+      merged_any = true;
+      ++local.merges;
     }
   }
 

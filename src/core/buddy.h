@@ -63,14 +63,17 @@ class BuddySet {
 
   /// Builds the initial buddies from the first snapshot by greedily
   /// merging each object with its nearest neighbors until the radius
-  /// threshold is reached (paper Section IV-A). One-time O(n²)-bounded
-  /// cost, grid-accelerated in practice.
+  /// threshold is reached (paper Section IV-A). One-time cost: the
+  /// candidates of each seed are its pairs within 2·δγ from the shared
+  /// ε-neighborhood sweep (internal::SweepNeighborPairs).
   void Initialize(const Snapshot& snapshot);
 
   /// One maintenance pass for a new snapshot: updates centers from the
   /// members' current positions, splits members that drifted beyond δγ,
   /// then merges buddy pairs satisfying
-  ///   dist(cen_i, cen_j) + γi + γj ≤ 2·δγ.
+  ///   dist(cen_i, cen_j) + γi + γj ≤ 2·δγ
+  /// until none is left (each merge pass tests the pairs of one sweep of
+  /// the live centers at 2·δγ).
   /// Objects absent from `snapshot` keep their last known position.
   /// If `stats` is non-null the pass's counters are added to it.
   void Update(const Snapshot& snapshot, BuddyMaintenanceStats* stats);

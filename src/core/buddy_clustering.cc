@@ -1,9 +1,8 @@
 #include "core/buddy_clustering.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 
+#include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -11,21 +10,6 @@ namespace tcomp {
 namespace {
 
 constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
-
-struct CellKey {
-  int64_t cx;
-  int64_t cy;
-  bool operator==(const CellKey& o) const { return cx == o.cx && cy == o.cy; }
-};
-
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<uint64_t>(k.cy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
 
 }  // namespace
 
@@ -72,54 +56,48 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   }
 
   // Buddy adjacency under Lemma 3. Pairs pruned here never reach the
-  // object level. A grid over buddy centers skips pairs whose centers are
-  // so far apart that the Lemma-3 condition d − γi − γj > ε holds
-  // trivially (cell size covers ε + 2·γmax); grid-skipped pairs count as
-  // Lemma-3-pruned — same criterion, evaluated geometrically.
+  // object level. The Lemma-3 test d − γi − γj > ε fails only for
+  // centers within ε + 2·γmax, so the shared sweep over the non-empty
+  // buddies' centers at that radius yields every pair the test can keep;
+  // pairs beyond it count as Lemma-3-pruned — same criterion, evaluated
+  // geometrically. The sweep's own candidate count is not a distance_ops
+  // figure: pairs_checked / pairs_pruned are this stage's counters.
   std::vector<std::vector<uint32_t>> adjacent(m);
   {
+    Arena arena;
+    std::vector<uint64_t> pairs;
+    uint32_t* buddy_at = arena.AllocateArray<uint32_t>(m);
+    double* xs = arena.AllocateArray<double>(m);
+    double* ys = arena.AllocateArray<double>(m);
     double gamma_max = 0.0;
     int64_t nonempty = 0;
     for (size_t b = 0; b < m; ++b) {
       if (members[b].empty()) continue;
-      ++nonempty;
       gamma_max = std::max(gamma_max, blist[b].radius);
+      const Point c = blist[b].center();
+      buddy_at[nonempty] = static_cast<uint32_t>(b);
+      xs[nonempty] = c.x;
+      ys[nonempty] = c.y;
+      ++nonempty;
     }
     local.pairs_checked += nonempty * (nonempty - 1) / 2;
-
-    const double cell = eps + 2.0 * gamma_max;
-    std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
-    auto cell_of = [cell](Point p) {
-      return CellKey{static_cast<int64_t>(std::floor(p.x / cell)),
-                     static_cast<int64_t>(std::floor(p.y / cell))};
-    };
-    for (size_t b = 0; b < m; ++b) {
-      if (members[b].empty()) continue;
-      grid[cell_of(blist[b].center())].push_back(static_cast<uint32_t>(b));
-    }
+    internal::SweepNeighborPairs(xs, ys, static_cast<size_t>(nonempty),
+                                 eps + 2.0 * gamma_max, nullptr, &arena,
+                                 &pairs);
     int64_t linked = 0;
-    for (size_t i = 0; i < m; ++i) {
-      if (members[i].empty()) continue;
-      CellKey c = cell_of(blist[i].center());
-      for (int64_t dx = -1; dx <= 1; ++dx) {
-        for (int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(CellKey{c.cx + dx, c.cy + dy});
-          if (it == grid.end()) continue;
-          for (uint32_t j : it->second) {
-            if (j <= i) continue;
-            double d = Distance(blist[i].center(), blist[j].center());
-            // The Lemma-3 prune subtracts disk radii from the center
-            // distance, which has no squared form; it only discards pairs
-            // provably beyond ε — membership is still decided by WithinEps
-            // downstream.
-            // tcomp-lint: allow(sqrt-eps): lemma bound needs the true root
-            if (d - blist[i].radius - blist[j].radius > eps) continue;
-            adjacent[i].push_back(j);
-            adjacent[j].push_back(static_cast<uint32_t>(i));
-            ++linked;
-          }
-        }
-      }
+    for (uint64_t pair : pairs) {
+      const uint32_t i = buddy_at[pair >> 32];
+      const uint32_t j = buddy_at[static_cast<uint32_t>(pair)];
+      double d = Distance(blist[i].center(), blist[j].center());
+      // The Lemma-3 prune subtracts disk radii from the center
+      // distance, which has no squared form; it only discards pairs
+      // provably beyond ε — membership is still decided by WithinEps
+      // downstream.
+      // tcomp-lint: allow(sqrt-eps): lemma bound needs the true root
+      if (d - blist[i].radius - blist[j].radius > eps) continue;
+      adjacent[i].push_back(j);
+      adjacent[j].push_back(i);
+      ++linked;
     }
     local.pairs_pruned += nonempty * (nonempty - 1) / 2 - linked;
     for (std::vector<uint32_t>& list : adjacent) {
@@ -240,16 +218,13 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   // Border attachment: lowest-index core neighbor within ε, searched over
   // the own buddy and adjacent buddies (farther cores are excluded by
   // Lemma 3). Matches the deterministic rule of Dbscan().
-  Clustering result;
-  result.labels.assign(n, -1);
-  result.core = core;
-  std::vector<uint32_t> attach_to(n, kAbsent);
+  std::vector<uint32_t> attach_to(n, internal::kNoAttach);
   for (size_t i = 0; i < n; ++i) {
     if (core[i]) {
       attach_to[i] = static_cast<uint32_t>(i);
       continue;
     }
-    uint32_t best = kAbsent;
+    uint32_t best = internal::kNoAttach;
     Point p = snapshot.pos(i);
     uint32_t b = buddy_of[i];
     auto consider = [&](const std::vector<uint32_t>& list) {
@@ -268,22 +243,9 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
     attach_to[i] = best;
   }
 
-  std::unordered_map<uint32_t, int32_t> root_to_label;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (attach_to[i] == kAbsent) continue;
-    uint32_t root = sets.Find(attach_to[i]);
-    auto it = root_to_label.find(root);
-    int32_t label;
-    if (it == root_to_label.end()) {
-      label = static_cast<int32_t>(result.clusters.size());
-      root_to_label.emplace(root, label);
-      result.clusters.emplace_back();
-    } else {
-      label = it->second;
-    }
-    result.labels[i] = label;
-    result.clusters[static_cast<size_t>(label)].push_back(snapshot.id(i));
-  }
+  Clustering result;
+  result.core = core;
+  internal::NumberClusters(snapshot, attach_to, &sets, &result);
 
   if (stats != nullptr) {
     stats->pairs_checked += local.pairs_checked;

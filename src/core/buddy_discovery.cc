@@ -1,12 +1,12 @@
 #include "core/buddy_discovery.h"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <unordered_map>
 
-#include "util/dense_bitset.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
 #include "util/thread_pool.h"
@@ -14,17 +14,6 @@
 
 namespace tcomp {
 namespace {
-
-/// Caps the total per-snapshot memory spent on cluster bitsets (each
-/// cluster gets its own universe-sized bitset during the I-step).
-constexpr uint64_t kMaxClusterBitsetBytes = uint64_t{32} << 20;  // 32 MiB
-
-/// Clusters with fewer loose objects than this answer membership probes
-/// faster by binary search than a bitset build would amortize. Buddy
-/// compression usually leaves only a handful of loose objects per cluster,
-/// so the bar is low: every candidate probes every cluster, and the build
-/// is a short memset plus one word-OR per loose object.
-constexpr size_t kMinLooseObjectsForBitset = 4;
 
 double EffectiveBuddyRadius(const DiscoveryParams& params) {
   if (params.buddy_radius > 0.0) return params.buddy_radius;
@@ -143,32 +132,20 @@ void BuddyDiscoverer::ProcessSnapshot(
     // `objects` is already sorted (cluster is sorted) and unique.
     // The cluster's expanded set is the raw cluster itself; its signature
     // feeds the O(1) disjointness prefilter in IntersectAtomSets and the
-    // closedness prefilter below. Unlike the membership bitsets, Bloom
+    // closedness prefilter below. Unlike the label table, Bloom
     // signatures work at any id density.
     atoms.signature = SetSignature::Of(cluster);
   }
 
-  // Per-cluster membership bitsets over the loose objects: every candidate
-  // probes every cluster, so the build cost amortizes into O(1) membership
-  // tests inside IntersectAtomSets. Built only for dense id universes and
-  // for clusters whose loose-object list is big enough to beat binary
-  // search; cluster atoms are read-only during the parallel I-step, so the
-  // shards share them safely. Empty-universe bitsets signal "use merges".
-  const uint64_t universe =
-      snapshot.empty() ? 0 : uint64_t{snapshot.ids().back()} + 1;
-  const bool use_bitset =
-      BitsetProfitable(universe, snapshot.size()) &&
-      cluster_atoms.size() * (universe / 8 + 1) <= kMaxClusterBitsetBytes;
-  std::vector<DenseBitset> cluster_bits(cluster_atoms.size());
-  if (use_bitset) {
-    for (size_t ci = 0; ci < cluster_atoms.size(); ++ci) {
-      if (cluster_atoms[ci].objects.size() < kMinLooseObjectsForBitset) {
-        continue;
-      }
-      cluster_bits[ci].Resize(universe);
-      cluster_bits[ci].SetSparse(cluster_atoms[ci].objects);
-    }
-  }
+  // One id → cluster-label table for the snapshot (util/label_rows.h):
+  // every candidate probes every cluster, so each membership test inside
+  // IntersectAtomSets becomes one lookup. Sparse id universes fail the
+  // BitsetProfitable gate and keep the binary-search path. The table is
+  // read-only during the parallel I-step, so the shards share it safely.
+  const LabelTable* labels =
+      cluster_labels_.Assign(snapshot.ids(), clustering.clusters)
+          ? &cluster_labels_
+          : nullptr;
 
   auto buddy_of = [this](ObjectId oid) { return LiveBuddyOf(oid); };
 
@@ -197,11 +174,11 @@ void BuddyDiscoverer::ProcessSnapshot(
     double duration = candidates_[ci].duration + snapshot.duration();
     AtomSet working = std::move(candidates_[ci]);
 
-    auto intersect_with = [&](const AtomSet& c, const DenseBitset& c_bits) {
+    auto intersect_with = [&](size_t k) {
       ++outcome.intersections;
-      AtomIntersection inter = IntersectAtomSets(
-          working, c, index_, buddy_of,
-          c_bits.universe() > 0 ? &c_bits : nullptr);
+      AtomIntersection inter =
+          IntersectAtomSets(working, cluster_atoms[k], index_, buddy_of,
+                            labels, static_cast<int32_t>(k));
       if (!inter.any_overlap) return;  // working set unchanged
       working = std::move(inter.remaining);
       if (inter.result.size < min_size) return;
@@ -232,14 +209,11 @@ void BuddyDiscoverer::ProcessSnapshot(
         if (idx != Snapshot::kNpos) first_label = clustering.labels[idx];
       }
     }
-    if (first_label >= 0) {
-      const size_t f = static_cast<size_t>(first_label);
-      intersect_with(cluster_atoms[f], cluster_bits[f]);
-    }
+    if (first_label >= 0) intersect_with(static_cast<size_t>(first_label));
     for (size_t k = 0; k < cluster_atoms.size(); ++k) {
       if (working.size < min_size) break;  // smart early stop (Lemma 1)
       if (static_cast<int32_t>(k) == first_label) continue;
-      intersect_with(cluster_atoms[k], cluster_bits[k]);
+      intersect_with(k);
     }
   };
   ParallelForShards(
@@ -386,31 +360,42 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
   }
   initialized_ = initialized != 0;
 
+  // Every count below is bounded before the resize it sizes (a corrupt
+  // checkpoint fails with Corruption instead of a huge allocation), and
+  // every set keeps the invariants the buddy structures index by: ids
+  // strictly ascending, each object in one buddy, each buddy member with
+  // a last position, every value finite.
   BuddySet::SerializedState state;
   size_t nbuddies = 0;
   if (!(in >> tag >> state.next_id >> nbuddies) || tag != "buddyset") {
     return Status::Corruption("expected 'buddyset' section");
   }
-  // Every count below is bounded before the resize it sizes, so a corrupt
-  // checkpoint fails with Corruption instead of a huge allocation.
   if (nbuddies > kMaxCheckpointCount) {
     return Status::Corruption("implausible buddy count");
   }
   state.buddies.resize(nbuddies);
-  for (Buddy& b : state.buddies) {
-    size_t n = 0;
-    if (!(in >> b.id >> b.radius >> b.coord_sum.x >> b.coord_sum.y >> n)) {
+  ObjectSet buddied;  // every buddy member, sorted below
+  for (size_t k = 0; k < nbuddies; ++k) {
+    Buddy& b = state.buddies[k];
+    if (!(in >> b.id >> b.radius >> b.coord_sum.x >> b.coord_sum.y)) {
       return Status::Corruption("bad buddy record");
     }
-    if (n > kMaxCheckpointCount) {
-      return Status::Corruption("implausible buddy member count");
+    if (b.id >= state.next_id ||
+        (k > 0 && b.id <= state.buddies[k - 1].id)) {
+      return Status::Corruption(
+          "buddy ids not strictly ascending below next_id");
     }
-    b.members.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      if (!(in >> b.members[k])) {
-        return Status::Corruption("bad buddy member");
-      }
+    if (!std::isfinite(b.coord_sum.x) || !std::isfinite(b.coord_sum.y) ||
+        !std::isfinite(b.radius) || b.radius < 0.0) {
+      return Status::Corruption("buddy center or radius out of range");
     }
+    TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "buddy", &b.members));
+    if (b.members.empty()) return Status::Corruption("empty buddy");
+    buddied.insert(buddied.end(), b.members.begin(), b.members.end());
+  }
+  std::sort(buddied.begin(), buddied.end());
+  if (std::adjacent_find(buddied.begin(), buddied.end()) != buddied.end()) {
+    return Status::Corruption("an object sits in two buddies");
   }
   size_t npos = 0;
   if (!(in >> tag >> npos) || tag != "lastpos") {
@@ -420,10 +405,25 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
     return Status::Corruption("implausible lastpos count");
   }
   state.last_positions.resize(npos);
-  for (auto& [oid, pos] : state.last_positions) {
+  for (size_t k = 0; k < npos; ++k) {
+    auto& [oid, pos] = state.last_positions[k];
     if (!(in >> oid >> pos.x >> pos.y)) {
       return Status::Corruption("bad lastpos record");
     }
+    if (k > 0 && oid <= state.last_positions[k - 1].first) {
+      return Status::Corruption("lastpos ids not strictly ascending");
+    }
+    if (!std::isfinite(pos.x) || !std::isfinite(pos.y)) {
+      return Status::Corruption("non-finite lastpos coordinate");
+    }
+  }
+  const auto same_id = [](ObjectId o, const auto& last) {
+    return o == last.first;
+  };
+  if (!std::equal(buddied.begin(), buddied.end(),
+                  state.last_positions.begin(), state.last_positions.end(),
+                  same_id)) {
+    return Status::Corruption("lastpos ids differ from the buddy members");
   }
   buddies_.ImportState(state);
 
@@ -434,17 +434,9 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
   index_.Clear();
   for (size_t i = 0; i < nindex; ++i) {
     BuddyId id = 0;
-    size_t n = 0;
-    if (!(in >> id >> n)) return Status::Corruption("bad index record");
-    if (n > kMaxCheckpointCount) {
-      return Status::Corruption("implausible index member count");
-    }
-    ObjectSet members(n);
-    for (size_t k = 0; k < n; ++k) {
-      if (!(in >> members[k])) {
-        return Status::Corruption("bad index member");
-      }
-    }
+    if (!(in >> id)) return Status::Corruption("bad index record");
+    ObjectSet members;
+    TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "index", &members));
     index_.Register(id, members);
   }
 
@@ -471,21 +463,15 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
       if (!(in >> r.buddy_ids[k])) {
         return Status::Corruption("bad candidate buddy token");
       }
+      if (k > 0 && r.buddy_ids[k] <= r.buddy_ids[k - 1]) {
+        return Status::Corruption(
+            "candidate tokens not strictly ascending");
+      }
       if (!index_.Contains(r.buddy_ids[k])) {
         return Status::Corruption("candidate references unindexed buddy");
       }
     }
-    size_t no = 0;
-    if (!(in >> no)) return Status::Corruption("bad candidate record");
-    if (no > kMaxCheckpointCount) {
-      return Status::Corruption("implausible candidate object count");
-    }
-    r.objects.resize(no);
-    for (size_t k = 0; k < no; ++k) {
-      if (!(in >> r.objects[k])) {
-        return Status::Corruption("bad candidate object");
-      }
-    }
+    TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "candidate", &r.objects));
     // Signatures are derived state, not persisted; rebuild from the index
     // (loaded above) so the prefilters resume immediately.
     r.signature = index_.ComposeSignature(r);

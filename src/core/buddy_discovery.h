@@ -54,6 +54,7 @@ class BuddyDiscoverer : public CompanionDiscoverer {
   BuddySet buddies_;
   BuddyIndex index_;
   std::vector<AtomSet> candidates_;
+  LabelTable cluster_labels_;  // rebuilt per snapshot, storage reused
   bool initialized_ = false;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/dense_bitset.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
 
@@ -94,24 +93,32 @@ void BuddyIndex::Clear() {
 AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
                                    const BuddyIndex& index,
                                    const BuddyOfFn& buddy_of,
-                                   const DenseBitset* c_object_bits) {
+                                   const LabelTable* labels, int32_t label) {
   AtomIntersection out;
-  TCOMP_DCHECK(c_object_bits == nullptr ||
-               c_object_bits->Count() == c.objects.size());
 
   // O(1) disjointness prefilter: a zero Bloom-AND or non-overlapping id
   // ranges proves the expanded sets share nothing, which is exactly the
-  // any_overlap=false answer the merge probes below would reach.
+  // any_overlap=false answer the probes below would reach.
   TCOMP_DCHECK(r.signature == index.ComposeSignature(r));
   TCOMP_DCHECK(c.signature == index.ComposeSignature(c));
   if (!r.signature.MaybeIntersects(c.signature)) return out;
 
-  // Membership of an object in the cluster's loose-object list: one bit
-  // probe when the caller supplied the cluster's bitset, else a binary
-  // search. Both answer the same question; only the cost differs.
-  auto in_c_objects = [&](ObjectId o) {
-    return c_object_bits != nullptr ? c_object_bits->Test(o)
-                                    : SortedContains(c.objects, o);
+  // Membership in c of a member of a token c does not share (its members
+  // inside c are loose objects of c), and of a loose candidate object
+  // (inside one of c's tokens, or loose in c). With the label table both
+  // are one lookup; without it, binary searches. Same answers.
+  const auto member_in_c = [&](ObjectId o) {
+    return labels != nullptr ? labels->Label(o) == label
+                             : SortedContains(c.objects, o);
+  };
+  const auto loose_in_c = [&](ObjectId o) {
+    if (labels != nullptr) return labels->Label(o) == label;
+    const BuddyId bo = buddy_of(o);
+    return (bo != kNoLiveBuddy && SortedContains(c.buddy_ids, bo)) ||
+           SortedContains(c.objects, o);
+  };
+  const auto any_member_in_c = [&](const ObjectSet& members) {
+    return std::any_of(members.begin(), members.end(), member_in_c);
   };
 
   // Allocation-free disjointness probe first: most candidate×cluster
@@ -119,24 +126,12 @@ AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
   // vectors.
   bool overlap = SortedIntersects(r.buddy_ids, c.buddy_ids);
   if (!overlap && !c.objects.empty()) {
-    for (BuddyId b : r.buddy_ids) {
-      const ObjectSet& members = index.MembersOf(b);
-      if (c_object_bits != nullptr ? IntersectsWith(members, *c_object_bits)
-                                   : SortedIntersects(members, c.objects)) {
-        overlap = true;
-        break;
-      }
-    }
+    overlap = std::any_of(
+        r.buddy_ids.begin(), r.buddy_ids.end(),
+        [&](BuddyId b) { return any_member_in_c(index.MembersOf(b)); });
   }
   if (!overlap) {
-    for (ObjectId o : r.objects) {
-      BuddyId bo = buddy_of(o);
-      if ((bo != kNoLiveBuddy && SortedContains(c.buddy_ids, bo)) ||
-          in_c_objects(o)) {
-        overlap = true;
-        break;
-      }
-    }
+    overlap = std::any_of(r.objects.begin(), r.objects.end(), loose_in_c);
   }
   if (!overlap) return out;  // any_overlap stays false
   out.any_overlap = true;
@@ -149,48 +144,27 @@ AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
 
   // Unmatched candidate buddies may straddle the cluster boundary: the
   // cluster then lists the inside members as loose objects.
-  ObjectSet matched;  // reused across tokens
   for (BuddyId b : r.buddy_ids) {
     if (std::binary_search(shared.begin(), shared.end(), b)) continue;
     const ObjectSet& members = index.MembersOf(b);
-    if (c_object_bits != nullptr) {
-      IntersectInto(members, *c_object_bits, &matched);
-    } else {
-      SortedIntersect(members, c.objects, &matched);
-    }
-    if (matched.empty()) {
+    if (c.objects.empty() || !any_member_in_c(members)) {
       out.remaining.buddy_ids.push_back(b);
       out.remaining.size += members.size();
       continue;
     }
     // Partially matched: the token dissolves — matched members join the
-    // result, the rest stay in the candidate as loose objects. Given
-    // o ∈ members, o ∈ matched ⟺ o ∈ c.objects, so the bitset answers
-    // this split too.
+    // result, the rest stay in the candidate as loose objects.
     for (ObjectId o : members) {
-      bool hit = c_object_bits != nullptr
-                     ? c_object_bits->Test(o)
-                     : std::binary_search(matched.begin(), matched.end(), o);
-      if (hit) {
-        out.result.objects.push_back(o);
-      } else {
-        out.remaining.objects.push_back(o);
-      }
+      (member_in_c(o) ? out.result.objects : out.remaining.objects)
+          .push_back(o);
     }
   }
 
   // Loose candidate objects: inside one of the cluster's buddy tokens, or
   // among the cluster's loose objects, or unmatched.
   for (ObjectId o : r.objects) {
-    BuddyId bo = buddy_of(o);
-    bool is_matched =
-        (bo != kNoLiveBuddy && SortedContains(c.buddy_ids, bo)) ||
-        in_c_objects(o);
-    if (is_matched) {
-      out.result.objects.push_back(o);
-    } else {
-      out.remaining.objects.push_back(o);
-    }
+    (loose_in_c(o) ? out.result.objects : out.remaining.objects)
+        .push_back(o);
   }
 
   SortUnique(&out.result.objects);

@@ -8,7 +8,7 @@
 
 #include "core/buddy.h"
 #include "core/types.h"
-#include "util/dense_bitset.h"
+#include "util/label_rows.h"
 #include "util/set_signature.h"
 
 namespace tcomp {
@@ -117,15 +117,18 @@ struct AtomIntersection {
 /// that makes BU's per-intersection cost low. `index` must know every
 /// buddy id appearing in `r` and `c`.
 ///
-/// `c_object_bits`, when non-null, must hold exactly `c.objects` as a
-/// DenseBitset; the kernel then answers every loose-object membership
-/// probe with one bit test instead of a binary search. The caller builds
-/// it once per cluster per snapshot (each cluster is probed by every
-/// candidate), and results are identical with or without it.
+/// `labels`, when non-null, is the snapshot's id → cluster-label table
+/// and `label` is `c`'s cluster: the kernel then answers every membership
+/// probe with one lookup instead of a binary search. A loose object of
+/// `r` is in `c` iff its label is `label`; so is a member of a token `c`
+/// does not share, because that live buddy is not wholly inside the
+/// cluster and its members inside it are exactly its members in
+/// `c.objects`. Results are identical with or without the table.
 AtomIntersection IntersectAtomSets(const AtomSet& r, const AtomSet& c,
                                    const BuddyIndex& index,
                                    const BuddyOfFn& buddy_of,
-                                   const DenseBitset* c_object_bits = nullptr);
+                                   const LabelTable* labels = nullptr,
+                                   int32_t label = -1);
 
 /// True if the object set denoted by `inner` is a subset of the one
 /// denoted by `outer` (used for the closed-candidate check without

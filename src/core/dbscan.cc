@@ -77,7 +77,6 @@ Clustering BuildClusteringFromCores(const Snapshot& snapshot,
   const size_t n = snapshot.size();
   TCOMP_CHECK_EQ(table.n, n);
   Clustering result;
-  result.labels.assign(n, -1);
   std::vector<uint8_t> core(n);
   for (size_t i = 0; i < n; ++i) {
     core[i] = static_cast<int64_t>(table.degree(i)) >= mu ? 1 : 0;
@@ -94,32 +93,41 @@ Clustering BuildClusteringFromCores(const Snapshot& snapshot,
   }
 
   // Border objects join the cluster of their lowest-index core neighbor,
-  // a scan of the whole row since rows come in any order. Clusters are
-  // numbered by first appearance in index order, through a dense
-  // root → label array.
-  constexpr uint32_t kNone = UINT32_MAX;
+  // a scan of the whole row since rows come in any order.
+  std::vector<uint32_t> attach(n, kNoAttach);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (core[i]) {
+      attach[i] = i;
+      continue;
+    }
+    for (uint32_t e = table.offsets[i]; e < table.offsets[i + 1]; ++e) {
+      const uint32_t j = table.entries[e];
+      if (core[j] && j < attach[i]) attach[i] = j;
+    }
+  }
+  NumberClusters(snapshot, attach, &sets, &result);
+  return result;
+}
+
+void NumberClusters(const Snapshot& snapshot,
+                    const std::vector<uint32_t>& attach, DisjointSets* sets,
+                    Clustering* result) {
+  const size_t n = snapshot.size();
+  TCOMP_CHECK_EQ(attach.size(), n);
+  result->labels.assign(n, -1);
+  result->clusters.clear();
   std::vector<int32_t> label_of_root(n, -1);
   for (uint32_t i = 0; i < n; ++i) {
-    uint32_t attach = kNone;
-    if (core[i]) {
-      attach = i;
-    } else {
-      for (uint32_t e = table.offsets[i]; e < table.offsets[i + 1]; ++e) {
-        const uint32_t j = table.entries[e];
-        if (core[j] && j < attach) attach = j;
-      }
-      if (attach == kNone) continue;
-    }
-    int32_t& label = label_of_root[sets.Find(attach)];
+    if (attach[i] == kNoAttach) continue;
+    int32_t& label = label_of_root[sets->Find(attach[i])];
     if (label < 0) {
-      label = static_cast<int32_t>(result.clusters.size());
-      result.clusters.emplace_back();
+      label = static_cast<int32_t>(result->clusters.size());
+      result->clusters.emplace_back();
     }
-    result.labels[i] = label;
+    result->labels[i] = label;
     // Indices ascend => ids ascend, so each cluster vector stays sorted.
-    result.clusters[static_cast<size_t>(label)].push_back(snapshot.id(i));
+    result->clusters[static_cast<size_t>(label)].push_back(snapshot.id(i));
   }
-  return result;
 }
 
 int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
@@ -154,6 +162,8 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
   };
   SweepEntry* grid = arena->AllocateArray<SweepEntry>(n);
   for (size_t i = 0; i < n; ++i) {
+    // tcomp-lint: allow(cell-grid): the column bucketing of the one
+    // ε-neighborhood builder; every other caller asks this sweep.
     grid[i] = SweepEntry{static_cast<int64_t>(std::floor(xs[i] / w)), ys[i],
                          static_cast<uint32_t>(i)};
   }

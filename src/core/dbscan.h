@@ -191,8 +191,8 @@ NeighborTable NeighborTableFromPairs(const uint64_t* pairs, size_t count,
 /// degree ≥ μ), clusters as the connected components of core–core
 /// entries, each border object attached to its lowest-index core
 /// neighbor (found by scanning its row, so rows may come in any order),
-/// clusters numbered by their first member in index order — the
-/// deterministic Clustering described above.
+/// clusters numbered by NumberClusters — the deterministic Clustering
+/// described above.
 Clustering BuildClusteringFromCores(const Snapshot& snapshot,
                                     const NeighborTable& table, int mu);
 
@@ -228,6 +228,20 @@ class DisjointSets {
  private:
   std::vector<uint32_t> parent_;
 };
+
+/// `attach` value of an object that joins no cluster (noise).
+inline constexpr uint32_t kNoAttach = UINT32_MAX;
+
+/// The one cluster numbering of every finisher (BuildClusteringFromCores,
+/// BuddyBasedClustering): object i joins the cluster of
+/// sets->Find(attach[i]) — attach[i] is i for a core, its chosen core
+/// neighbor for a border object, kNoAttach for noise. Clusters are
+/// numbered by first appearance in index order through a dense
+/// root → label array; fills `result->labels` and `result->clusters`
+/// (ids ascending, since indices ascend).
+void NumberClusters(const Snapshot& snapshot,
+                    const std::vector<uint32_t>& attach, DisjointSets* sets,
+                    Clustering* result);
 
 }  // namespace internal
 }  // namespace tcomp

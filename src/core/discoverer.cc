@@ -11,15 +11,8 @@
 
 namespace tcomp {
 
-namespace {
-
-/// Reads one counted object set, "n id_1 ... id_n", from a checkpoint
-/// stream. Returns Status::Corruption naming `what` when the count is
-/// unreadable or above kMaxCheckpointCount, a member is unreadable, or
-/// the members are not strictly ascending — the ObjectSet invariant
-/// every set operation relies on, which a corrupt file must not break
-/// silently.
-Status ReadObjectSet(std::istream& in, const char* what, ObjectSet* out) {
+Status CompanionDiscoverer::ReadObjectSet(std::istream& in, const char* what,
+                                          ObjectSet* out) {
   size_t n = 0;
   if (!(in >> n)) {
     return Status::Corruption(std::string("bad ") + what + " size");
@@ -40,8 +33,6 @@ Status ReadObjectSet(std::istream& in, const char* what, ObjectSet* out) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 void CompanionDiscoverer::SaveCommon(std::ostream& out) const {
   out << "common " << snapshot_index_ << '\n';

@@ -184,6 +184,14 @@ class CompanionDiscoverer {
   /// (defined in discoverer.cc).
   void SaveCommon(std::ostream& out) const;
   Status LoadCommon(std::istream& in);
+  /// Reads one counted object set, "n id_1 ... id_n", from a checkpoint
+  /// stream. Returns Status::Corruption naming `what` when the count is
+  /// unreadable or above kMaxCheckpointCount, a member is unreadable, or
+  /// the members are not strictly ascending — the ObjectSet invariant
+  /// every set operation relies on, which a corrupt file must not break
+  /// silently.
+  static Status ReadObjectSet(std::istream& in, const char* what,
+                              ObjectSet* out);
   /// The "candidates" section of CI and SC, whose candidates are plain
   /// object sets with a duration.
   static void SaveCandidates(std::ostream& out,

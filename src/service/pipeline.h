@@ -101,10 +101,10 @@ struct ServiceStats {
 /// The long-running companion-discovery daemon core: a bounded ingest
 /// queue feeding the SlidingWindow → CompanionDiscoverer chain on one
 /// dedicated worker thread. Producers call Ingest() from any thread;
-/// queries are served from a consistent view at any time. The clustering
-/// stage inside the discoverer parallelizes over the process-wide
-/// ThreadPool when options.params.cluster.threads > 1, exactly as the
-/// batch path does.
+/// queries are served from a consistent view at any time. As on the batch
+/// path, options.params.cluster.threads > 1 fans BU's split, retired-token
+/// expansion, core-flag and intersection loops out over the process-wide
+/// ThreadPool; CI and SC ignore it (their parallel C-step is --shards).
 ///
 /// Lifecycle: Start() → {Ingest() | Flush() | queries}* → Stop().
 /// Stop() drains the queue, flushes the reorder buffer and the open

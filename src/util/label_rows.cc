@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/dense_bitset.h"
 #include "util/logging.h"
 #include "util/target_clones.h"
 
@@ -25,12 +24,8 @@ bool LabelTable::Assign(const std::vector<uint32_t>& snapshot_ids,
 
 void LabelTable::Gather(const std::vector<uint32_t>& ids,
                         std::vector<int32_t>* row) const {
-  const size_t universe = label_of_.size();
   row->resize(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    (*row)[i] = static_cast<size_t>(ids[i]) < universe ? label_of_[ids[i]]
-                                                       : -1;
-  }
+  for (size_t i = 0; i < ids.size(); ++i) (*row)[i] = Label(ids[i]);
 }
 
 // Lanes hold consecutive labels, so each row entry is broadcast and

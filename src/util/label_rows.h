@@ -7,7 +7,7 @@
 
 namespace tcomp {
 
-/// Label rows: the I-step layout of CI, SC and the convoy baseline
+/// Label rows: the I-step layout of CI, SC, BU and the convoy baseline
 /// (DESIGN.md §1.6b). A snapshot's clustering is written once into an
 /// id → cluster-label table; each candidate then gathers its members'
 /// labels once into a row parallel to its sorted id vector. A
@@ -22,6 +22,19 @@ namespace tcomp {
 /// -1, which is what lets a candidate keep objects that left the
 /// snapshot.
 
+/// Density gate: true if a structure indexed by id over [0, universe)
+/// is worth building for `set_bits` ids — the id → label table below,
+/// and through it the label-row path of every I-step. It requires at
+/// most 64 slots per id (256 bytes of table per member; sparse id
+/// spaces, e.g. raw device ids from a file, would waste cache and
+/// zeroing time) and caps the universe so a hostile id can't provoke a
+/// huge allocation. See DESIGN.md §1.6b.
+inline constexpr uint64_t kMaxBitsetUniverse = uint64_t{1} << 24;  // 16.7M
+inline bool BitsetProfitable(uint64_t universe, size_t set_bits) {
+  return universe > 0 && universe <= kMaxBitsetUniverse &&
+         universe <= uint64_t{set_bits} * 64;
+}
+
 /// Dense id → cluster-label lookup over a snapshot's id universe
 /// [0, max id + 1): 4 bytes per slot, rebuilt per snapshot.
 class LabelTable {
@@ -30,12 +43,17 @@ class LabelTable {
   /// `snapshot_ids`: every slot -1, then each id of groups[k] labeled k
   /// (the groups' ids must come from `snapshot_ids`). Returns false,
   /// building nothing, when the universe is too sparse for a table
-  /// (BitsetProfitable, util/dense_bitset.h — the only gate); callers
-  /// then take the sorted-merge path.
+  /// (BitsetProfitable above — the only gate); callers then take the
+  /// sorted-merge path.
   bool Assign(const std::vector<uint32_t>& snapshot_ids,
               const std::vector<std::vector<uint32_t>>& groups);
 
-  /// row[i] = label of ids[i], for every i (resizes `row`).
+  /// The label of one id; -1 at or beyond the universe.
+  int32_t Label(uint32_t id) const {
+    return static_cast<size_t>(id) < label_of_.size() ? label_of_[id] : -1;
+  }
+
+  /// row[i] = Label(ids[i]), for every i (resizes `row`).
   void Gather(const std::vector<uint32_t>& ids,
               std::vector<int32_t>* row) const;
 

@@ -156,6 +156,102 @@ TEST(BuddyClusteringTest, DistanceOpsBelowQuadratic) {
   EXPECT_LT(stats.distance_ops, quadratic / 4);
 }
 
+/// Lemma 3 by brute force over every pair of buddies with a member in
+/// the snapshot: the sweep must hand the test every pair it would keep,
+/// so the pruned count is exactly the all-pairs count.
+void ExpectLemma3Counts(const Snapshot& s, const BuddySet& buddies,
+                        const DbscanParams& params) {
+  std::vector<const Buddy*> present;
+  for (const Buddy& b : buddies.buddies()) {
+    for (ObjectId o : b.members) {
+      if (s.IndexOf(o) != Snapshot::kNpos) {
+        present.push_back(&b);
+        break;
+      }
+    }
+  }
+  int64_t checked = 0;
+  int64_t pruned = 0;
+  for (size_t a = 0; a < present.size(); ++a) {
+    for (size_t b = a + 1; b < present.size(); ++b) {
+      ++checked;
+      const double d = Distance(present[a]->center(), present[b]->center());
+      if (d - present[a]->radius - present[b]->radius > params.epsilon) {
+        ++pruned;
+      }
+    }
+  }
+  BuddyClusteringStats stats;
+  BuddyBasedClustering(s, buddies, params, &stats);
+  EXPECT_EQ(stats.pairs_checked, checked);
+  EXPECT_EQ(stats.pairs_pruned, pruned);
+}
+
+TEST(BuddyClusteringTest, PairsPrunedMatchesBruteForceLemma3) {
+  for (uint64_t seed = 71; seed < 75; ++seed) {
+    Pcg32 rng(seed);
+    Snapshot s = ClusteredSnapshot(6, 15, 40, 60.0, 1.5, rng);
+    const DbscanParams params{2.5, 4};
+    BuddySet buddies(1.25);
+    buddies.Initialize(s);
+    ExpectLemma3Counts(s, buddies, params);
+    // Mid-stream buddies carry merge-bound radii and absent members.
+    std::vector<ObjectPosition> moved;
+    for (size_t i = 0; i + 5 < s.size(); ++i) {
+      moved.push_back(ObjectPosition{
+          s.id(i), Point{s.pos(i).x + rng.NextDouble(-1.0, 1.0),
+                         s.pos(i).y + rng.NextDouble(-1.0, 1.0)}});
+    }
+    Snapshot next(std::move(moved), 1.0);
+    buddies.Update(next, nullptr);
+    ExpectLemma3Counts(next, buddies, params);
+  }
+}
+
+TEST(BuddyClusteringTest, EqualsDbscanAtLargeOffsets) {
+  for (uint64_t seed = 81; seed < 84; ++seed) {
+    for (double offset : {1e12, -1e12}) {
+      Pcg32 rng(seed);
+      Snapshot base = ClusteredSnapshot(5, 18, 15, 80.0, 1.2, rng);
+      std::vector<ObjectPosition> shifted;
+      for (size_t i = 0; i < base.size(); ++i) {
+        shifted.push_back(ObjectPosition{
+            base.id(i),
+            Point{base.pos(i).x + offset, base.pos(i).y + offset}});
+      }
+      Snapshot s(std::move(shifted), 1.0);
+      ExpectMatchesDbscan(s, DbscanParams{2.5, 4}, 1.25);
+      BuddySet buddies(1.25);
+      buddies.Initialize(s);
+      ExpectLemma3Counts(s, buddies, DbscanParams{2.5, 4});
+    }
+  }
+}
+
+TEST(BuddyClusteringTest, EqualsDbscanAtExactLemma3Boundary) {
+  // ε = 2, δγ = 0.5. Buddies {0,1} and {2,3} (γ = 0.5) have centers
+  // exactly ε + γi + γj = 3 apart, as do the singleton {4} (γ = 0) and
+  // {5,6} (γ = 0.5) at 2.5: the facing members sit exactly ε apart and
+  // join one cluster, so a sweep that dropped the boundary pair would
+  // split it.
+  Snapshot s = MakeSnapshot({{0, 0.0, 0.0},
+                             {1, 1.0, 0.0},
+                             {2, 3.0, 0.0},
+                             {3, 4.0, 0.0},
+                             {4, 10.0, 0.0},
+                             {5, 12.0, 0.0},
+                             {6, 13.0, 0.0}});
+  const DbscanParams params{2.0, 2};
+  BuddySet buddies(0.5);
+  buddies.Initialize(s);
+  ASSERT_EQ(buddies.buddies().size(), 4u);
+  ExpectMatchesDbscan(s, params, 0.5);
+  ExpectLemma3Counts(s, buddies, params);
+  Clustering c = BuddyBasedClustering(s, buddies, params);
+  EXPECT_EQ(c.clusters,
+            (std::vector<ObjectSet>{{0, 1, 2, 3}, {4, 5, 6}}));
+}
+
 TEST(BuddyClusteringTest, EmptySnapshot) {
   BuddySet buddies(1.0);
   Snapshot s;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "tests/test_util.h"
@@ -40,6 +41,134 @@ void CheckInvariants(const BuddySet& buddies, const Snapshot& snapshot) {
   for (size_t i = 0; i < snapshot.size(); ++i) {
     EXPECT_EQ(seen[snapshot.id(i)], 1)
         << "object " << snapshot.id(i) << " not in exactly one buddy";
+  }
+}
+
+/// CheckInvariants plus the merge fixpoint Update must reach: no two
+/// buddies left that satisfy Algorithm 3's d + γi + γj ≤ 2δγ.
+void CheckInvariantsAfterUpdate(const BuddySet& buddies,
+                                const Snapshot& snapshot) {
+  CheckInvariants(buddies, snapshot);
+  const std::vector<Buddy>& list = buddies.buddies();
+  const double reach = 2.0 * buddies.radius_threshold();
+  for (size_t a = 0; a < list.size(); ++a) {
+    for (size_t b = a + 1; b < list.size(); ++b) {
+      EXPECT_GT(Distance(list[a].center(), list[b].center()) +
+                    list[a].radius + list[b].radius,
+                reach)
+          << "buddies " << list[a].id << " and " << list[b].id
+          << " are still mergeable";
+    }
+  }
+}
+
+/// Section IV-A's greedy written out over all-pairs candidates: seeds in
+/// index order, every unassigned object a candidate, nearest first (ties
+/// by index), growth stopping at the first candidate that would put a
+/// member beyond δγ. BuddySet::Initialize takes its candidates from a
+/// 2δγ sweep instead and must build exactly these buddies.
+std::vector<Buddy> GreedyOracle(const Snapshot& s, double delta) {
+  const uint32_t n = static_cast<uint32_t>(s.size());
+  std::vector<bool> assigned(n, false);
+  std::vector<Buddy> out;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (assigned[i]) continue;
+    assigned[i] = true;
+    Buddy b;
+    b.id = static_cast<BuddyId>(out.size());
+    b.members = {s.id(i)};
+    b.coord_sum = s.pos(i);
+    std::vector<uint32_t> candidates;
+    for (uint32_t j = 0; j < n; ++j) {
+      if (!assigned[j]) candidates.push_back(j);
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [&](uint32_t a, uint32_t c) {
+                const double da = SquaredDistance(s.pos(a), s.pos(i));
+                const double dc = SquaredDistance(s.pos(c), s.pos(i));
+                return da != dc ? da < dc : a < c;
+              });
+    std::vector<uint32_t> in = {i};
+    for (uint32_t j : candidates) {
+      const Point sum = b.coord_sum + s.pos(j);
+      const Point center = sum / static_cast<double>(in.size() + 1);
+      double radius = Distance(s.pos(j), center);
+      for (uint32_t m : in) {
+        radius = std::max(radius, Distance(s.pos(m), center));
+      }
+      if (radius > delta) break;
+      assigned[j] = true;
+      in.push_back(j);
+      b.coord_sum = sum;
+      b.members.push_back(s.id(j));
+      b.radius = radius;
+    }
+    std::sort(b.members.begin(), b.members.end());
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+void ExpectInitializeMatchesOracle(const Snapshot& s, double delta,
+                                   const std::string& what) {
+  BuddySet buddies(delta);
+  buddies.Initialize(s);
+  const std::vector<Buddy> want = GreedyOracle(s, delta);
+  const std::vector<Buddy>& got = buddies.buddies();
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].id, want[k].id) << what << " buddy " << k;
+    EXPECT_EQ(got[k].members, want[k].members) << what << " buddy " << k;
+    EXPECT_EQ(got[k].radius, want[k].radius) << what << " buddy " << k;
+    EXPECT_EQ(got[k].coord_sum.x, want[k].coord_sum.x)
+        << what << " buddy " << k;
+    EXPECT_EQ(got[k].coord_sum.y, want[k].coord_sum.y)
+        << what << " buddy " << k;
+  }
+}
+
+Snapshot Shifted(const Snapshot& s, double offset) {
+  std::vector<ObjectPosition> positions;
+  for (size_t i = 0; i < s.size(); ++i) {
+    positions.push_back(ObjectPosition{
+        s.id(i), Point{s.pos(i).x + offset, s.pos(i).y + offset}});
+  }
+  return Snapshot(std::move(positions), s.duration());
+}
+
+TEST(BuddySetTest, InitializeMatchesAllPairsGreedy) {
+  std::vector<std::pair<std::string, Snapshot>> inputs;
+  for (uint64_t seed = 31; seed < 35; ++seed) {
+    Pcg32 rng(seed);
+    inputs.emplace_back("random " + std::to_string(seed),
+                        RandomSnapshot(160, 25.0, rng));
+    inputs.emplace_back("clustered " + std::to_string(seed),
+                        ClusteredSnapshot(6, 15, 20, 60.0, 0.8, rng));
+  }
+  // Collocated objects: every candidate distance ties, so the index
+  // tie-break alone orders them.
+  std::vector<std::tuple<ObjectId, double, double>> stacked;
+  for (ObjectId id = 0; id < 30; ++id) {
+    stacked.emplace_back(id, 3.0 * (id % 3), 0.0);
+  }
+  inputs.emplace_back("collocated", MakeSnapshot(stacked));
+  // A lattice of pitch exactly 2δγ (δγ = 0.5): every neighbor pair sits
+  // on the sweep radius, and its midpoint exactly δγ from both.
+  std::vector<std::tuple<ObjectId, double, double>> lattice;
+  for (ObjectId id = 0; id < 64; ++id) {
+    lattice.emplace_back(id, static_cast<double>(id % 8),
+                         static_cast<double>(id / 8));
+  }
+  inputs.emplace_back("lattice", MakeSnapshot(lattice));
+
+  for (const auto& [name, s] : inputs) {
+    ExpectInitializeMatchesOracle(s, 0.5, name);
+    ExpectInitializeMatchesOracle(s, 1.5, name);
+    for (double offset : {1e12, -1e12}) {
+      const std::string shifted = name + " offset " + std::to_string(offset);
+      ExpectInitializeMatchesOracle(Shifted(s, offset), 0.5, shifted);
+      ExpectInitializeMatchesOracle(Shifted(s, offset), 1.5, shifted);
+    }
   }
 }
 
@@ -91,7 +220,7 @@ TEST(BuddySetTest, SplitWhenMemberDrifts) {
   Snapshot s2 = MakeSnapshot({{0, 0.0, 0.0}, {1, 0.5, 0.0}, {2, 8.0, 0.0}});
   BuddyMaintenanceStats stats;
   buddies.Update(s2, &stats);
-  CheckInvariants(buddies, s2);
+  CheckInvariantsAfterUpdate(buddies, s2);
   EXPECT_EQ(stats.splits, 2);
   ASSERT_EQ(buddies.buddies().size(), 2u);
   // The original id retired (its membership changed).
@@ -141,7 +270,7 @@ TEST(BuddySetTest, NewObjectBecomesSingleton) {
   buddies.Initialize(s1);
   Snapshot s2 = MakeSnapshot({{0, 0.0, 0.0}, {5, 30.0, 30.0}});
   buddies.Update(s2, nullptr);
-  CheckInvariants(buddies, s2);
+  CheckInvariantsAfterUpdate(buddies, s2);
   EXPECT_NE(buddies.FindBuddyOfObject(5), nullptr);
 }
 
@@ -212,7 +341,7 @@ TEST_P(BuddyMaintenanceSweep, InvariantsHoldOverTime) {
     }
     s = snap();
     buddies.Update(s, &stats);
-    CheckInvariants(buddies, s);
+    CheckInvariantsAfterUpdate(buddies, s);
   }
   EXPECT_GT(stats.total, 0);
 }

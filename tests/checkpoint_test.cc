@@ -539,5 +539,198 @@ TEST(CheckpointTest, DescendingLogEntryRejected) {
       << s.ToString();
 }
 
+// ---------------------------------------------------------------------
+// BU's own sections (buddyset, lastpos, index, candidates) index buddy
+// tables by object id and assume ascending, disjoint member sets. Every
+// shape below once loaded silently; each must now be Corruption.
+
+/// Index of the first record line after the line starting with `header`
+/// whose fields satisfy `pred`; fails the test if there is none.
+template <typename Pred>
+size_t RecordWhere(const std::vector<std::string>& lines,
+                   const std::string& header, Pred pred) {
+  const size_t at = SectionWithRecords(lines, header);
+  const size_t count = std::stoul(Fields(lines[at]).back());
+  for (size_t i = at + 1; i <= at + count && i < lines.size(); ++i) {
+    if (pred(Fields(lines[i]))) return i;
+  }
+  ADD_FAILURE() << "no matching " << header << "record";
+  return lines.size();
+}
+
+/// A BU checkpoint of the whole TestStream(): it has multi-member
+/// buddies, index entries, and candidates with several tokens and
+/// several loose objects.
+std::vector<std::string> BuLines() {
+  return SavedLines(Algorithm::kBuddy, TestStream().stream.size());
+}
+
+void ExpectBuCorruption(const std::vector<std::string>& lines,
+                        const std::string& message) {
+  Status s = LoadLines(Algorithm::kBuddy, lines);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find(message), std::string::npos) << s.ToString();
+}
+
+TEST(CheckpointTest, BuddyMembersOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  ASSERT_TRUE(LoadLines(Algorithm::kBuddy, lines).ok());
+  // "id radius x y n m_1 ... m_n" with n ≥ 2: reverse the members.
+  const size_t at = RecordWhere(lines, "buddyset ", [](const auto& f) {
+    return f.size() >= 7;
+  });
+  ASSERT_LT(at, lines.size());
+  std::vector<std::string> f = Fields(lines[at]);
+  std::reverse(f.begin() + 5, f.end());
+  lines[at] = JoinFields(f);
+  ExpectBuCorruption(lines, "buddy members not strictly ascending");
+}
+
+TEST(CheckpointTest, IndexMembersOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  // "id n m_1 ... m_n" with n ≥ 2.
+  const size_t at = RecordWhere(lines, "index ", [](const auto& f) {
+    return f.size() >= 4;
+  });
+  ASSERT_LT(at, lines.size());
+  std::vector<std::string> f = Fields(lines[at]);
+  std::reverse(f.begin() + 2, f.end());
+  lines[at] = JoinFields(f);
+  ExpectBuCorruption(lines, "index members not strictly ascending");
+}
+
+/// Fields of a candidate record "duration size nb b_1..b_nb no o_1..o_no":
+/// the offset of the object count.
+size_t ObjectCountField(const std::vector<std::string>& f) {
+  return 3 + std::stoul(f[2]);
+}
+
+TEST(CheckpointTest, CandidateObjectsOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = RecordWhere(lines, "candidates ", [](const auto& f) {
+    return std::stoul(f[ObjectCountField(f)]) >= 2;
+  });
+  ASSERT_LT(at, lines.size());
+  std::vector<std::string> f = Fields(lines[at]);
+  std::reverse(f.begin() + static_cast<ptrdiff_t>(ObjectCountField(f)) + 1,
+               f.end());
+  lines[at] = JoinFields(f);
+  ExpectBuCorruption(lines, "candidate members not strictly ascending");
+}
+
+TEST(CheckpointTest, CandidateTokensOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = RecordWhere(lines, "candidates ", [](const auto& f) {
+    return std::stoul(f[2]) >= 2;
+  });
+  ASSERT_LT(at, lines.size());
+  std::vector<std::string> f = Fields(lines[at]);
+  std::reverse(f.begin() + 3,
+               f.begin() + static_cast<ptrdiff_t>(ObjectCountField(f)));
+  lines[at] = JoinFields(f);
+  ExpectBuCorruption(lines, "candidate tokens not strictly ascending");
+}
+
+TEST(CheckpointTest, BuddyIdsOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "buddyset ");
+  ASSERT_LT(at + 2, lines.size());
+  std::swap(lines[at + 1], lines[at + 2]);
+  ExpectBuCorruption(lines, "buddy ids not strictly ascending");
+}
+
+TEST(CheckpointTest, BuddyIdAtNextIdRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "buddyset ");
+  const std::vector<std::string> header = Fields(lines[at]);
+  const size_t last = at + std::stoul(header[2]);
+  ASSERT_LT(last, lines.size());
+  // The newest buddy claims the id the set would hand out next.
+  std::vector<std::string> f = Fields(lines[last]);
+  f[0] = header[1];
+  lines[last] = JoinFields(f);
+  ExpectBuCorruption(lines, "below next_id");
+}
+
+TEST(CheckpointTest, ObjectInTwoBuddiesRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "buddyset ");
+  ASSERT_LT(at + 2, lines.size());
+  // Buddy 2 also lists buddy 1's first member.
+  const std::string stolen = Fields(lines[at + 1])[5];
+  std::vector<std::string> f = Fields(lines[at + 2]);
+  std::vector<ObjectId> members;
+  for (size_t k = 5; k < f.size(); ++k) members.push_back(std::stoul(f[k]));
+  members.push_back(static_cast<ObjectId>(std::stoul(stolen)));
+  std::sort(members.begin(), members.end());
+  f.resize(4);
+  f.push_back(std::to_string(members.size()));
+  for (ObjectId o : members) f.push_back(std::to_string(o));
+  lines[at + 2] = JoinFields(f);
+  ExpectBuCorruption(lines, "two buddies");
+}
+
+TEST(CheckpointTest, EmptyBuddyRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "buddyset ");
+  ASSERT_LT(at + 1, lines.size());
+  std::vector<std::string> f = Fields(lines[at + 1]);
+  f.resize(4);
+  f.push_back("0");
+  lines[at + 1] = JoinFields(f);
+  ExpectBuCorruption(lines, "empty buddy");
+}
+
+TEST(CheckpointTest, LastposOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "lastpos ");
+  ASSERT_LT(at + 2, lines.size());
+  std::swap(lines[at + 1], lines[at + 2]);
+  ExpectBuCorruption(lines, "lastpos ids not strictly ascending");
+}
+
+TEST(CheckpointTest, LastposWithoutBuddyRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "lastpos ");
+  const size_t count = std::stoul(Fields(lines[at])[1]);
+  // One more sighting, of an id beyond every buddy member.
+  lines[at] = "lastpos " + std::to_string(count + 1);
+  lines.insert(lines.begin() + static_cast<ptrdiff_t>(at + count + 1),
+               "4000000 1 2");
+  ExpectBuCorruption(lines, "lastpos ids differ from the buddy members");
+}
+
+TEST(CheckpointTest, NegativeBuddyRadiusRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t at = SectionWithRecords(lines, "buddyset ");
+  ASSERT_LT(at + 1, lines.size());
+  std::vector<std::string> f = Fields(lines[at + 1]);
+  f[1] = "-0.5";
+  lines[at + 1] = JoinFields(f);
+  ExpectBuCorruption(lines, "radius out of range");
+}
+
+TEST(CheckpointTest, NonFiniteBuddyStateRejected) {
+  // The stream extraction already refuses these spellings; the loader's
+  // finiteness checks back it up. Radius, center sum and last position
+  // alike must come back Corruption, never a NaN in the buddy tables.
+  const std::vector<std::string> base = BuLines();
+  const size_t buddy = SectionWithRecords(base, "buddyset ") + 1;
+  const size_t pos = SectionWithRecords(base, "lastpos ") + 1;
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    for (const auto& [line, field] :
+         {std::pair<size_t, size_t>{buddy, 1}, {buddy, 2}, {buddy, 3},
+          {pos, 1}, {pos, 2}}) {
+      std::vector<std::string> lines = base;
+      std::vector<std::string> f = Fields(lines[line]);
+      f[field] = bad;
+      lines[line] = JoinFields(f);
+      EXPECT_EQ(LoadLines(Algorithm::kBuddy, lines).code(),
+                StatusCode::kCorruption)
+          << bad << " at line " << line << " field " << field;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tcomp

@@ -490,7 +490,7 @@ class IncrementalDifferentialTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool, int>> {};
 
 TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
-  // dense_ids picks the kernel mode: dense ids take the bitset path,
+  // dense_ids picks the kernel mode: dense ids take the label-row path,
   // SparsifyIds forces the sorted-merge path.
   const auto [seed, dense_ids, threads] = GetParam();
   DiscoveryParams params = BaseParams();
@@ -531,7 +531,7 @@ TEST_P(IncrementalDifferentialTest, DiscovererProductsIdenticalToFull) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, IncrementalDifferentialTest,
     ::testing::Combine(::testing::Values(711, 712),
-                       ::testing::Bool(),          // dense ids (bitset path)
+                       ::testing::Bool(),          // dense ids (label-row path)
                        ::testing::Values(1, 4)));  // clustering threads
 
 TEST(IncrementalDifferentialTest, ConvoyBaselineIdenticalToFull) {

@@ -1,5 +1,6 @@
 /// Differential proof that the dense-id I-step kernels — the label rows
-/// of CI, SC and convoy, BU's bitsets — are a pure optimization.
+/// of CI, SC and convoy, BU's label-table lookups — are a pure
+/// optimization.
 /// BitsetProfitable picks the dense path from each snapshot's id
 /// density, so a dense-id stream and the same stream with its ids spread
 /// far apart (SparsifyIds) run the dense path and the sorted-merge path
@@ -24,7 +25,6 @@
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "tests/test_util.h"
-#include "util/dense_bitset.h"
 #include "util/label_rows.h"
 #include "util/random.h"
 
@@ -120,7 +120,7 @@ void ExpectSameCompanions(const std::vector<Companion>& want,
   }
 }
 
-/// The dense stream (label rows and bitsets) against the same stream with
+/// The dense stream (label rows and tables) against the same stream with
 /// sparsified ids (sorted merges): same companions, products and costs.
 void ExpectDiscoverersAgreeAcrossKernelModes(const SnapshotStream& stream) {
   SnapshotStream sparse = SparsifyIds(stream, kStride);
@@ -261,6 +261,16 @@ TEST(KernelEdgeCaseTest, HandBuiltStreamMatchesMergePath) {
   ExpectConvoysAgreeAcrossKernelModes(stream);
 }
 
+/// The one density gate of every label-row path (util/label_rows.h).
+TEST(DenseBitsetTest, ProfitabilityHeuristic) {
+  EXPECT_FALSE(BitsetProfitable(0, 0));            // empty universe
+  EXPECT_TRUE(BitsetProfitable(1000, 500));        // dense ids
+  EXPECT_TRUE(BitsetProfitable(64, 1));            // 64 slots per member
+  EXPECT_FALSE(BitsetProfitable(65, 1));           // too sparse
+  EXPECT_FALSE(BitsetProfitable(kMaxBitsetUniverse + 1,
+                                kMaxBitsetUniverse));  // capped
+}
+
 /// The label-row kernel against a scalar count. Row lengths 0–70 cover
 /// every length modulo the vector width, also from an unaligned start;
 /// L = 17 leaves a partial block of labels. Entries are -1 (no cluster)
@@ -328,6 +338,22 @@ TEST(LabelRowKernelTest, TableGatherSelectAndSplit) {
   EXPECT_EQ(row.size(), 6u);
 }
 
+/// BU's one-id lookup agrees with Gather, -1 at and beyond the universe
+/// included (the largest uint32 id too).
+TEST(LabelRowKernelTest, SingleIdLookupMatchesGather) {
+  LabelTable table;
+  ASSERT_TRUE(table.Assign({0, 1, 2, 3, 4, 5, 9}, {{1, 4, 5}, {2, 9}}));
+  const std::vector<uint32_t> ids = {0, 1, 2, 3, 8, 9, 10, 400, UINT32_MAX};
+  std::vector<int32_t> row;
+  table.Gather(ids, &row);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(table.Label(ids[i]), row[i]) << ids[i];
+  }
+  EXPECT_EQ(table.Label(9), 1);
+  EXPECT_EQ(table.Label(10), -1);
+  EXPECT_EQ(table.Label(UINT32_MAX), -1);
+}
+
 /// Runs `stream` straight through, and again killed after `cut` snapshots
 /// and resumed from the checkpoint in a fresh discoverer: both must end in
 /// the same state.
@@ -354,8 +380,8 @@ void ExpectResumeReplays(Algorithm algorithm, const SnapshotStream& stream,
       << AlgorithmName(algorithm);
 }
 
-/// Checkpoints must resume identically in both kernel modes: the bitsets
-/// and signatures are derived state, never serialized, and are rebuilt
+/// Checkpoints must resume identically in both kernel modes: the label
+/// tables and signatures are derived state, never serialized, and are rebuilt
 /// on load.
 TEST(KernelCheckpointTest, StateRoundTripsAcrossKernelModes) {
   GroupDataset data = ChurnyStream(406);
@@ -375,7 +401,7 @@ TEST(KernelCheckpointTest, StateRoundTripsAcrossKernelModes) {
 /// signatures rebuilt on load must serve whichever kernel mode the
 /// snapshots after the resume select. A far-away object with a huge id
 /// makes the universe sparse for a window around the checkpoint, so the
-/// run switches bitset → merge before the save and merge → bitset after
+/// run switches table → merge before the save and merge → table after
 /// the resume.
 TEST(KernelCheckpointTest, ResumedSignaturesHonorCurrentKernelMode) {
   GroupDataset data = ChurnyStream(407);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.h"
+#include "util/set_signature.h"
 
 namespace tcomp {
 namespace {
@@ -138,6 +139,155 @@ TEST_P(SortedOpsPropertyTest, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SortedOpsPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- SetSignature: the Bloom + id-bounds prefilter over sorted sets ----
+
+using IdVec = std::vector<uint32_t>;
+
+/// Draws a sorted unique set from [0, universe). Shape picks degenerate
+/// cases deliberately: the kernels must behave on empty, singleton,
+/// identical, and disjoint inputs, not just typical ones.
+IdVec RandomSet(Pcg32& rng, uint32_t universe, int shape) {
+  IdVec out;
+  switch (shape) {
+    case 0:  // empty
+      break;
+    case 1:  // singleton
+      out.push_back(rng.NextBounded(universe));
+      break;
+    case 2: {  // dense block
+      uint32_t len = 1 + rng.NextBounded(universe / 2);
+      uint32_t start = rng.NextBounded(universe - len);
+      for (uint32_t i = 0; i < len; ++i) out.push_back(start + i);
+      break;
+    }
+    default: {  // Bernoulli scatter
+      double p = 0.05 + 0.9 * rng.NextDouble();
+      for (uint32_t i = 0; i < universe; ++i) {
+        if (rng.NextBernoulli(p)) out.push_back(i);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// The signature prefilter must never reject a true subset, and should
+/// reject most non-subsets without touching elements.
+class SetSignatureOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SetSignatureOracleTest, NeverFalseRejects) {
+  Pcg32 rng(GetParam());
+  int non_subsets = 0;
+  int prefilter_rejects = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const uint32_t universe = 8 + rng.NextBounded(200);
+    IdVec outer = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+    IdVec inner;
+    if (rng.NextBernoulli(0.5)) {
+      // True subset: sample from outer.
+      for (uint32_t x : outer) {
+        if (rng.NextBernoulli(0.6)) inner.push_back(x);
+      }
+    } else {
+      inner = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+    }
+    const bool is_subset = SortedIsSubset(inner, outer);
+    const bool maybe = SetSignature::Of(inner).MaybeSubsetOf(
+        SetSignature::Of(outer));
+    if (is_subset) {
+      EXPECT_TRUE(maybe) << "prefilter rejected a true subset";
+    } else {
+      ++non_subsets;
+      if (!maybe) ++prefilter_rejects;
+    }
+  }
+  // Effectiveness floor: the filter exists to cut work. Random non-subset
+  // pairs should be rejected well over half the time.
+  EXPECT_GT(non_subsets, 100);
+  EXPECT_GT(prefilter_rejects * 2, non_subsets);
+}
+
+TEST_P(SetSignatureOracleTest, IntersectsNeverFalseRejects) {
+  Pcg32 rng(GetParam() + 100);
+  int disjoint_pairs = 0;
+  int prefilter_rejects = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const uint32_t universe = 8 + rng.NextBounded(400);
+    IdVec a = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+    IdVec b;
+    if (rng.NextBernoulli(0.4)) {
+      // Guaranteed-disjoint pair: ids from a non-overlapping range.
+      IdVec raw =
+          RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+      for (uint32_t x : raw) b.push_back(x + universe);
+    } else {
+      b = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+    }
+    const bool intersects = SortedIntersects(a, b);
+    const bool maybe =
+        SetSignature::Of(a).MaybeIntersects(SetSignature::Of(b));
+    if (intersects) {
+      EXPECT_TRUE(maybe) << "prefilter dismissed an intersecting pair";
+    } else {
+      ++disjoint_pairs;
+      if (!maybe) ++prefilter_rejects;
+    }
+  }
+  // The shifted-range arm alone guarantees plenty of disjoint pairs, and
+  // the bounds check must dismiss all of those.
+  EXPECT_GT(disjoint_pairs, 100);
+  EXPECT_GT(prefilter_rejects * 2, disjoint_pairs);
+}
+
+TEST_P(SetSignatureOracleTest, IncrementalCompositionMatchesOf) {
+  Pcg32 rng(GetParam() + 200);
+  for (int round = 0; round < 500; ++round) {
+    const uint32_t universe = 8 + rng.NextBounded(300);
+    IdVec a = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+    IdVec b = RandomSet(rng, universe, static_cast<int>(rng.NextBounded(4)));
+
+    // AddId over any permutation-free element order equals Of().
+    SetSignature incremental;
+    for (uint32_t x : a) incremental.AddId(x);
+    EXPECT_EQ(incremental, SetSignature::Of(a));
+
+    // MergeUnion equals the signature of the set union — the invariant
+    // BuddyIndex::ComposeSignature relies on.
+    IdVec both = a;
+    both.insert(both.end(), b.begin(), b.end());
+    SortUnique(&both);
+    SetSignature merged = SetSignature::Of(a);
+    merged.MergeUnion(SetSignature::Of(b));
+    EXPECT_EQ(merged, SetSignature::Of(both));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SetSignatureOracleTest,
+                         ::testing::Values(21, 22, 23));
+
+TEST(SetSignatureTest, EmptySetEdgeCases) {
+  const SetSignature empty = SetSignature::Of({});
+  const SetSignature some = SetSignature::Of({1, 2, 3});
+  EXPECT_TRUE(empty.empty());
+  EXPECT_FALSE(some.empty());
+  EXPECT_TRUE(empty.MaybeSubsetOf(some));
+  EXPECT_TRUE(empty.MaybeSubsetOf(empty));
+  EXPECT_FALSE(some.MaybeSubsetOf(empty));
+  EXPECT_TRUE(some.MaybeSubsetOf(some));
+  // ∅ intersects nothing, including itself.
+  EXPECT_FALSE(empty.MaybeIntersects(some));
+  EXPECT_FALSE(some.MaybeIntersects(empty));
+  EXPECT_FALSE(empty.MaybeIntersects(empty));
+  EXPECT_TRUE(some.MaybeIntersects(some));
+  // MergeUnion with empty is the identity, in both directions.
+  SetSignature merged = some;
+  merged.MergeUnion(empty);
+  EXPECT_EQ(merged, some);
+  SetSignature from_empty = empty;
+  from_empty.MergeUnion(some);
+  EXPECT_EQ(from_empty, some);
+}
 
 }  // namespace
 }  // namespace tcomp

@@ -28,7 +28,7 @@ inline ClusterProvider ReferenceDbscanProvider(const DbscanParams& params) {
 /// Same trajectories, object ids multiplied by `stride`. With a stride
 /// far above 64 the id universe is too sparse for BitsetProfitable, so
 /// every set-algebra step takes the sorted-merge path where the dense
-/// stream takes the bitset path; divide an output id by `stride` to map
+/// stream takes the label-table path; divide an output id by `stride` to map
 /// it back.
 inline SnapshotStream SparsifyIds(const SnapshotStream& stream,
                                   ObjectId stride) {

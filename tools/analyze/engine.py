@@ -32,7 +32,7 @@ RULES = [
     "no-throw", "no-crt-rand", "unordered-iter", "shard-unordered",
     "no-naked-new", "sqrt-eps", "include-layer", "include-cycle",
     "lock-order", "atomic-order", "atomic-strong-order", "wallclock",
-    "addr-order", "soa-raw-loop", "nonblocking-io",
+    "addr-order", "soa-raw-loop", "cell-grid", "nonblocking-io",
     "allow-without-reason", "stale-allow",
 ]
 

@@ -3,7 +3,9 @@
 The six rules migrated off the regex engine (no-throw, no-crt-rand,
 unordered-iter, shard-unordered, no-naked-new, sqrt-eps) plus the
 token-level halves of the new concurrency/nondeterminism audits
-(atomic-order, atomic-strong-order, wallclock, addr-order).
+(atomic-order, atomic-strong-order, wallclock, addr-order), and the
+scope rules of the ε kernels (soa-raw-loop, cell-grid) and of the event
+loop (nonblocking-io).
 
 Every pass receives the project (for paired-header name sets), the file
 model, and a `report(rule, line, message)` callback; the engine applies
@@ -459,6 +461,33 @@ def pass_soa_raw_loop(project, rel, fm, report):
             report("soa-raw-loop", tok.line, _SOA_RAW_LOOP_MSG)
 
 
+# ---- cell-grid ---------------------------------------------------------
+
+_CELL_GRID_MSG = (
+    "floor() of a quotient in the ε-kernel scope buckets points into a "
+    "private cell grid; ask internal::SweepNeighborPairs (core/dbscan.h), "
+    "the one ε-neighborhood builder, for the pairs within a radius, or "
+    "annotate why this site must bucket")
+
+
+def pass_cell_grid(project, rel, fm, report):
+    """Private cell grids in the soa-raw-loop scope (src/core/ and
+    src/shard/): a `floor` call whose argument divides is a coordinate
+    bucketed into a cell. Every "who is within r of whom" question goes
+    through the one sweep; its own column bucketing carries the allow()."""
+    if not rel.startswith(_SOA_SCOPE_PREFIXES):
+        return
+    code = fm.code
+    n = len(code)
+    for i, tok in enumerate(code):
+        if (tok.kind == "ident" and tok.text == "floor"
+                and i + 1 < n and code[i + 1].text == "("):
+            end = _skip_paren_group(code, i + 1)
+            if any(t.kind == "punct" and t.text == "/"
+                   for t in code[i + 2:end - 1]):
+                report("cell-grid", tok.line, _CELL_GRID_MSG)
+
+
 # ---- nonblocking-io ----------------------------------------------------
 
 _RAW_IO_CALLS = frozenset(
@@ -647,5 +676,6 @@ FILE_PASSES = [
     pass_wallclock,
     pass_addr_order,
     pass_soa_raw_loop,
+    pass_cell_grid,
     pass_nonblocking_io,
 ]

@@ -364,6 +364,32 @@ CASES = [
       "  }\n"
       "}\n"},
      []),
+    # ---- cell-grid ---------------------------------------------------
+    ("cell-grid/floor-of-quotient-fires",
+     {"src/core/case.cc":
+      "int64_t CellOf(double x, double cell) {\n"
+      "  return static_cast<int64_t>(std::floor(x / cell));\n"
+      "}\n"},
+     ["cell-grid"]),
+    ("cell-grid/outside-scope-dirs-clean",
+     {"src/stream/case.cc":
+      "int64_t CellOf(double x, double cell) {\n"
+      "  return static_cast<int64_t>(std::floor(x / cell));\n"
+      "}\n"},
+     []),
+    ("cell-grid/floor-without-division-clean",
+     {"src/shard/case.cc":
+      "double Snap(double x, double step) {\n"
+      "  return std::floor(x) * step;\n"
+      "}\n"},
+     []),
+    ("cell-grid/allow-clean",
+     {"src/core/case.cc":
+      "int64_t ColumnOf(double x, double w) {\n"
+      "  // tcomp-lint: allow(cell-grid): the one builder's columns\n"
+      "  return static_cast<int64_t>(std::floor(x / w));\n"
+      "}\n"},
+     []),
     # ---- nonblocking-io ----------------------------------------------
     ("nonblocking-io/bare-call-fires",
      {_SERVICE:

@@ -59,8 +59,10 @@ int Usage() {
       "      --out records.csv [--truth truth.txt] [--seconds-per-snapshot S]\n"
       "  tcomp discover --csv records.csv [--algo ci|sc|bu]\n"
       "      --epsilon E --mu M --min-size S --min-duration T\n"
-      "      [--threads N]  (parallel snapshot clustering; results are\n"
-      "                      identical at every N, 1 = serial, default 1)\n"
+      "      [--threads N]  (BU fans its maintenance, core-flag and\n"
+      "                      intersection loops out over N threads; CI and\n"
+      "                      SC ignore it; results are identical at every\n"
+      "                      N, 1 = serial, default 1)\n"
       "      [--window-seconds W | --window-objects N]\n"
       "      [--inactive K] [--truth truth.txt] [--timeline]\n"
       "      [--out-json FILE] [--out-csv FILE]\n"
