@@ -10,7 +10,8 @@ namespace tcomp {
 /// does not have (CI has no closure check, only BU maintains buddies)
 /// simply records no samples; the series still exists, with count 0.
 enum class Stage {
-  kIngestAdmission,  // Ingest(): admission-queue push (incl. kBlock stall)
+  kIngestAdmission,  // one admission call: Ingest() of a record (incl.
+                     // kBlock stall) or TryIngestBatch() of a frame
   kReorderHold,      // watermark reorder buffer: arrival → release
   kSnapshotClose,    // window close → discoverer done (whole snapshot)
   kMaintain,         // M-step: buddy split/merge maintenance (BU)

@@ -1,14 +1,16 @@
 #include "service/connection.h"
 
-#include <utility>
-#include <vector>
-
 #include "util/timer.h"
 
 namespace tcomp {
 
 ServiceConnection::ServiceConnection(ServicePipeline* pipeline)
-    : pipeline_(pipeline), session_(pipeline) {}
+    : pipeline_(pipeline),
+      session_(pipeline),
+      records_parked_(pipeline->mutable_metrics()->GetCounter(
+          "tcomp_conn_records_parked_total", "",
+          "Records that found the ingest queue full and waited for a "
+          "retry")) {}
 
 void ServiceConnection::Consume(const char* data, size_t n) {
   if (fatal_ || n == 0) return;
@@ -31,7 +33,7 @@ void ServiceConnection::Consume(const char* data, size_t n) {
 void ServiceConnection::Pump() {
   // Parsing pauses while records are parked: responses must stay in
   // request order, and the parked batch's ack is still pending.
-  while (!fatal_ && parked_.empty()) {
+  while (!fatal_ && pending_.empty()) {
     if (protocol_ == WireProtocol::kText) {
       std::string line;
       LineFramer::Result r = line_framer_.Next(&line);
@@ -70,19 +72,12 @@ void ServiceConnection::HandleTextLine(const std::string& line) {
     return;
   }
   switch (request.type) {
-    case Request::Type::kIngest: {
-      bool admitted = false;
-      Status is = pipeline_->TryIngest(request.record, &admitted);
-      if (!is.ok()) {
-        out_ += ProtocolErrorLine(is);
-      } else if (admitted) {
-        out_ += "OK\n";
-      } else {
-        // kBlock backpressure: ack once the queue takes it.
-        parked_.push_back(request.record);
-      }
+    case Request::Type::kIngest:
+      // Replied to when the queue takes or refuses it; under kBlock at
+      // capacity that waits for a retry.
+      pending_.assign(1, request.record);
+      OfferPending(/*first_offer=*/true);
       return;
-    }
     case Request::Type::kFlush: {
       Status fs = pipeline_->Flush();
       out_ += fs.ok() ? "OK flushed\n" : ProtocolErrorLine(fs);
@@ -108,8 +103,9 @@ void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
     case BinaryRequestType::kIngestBatch: {
       Timer decode_timer;
       decode_timer.Start();
-      std::vector<TrajectoryRecord> records;
-      Status ds = DecodeIngestPayload(frame.payload, &records);
+      // Pump() only decodes while nothing is parked, so pending_ is empty
+      // here, and stays so if the payload is refused.
+      Status ds = DecodeIngestPayload(frame.payload, &pending_);
       decode_timer.Stop();
       pipeline_->stage_sink()->RecordStage(Stage::kFrameDecode,
                                            decode_timer.Seconds());
@@ -120,27 +116,13 @@ void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
         AppendBinaryError(ds);
         return;
       }
-      records_batched_ += static_cast<int64_t>(records.size());
+      records_batched_ += static_cast<int64_t>(pending_.size());
       batch_open_ = true;
       batch_accepted_ = 0;
       batch_refused_ = 0;
-      for (size_t i = 0; i < records.size(); ++i) {
-        bool admitted = false;
-        Status is = pipeline_->TryIngest(records[i], &admitted);
-        if (is.ok() && admitted) {
-          ++batch_accepted_;
-        } else if (is.ok()) {
-          // Queue full under kBlock: park the unadmitted tail and defer
-          // the ack; RetryParked() finishes the batch.
-          for (size_t j = i; j < records.size(); ++j) {
-            parked_.push_back(records[j]);
-          }
-          return;
-        } else {
-          ++batch_refused_;  // invalid record or reject-full
-        }
-      }
-      FinishBatchIfComplete();
+      // Acks now, or — queue full under kBlock — parks the tail and
+      // defers the ack until RetryParked() has admitted it.
+      OfferPending(/*first_offer=*/true);
       return;
     }
     case BinaryRequestType::kQuery: {
@@ -176,30 +158,30 @@ void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
                                             std::to_string(frame.type)));
 }
 
-bool ServiceConnection::DrainParked() {
-  bool progress = false;
-  while (!parked_.empty()) {
-    bool admitted = false;
-    Status s = pipeline_->TryIngest(parked_.front(), &admitted);
-    if (s.ok() && !admitted) break;  // still full; try again next tick
-    parked_.pop_front();
-    progress = true;
-    if (batch_open_) {
-      if (s.ok()) {
-        ++batch_accepted_;
-      } else {
-        ++batch_refused_;
-      }
-    } else {
-      out_ += s.ok() ? "OK\n" : ProtocolErrorLine(s);
-    }
+bool ServiceConnection::OfferPending(bool first_offer) {
+  const size_t offered = pending_.size() - pending_pos_;
+  IngestBatchResult result =
+      pipeline_->TryIngestBatch(pending_.data() + pending_pos_, offered);
+  pending_pos_ += result.consumed;
+  if (batch_open_) {
+    batch_accepted_ += result.accepted;
+    batch_refused_ += result.refused();
+  } else if (result.consumed > 0) {
+    // A text INGEST offers its one record: OK or that record's ERR line.
+    out_ += result.accepted > 0 ? "OK\n"
+                                : ProtocolErrorLine(result.last_refusal);
   }
-  if (parked_.empty()) FinishBatchIfComplete();
-  return progress;
+  if (first_offer) records_parked_->Add(offered - result.consumed);
+  if (pending_pos_ == pending_.size()) {
+    pending_.clear();
+    pending_pos_ = 0;
+    FinishBatchIfComplete();
+  }
+  return result.consumed > 0;
 }
 
 void ServiceConnection::FinishBatchIfComplete() {
-  if (!batch_open_ || !parked_.empty()) return;
+  if (!batch_open_ || !pending_.empty()) return;
   std::string refused_payload;
   refused_payload.reserve(8);
   uint64_t refused = batch_refused_;
@@ -217,8 +199,8 @@ void ServiceConnection::FinishBatchIfComplete() {
 bool ServiceConnection::RetryParked() {
   if (fatal_) return false;
   size_t out_before = out_.size();
-  bool progress = DrainParked();
-  if (parked_.empty()) Pump();  // resume parsing buffered requests
+  bool progress = has_parked() && OfferPending(/*first_offer=*/false);
+  if (!has_parked()) Pump();  // resume parsing buffered requests
   return progress || out_.size() != out_before;
 }
 
@@ -227,9 +209,8 @@ void ServiceConnection::PrepareShutdown() {
   // ServicePipeline::Stop()), so the blocking Ingest() completes any
   // fully received batch atomically — admitted prefixes are never split
   // inside a frame the client saw acknowledged.
-  while (!parked_.empty()) {
-    Status s = pipeline_->Ingest(parked_.front());
-    parked_.pop_front();
+  for (; pending_pos_ < pending_.size(); ++pending_pos_) {
+    Status s = pipeline_->Ingest(pending_[pending_pos_]);
     if (batch_open_) {
       if (s.ok()) {
         ++batch_accepted_;
@@ -240,6 +221,8 @@ void ServiceConnection::PrepareShutdown() {
       out_ += s.ok() ? "OK\n" : ProtocolErrorLine(s);
     }
   }
+  pending_.clear();
+  pending_pos_ = 0;
   FinishBatchIfComplete();
   if (protocol_ == WireProtocol::kBinary && !fatal_ &&
       binary_framer_.HasPartial()) {

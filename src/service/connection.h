@@ -2,9 +2,10 @@
 #define TCOMP_SERVICE_CONNECTION_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "service/binary_protocol.h"
 #include "service/pipeline.h"
 #include "service/protocol.h"
@@ -23,11 +24,12 @@ enum class WireProtocol { kUnknown, kText, kBinary };
 /// any number of requests may arrive in one read, and every response is
 /// appended in request order.
 ///
-/// Backpressure toward the pipeline is nonblocking: when the admission
-/// queue is full under kBlock, the in-progress record batch is parked and
-/// parsing pauses (responses stay in order); the server re-offers parked
-/// records each tick via RetryParked(). The connection NEVER blocks the
-/// event loop inside an admission call.
+/// Admission is one ServicePipeline::TryIngestBatch() call per INGEST
+/// frame (or text INGEST line) and is nonblocking: when the queue fills
+/// under kBlock, the unadmitted tail is parked and parsing pauses
+/// (responses stay in order); the server re-offers the parked run, again
+/// in one call, each tick via RetryParked(). The connection NEVER blocks
+/// the event loop inside an admission call.
 class ServiceConnection {
  public:
   explicit ServiceConnection(ServicePipeline* pipeline);
@@ -42,7 +44,7 @@ class ServiceConnection {
   bool RetryParked();
 
   /// Records waiting for queue room (kBlock backpressure).
-  bool has_parked() const { return !parked_.empty(); }
+  bool has_parked() const { return !pending_.empty(); }
 
   /// Graceful-drain hook, called by the server before closing during
   /// shutdown while the pipeline is still accepting: force-admits parked
@@ -82,9 +84,12 @@ class ServiceConnection {
   void Pump();
   void HandleTextLine(const std::string& line);
   void HandleFrame(const BinaryFrame& frame);
-  /// Admits as much of parked_ as the queue accepts without blocking.
-  /// Returns true on any admission/response progress.
-  bool DrainParked();
+  /// Offers pending_[pending_pos_, end) in one admission call and settles
+  /// what it consumed: tallied into the open batch's ack, or — a text
+  /// INGEST — answered with its own reply line. What is left stays
+  /// parked; `first_offer` counts it in the parked-records metric.
+  /// Returns true when any record was consumed.
+  bool OfferPending(bool first_offer);
   void FinishBatchIfComplete();
   void AppendBinaryError(const Status& status);
 
@@ -95,7 +100,13 @@ class ServiceConnection {
   BinaryFramer binary_framer_;
 
   std::string out_;
-  std::deque<TrajectoryRecord> parked_;
+  // The records of the INGEST being admitted; pending_[pending_pos_, end)
+  // are not disposed of yet. Empty whenever nothing is parked.
+  std::vector<TrajectoryRecord> pending_;
+  size_t pending_pos_ = 0;
+  // tcomp_conn_records_parked_total, shared by every connection of the
+  // pipeline's registry; bumped once per record when it is first parked.
+  MetricCounter* records_parked_;
 
   // An INGEST_BATCH whose ack is deferred until every record is disposed
   // of (admitted or refused). Text ingests park at most one record and

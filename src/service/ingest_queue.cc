@@ -1,5 +1,7 @@
 #include "service/ingest_queue.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 
 #include "util/logging.h"
@@ -44,77 +46,79 @@ Status IngestQueue::Push(const TrajectoryRecord& record) {
     not_full_.wait(lock,
                    [&] { return closed_ || items_.size() < capacity_; });
   }
-  if (closed_) {
-    return Status::InvalidArgument("ingest queue is closed");
-  }
-  if (items_.size() >= capacity_) {
-    switch (mode_) {
-      case BackpressureMode::kBlock:
-        // Unreachable: the wait above only returns below capacity.
-        break;
-      case BackpressureMode::kShedOldest:
-        items_.pop_front();
-        ++counters_.shed;
-        break;
-      case BackpressureMode::kReject:
-        ++counters_.rejected;
-        return Status::OutOfRange("ingest queue full (capacity " +
-                                  std::to_string(capacity_) + ")");
-    }
-  }
-  items_.push_back(record);
-  ++counters_.pushed;
-  if (static_cast<int64_t>(items_.size()) > counters_.depth_peak) {
-    counters_.depth_peak = static_cast<int64_t>(items_.size());
-  }
+  size_t admitted = 0;
+  Status s = AdmitLocked(&record, 1, &admitted);
   lock.unlock();
-  not_empty_.notify_one();
-  return Status::OK();
+  if (admitted > 0) not_empty_.notify_one();
+  return s;
 }
 
-Status IngestQueue::TryPush(const TrajectoryRecord& record, bool* admitted) {
-  *admitted = false;
+Status IngestQueue::TryPushBatch(const TrajectoryRecord* records, size_t n,
+                                 size_t* admitted) {
   std::unique_lock<std::mutex> lock(mu_);
+  Status s = AdmitLocked(records, n, admitted);
+  lock.unlock();
+  if (*admitted > 0) not_empty_.notify_one();
+  return s;
+}
+
+Status IngestQueue::AdmitLocked(const TrajectoryRecord* records, size_t n,
+                                size_t* admitted) {
+  *admitted = 0;
   if (closed_) {
     return Status::InvalidArgument("ingest queue is closed");
   }
-  if (items_.size() >= capacity_) {
-    switch (mode_) {
-      case BackpressureMode::kBlock:
-        // The caller retries later; nothing is counted until the record
-        // is actually admitted or refused.
-        return Status::OK();
-      case BackpressureMode::kShedOldest:
-        items_.pop_front();
-        ++counters_.shed;
-        break;
-      case BackpressureMode::kReject:
-        ++counters_.rejected;
-        return Status::OutOfRange("ingest queue full (capacity " +
-                                  std::to_string(capacity_) + ")");
+  Status status;
+  size_t take = n;
+  if (mode_ != BackpressureMode::kShedOldest) {
+    // Nothing leaves the queue during the hold, so the records that fit
+    // are exactly the free slots; the rest wait (kBlock: the caller
+    // re-offers them, nothing is counted until then) or are refused.
+    const size_t room = capacity_ - items_.size();
+    if (n > room) {
+      take = room;
+      if (mode_ == BackpressureMode::kReject) {
+        counters_.rejected += static_cast<int64_t>(n - room);
+        status = Status::OutOfRange("ingest queue full (capacity " +
+                                    std::to_string(capacity_) + ")");
+      }
     }
   }
-  items_.push_back(record);
-  ++counters_.pushed;
+  for (size_t i = 0; i < take; ++i) {
+    if (items_.size() >= capacity_) {  // kShedOldest only
+      items_.pop_front();
+      ++counters_.shed;
+    }
+    items_.push_back(records[i]);
+  }
+  counters_.pushed += static_cast<int64_t>(take);
+  // Depth never falls during the hold, so the final depth is its peak.
   if (static_cast<int64_t>(items_.size()) > counters_.depth_peak) {
     counters_.depth_peak = static_cast<int64_t>(items_.size());
   }
-  *admitted = true;
-  lock.unlock();
-  not_empty_.notify_one();
-  return Status::OK();
+  *admitted = take;
+  return status;
 }
 
-bool IngestQueue::Pop(TrajectoryRecord* out) {
+bool IngestQueue::WaitForRecords() {
   std::unique_lock<std::mutex> lock(mu_);
   not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-  if (items_.empty()) return false;  // closed and drained
-  *out = items_.front();
-  items_.pop_front();
-  ++counters_.popped;
-  lock.unlock();
-  not_full_.notify_one();
-  return true;
+  return !items_.empty();
+}
+
+size_t IngestQueue::PopBatch(size_t max, std::vector<TrajectoryRecord>* out) {
+  out->clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto end = items_.begin() +
+                     static_cast<std::ptrdiff_t>(std::min(max, items_.size()));
+    out->assign(items_.begin(), end);
+    items_.erase(items_.begin(), end);
+    counters_.popped += static_cast<int64_t>(out->size());
+  }
+  // Several kBlock producers may fit now, not just one.
+  if (!out->empty()) not_full_.notify_all();
+  return out->size();
 }
 
 void IngestQueue::Close() {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 #include "stream/record.h"
 #include "util/status.h"
@@ -41,7 +42,7 @@ struct IngestQueueCounters {
   int64_t pushed = 0;    // records accepted into the queue
   int64_t popped = 0;    // records handed to consumers
   int64_t shed = 0;      // records dropped by kShedOldest
-  int64_t rejected = 0;  // pushes refused by kReject
+  int64_t rejected = 0;  // records refused by kReject
   int64_t depth = 0;     // queue occupancy at sampling time
   int64_t depth_peak = 0;  // high-watermark queue depth
 };
@@ -53,8 +54,8 @@ struct IngestQueueCounters {
 /// below `capacity` at every instant.
 ///
 /// Close() wakes everyone: pending and future pushes fail with
-/// FailedPrecondition-like InvalidArgument, and Pop() drains the remaining
-/// items before returning false.
+/// FailedPrecondition-like InvalidArgument, and WaitForRecords() keeps
+/// returning true until the remaining items are popped.
 class IngestQueue {
  public:
   IngestQueue(size_t capacity, BackpressureMode mode);
@@ -66,17 +67,30 @@ class IngestQueue {
   /// OutOfRange when kReject refuses, InvalidArgument after Close().
   Status Push(const TrajectoryRecord& record);
 
-  /// Nonblocking admission attempt for event-loop producers that must
-  /// never sleep. Identical to Push() under kShedOldest/kReject; under
-  /// kBlock a full queue returns OK with *admitted=false instead of
-  /// stalling — the caller parks the record and retries when the worker
-  /// has drained. OutOfRange (kReject full) and InvalidArgument (closed)
-  /// as in Push(), both with *admitted=false.
-  Status TryPush(const TrajectoryRecord& record, bool* admitted);
+  /// Nonblocking admission of records[0, n) in order, under one lock hold
+  /// and with one consumer wake-up, for event-loop producers that must
+  /// never sleep. Each record meets the policy exactly as it would in n
+  /// successive Push() calls, except that kBlock never waits:
+  ///   kBlock       admits until the queue is full and returns OK with
+  ///                *admitted < n; the caller parks records[*admitted, n)
+  ///                and re-offers them once the worker has drained.
+  ///   kShedOldest  admits all n, shedding the oldest queued record for
+  ///                each one that overflows — earlier records of the same
+  ///                span included.
+  ///   kReject      admits until the queue is full and refuses the rest,
+  ///                counting each refused record; OutOfRange if any was.
+  /// InvalidArgument after Close(), with *admitted = 0.
+  Status TryPushBatch(const TrajectoryRecord* records, size_t n,
+                      size_t* admitted);
 
-  /// Blocks until a record is available or the queue is closed and empty.
+  /// Blocks until a record is queued or the queue is closed and empty.
   /// Returns false exactly when the stream is over (closed + drained).
-  bool Pop(TrajectoryRecord* out);
+  bool WaitForRecords();
+
+  /// Moves up to `max` of the oldest queued records into *out (replacing
+  /// its contents) under one lock hold and returns how many. Never
+  /// blocks; 0 when the queue is empty.
+  size_t PopBatch(size_t max, std::vector<TrajectoryRecord>* out);
 
   /// Marks the stream complete. Idempotent.
   void Close();
@@ -89,6 +103,11 @@ class IngestQueue {
   IngestQueueCounters Counters() const;
 
  private:
+  /// The policy over records[0, n) with mu_ held: admits a prefix of
+  /// *admitted records and counts what it sheds and refuses.
+  Status AdmitLocked(const TrajectoryRecord* records, size_t n,
+                     size_t* admitted);
+
   const size_t capacity_;
   const BackpressureMode mode_;
 

@@ -10,6 +10,14 @@
 #include "util/timer.h"
 
 namespace tcomp {
+namespace {
+
+// Records the worker pops per state_mu_ hold: one lock hold and one
+// progress wake-up per batch instead of per record, while a query or
+// Flush() waits behind at most this many records.
+constexpr size_t kWorkerBatchRecords = 256;
+
+}  // namespace
 
 ServicePipeline::ServicePipeline(const ServicePipelineOptions& options)
     : options_(options),
@@ -96,35 +104,58 @@ Status ServicePipeline::Ingest(const TrajectoryRecord& record) {
   return s;
 }
 
-Status ServicePipeline::TryIngest(const TrajectoryRecord& record,
-                                  bool* admitted) {
-  *admitted = false;
-  if (Status valid = ValidateRecord(record, options_.window); !valid.ok()) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    ++records_invalid_;
-    return valid;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (!started_ || stopped_) {
-      return Status::InvalidArgument("pipeline is not running");
-    }
-  }
-  // Unlike Ingest(), a kBlock-full queue never stalls here: the event
-  // loop parks the record and re-offers it on a later tick, so one slow
-  // consumer cannot freeze every connection. Admission latency is only
-  // recorded for the attempt that actually admits.
+IngestBatchResult ServicePipeline::TryIngestBatch(
+    const TrajectoryRecord* records, size_t n) {
+  // Timed whole, so the stage's _sum stays the total admission time. A
+  // kBlock-full queue never stalls here: the event loop parks the
+  // unconsumed tail and re-offers it, so one slow consumer cannot freeze
+  // every connection.
   Timer admission_timer;
   admission_timer.Start();
-  Status s = queue_.TryPush(record, admitted);
-  admission_timer.Stop();
-  if (*admitted) {
-    stage_sink_.RecordStage(Stage::kIngestAdmission,
-                            admission_timer.Seconds());
+  bool running = false;
+  {
     std::lock_guard<std::mutex> lock(state_mu_);
-    ++records_ingested_;
+    running = started_ && !stopped_;
   }
-  return s;
+  IngestBatchResult result;
+  int64_t invalid = 0;
+  size_t i = 0;
+  while (i < n) {
+    Status valid = ValidateRecord(records[i], options_.window);
+    if (!valid.ok()) {
+      ++invalid;
+      result.last_refusal = std::move(valid);
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < n && ValidateRecord(records[end], options_.window).ok()) {
+      ++end;
+    }
+    if (!running) {
+      result.last_refusal = Status::InvalidArgument("pipeline is not running");
+      i = end;
+      continue;
+    }
+    size_t admitted = 0;
+    Status pushed = queue_.TryPushBatch(&records[i], end - i, &admitted);
+    result.accepted += admitted;
+    if (pushed.ok() && admitted < end - i) {
+      i += admitted;  // kBlock at capacity: records[i, n) stay unconsumed
+      break;
+    }
+    if (!pushed.ok()) result.last_refusal = std::move(pushed);
+    i = end;
+  }
+  result.consumed = i;
+  if (result.accepted > 0 || invalid > 0) {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    records_ingested_ += static_cast<int64_t>(result.accepted);
+    records_invalid_ += invalid;
+  }
+  admission_timer.Stop();
+  stage_sink_.RecordStage(Stage::kIngestAdmission, admission_timer.Seconds());
+  return result;
 }
 
 void ServicePipeline::PushToWindow(const TrajectoryRecord& record) {
@@ -192,38 +223,45 @@ void ServicePipeline::DrainReorderBuffer(bool everything) {
   }
 }
 
+void ServicePipeline::ProcessRecord(const TrajectoryRecord& record) {
+  if (options_.allowed_lateness <= 0.0) {
+    // Lateness disabled: arrival order is stream order by contract, so
+    // nothing is ever "late" and records_late_ stays 0.
+    PushToWindow(record);
+    return;
+  }
+  if (any_timestamp_seen_ &&
+      record.timestamp <= max_timestamp_seen_ - options_.allowed_lateness) {
+    // At or behind the watermark: its snapshot may already be closed.
+    // `<=` matches DrainReorderBuffer's release rule — a record with
+    // timestamp exactly at the watermark is immediately releasable,
+    // i.e. the lateness bound no longer protects it, so it counts as
+    // late. (It is still processed: the window folds it into the
+    // current snapshot — bounded staleness, same as the batch path.)
+    ++records_late_;
+  }
+  if (!any_timestamp_seen_ || record.timestamp > max_timestamp_seen_) {
+    max_timestamp_seen_ = record.timestamp;
+    any_timestamp_seen_ = true;
+  }
+  reorder_.push(HeldRecord{record, std::chrono::steady_clock::now()});
+  if (static_cast<int64_t>(reorder_.size()) > reorder_held_peak_) {
+    reorder_held_peak_ = static_cast<int64_t>(reorder_.size());
+  }
+  DrainReorderBuffer(/*everything=*/false);
+}
+
 void ServicePipeline::WorkerLoop() {
-  TrajectoryRecord record;
-  while (queue_.Pop(&record)) {
+  std::vector<TrajectoryRecord> batch;
+  batch.reserve(kWorkerBatchRecords);
+  // Wait without state_mu_, so queries and Flush() run while the queue is
+  // empty; pop under it, so no Stats() cut sees a popped record that is
+  // not yet counted as processed.
+  while (queue_.WaitForRecords()) {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (options_.allowed_lateness <= 0.0) {
-      // Lateness disabled: arrival order is stream order by contract, so
-      // nothing is ever "late" and records_late_ stays 0.
-      PushToWindow(record);
-    } else {
-      if (any_timestamp_seen_ &&
-          record.timestamp <=
-              max_timestamp_seen_ - options_.allowed_lateness) {
-        // At or behind the watermark: its snapshot may already be closed.
-        // `<=` matches DrainReorderBuffer's release rule — a record with
-        // timestamp exactly at the watermark is immediately releasable,
-        // i.e. the lateness bound no longer protects it, so it counts as
-        // late. (It is still processed: the window folds it into the
-        // current snapshot — bounded staleness, same as the batch path.)
-        ++records_late_;
-      }
-      if (!any_timestamp_seen_ ||
-          record.timestamp > max_timestamp_seen_) {
-        max_timestamp_seen_ = record.timestamp;
-        any_timestamp_seen_ = true;
-      }
-      reorder_.push(HeldRecord{record, std::chrono::steady_clock::now()});
-      if (static_cast<int64_t>(reorder_.size()) > reorder_held_peak_) {
-        reorder_held_peak_ = static_cast<int64_t>(reorder_.size());
-      }
-      DrainReorderBuffer(/*everything=*/false);
-    }
-    ++records_processed_;
+    queue_.PopBatch(kWorkerBatchRecords, &batch);
+    for (const TrajectoryRecord& record : batch) ProcessRecord(record);
+    records_processed_ += static_cast<int64_t>(batch.size());
     progress_cv_.notify_all();
   }
 }
@@ -240,7 +278,8 @@ Status ServicePipeline::Flush() {
   // FIFO for both pops and sheds, so processed + shed >= target means
   // every record admitted before this call has left the queue one way or
   // the other. (Queue-empty always satisfies the condition, and the
-  // worker signals after every pop, so the wait cannot miss its wakeup.)
+  // worker signals after every batch it pops, so the wait cannot miss its
+  // wakeup.)
   progress_cv_.wait(lock, [&] {
     return stopped_ ||
            records_processed_ + queue_.Counters().shed >= target;
@@ -310,17 +349,18 @@ std::vector<Companion> ServicePipeline::Companions() const {
 ServiceStats ServicePipeline::Stats() const {
   // Consistent cut, by fixed lock order: state_mu_ first, then the
   // queue's internal mutex inside Counters() — the same nesting Flush()
-  // uses, so the order can never invert and deadlock. Holding state_mu_
-  // freezes every pipeline counter (the worker bumps them only under
-  // state_mu_) while Counters() samples pushed/popped/shed/depth in one
-  // critical section of the queue mutex. Queue counters can still advance
-  // relative to the frozen pipeline counters, but only in the direction
-  // that preserves the ServiceStats invariants: a concurrent Push() grows
-  // pushed before records_ingested_ is bumped (pushed >= ingested), and a
-  // concurrent Pop() grows popped before the worker can take state_mu_ to
-  // bump records_processed_ (popped >= processed, by at most the one
-  // in-flight record). The depth sampled inside Counters() makes
-  // pushed == popped + shed + depth exact, not torn.
+  // and the worker's PopBatch() use, so the order can never invert and
+  // deadlock. Holding state_mu_ freezes every pipeline counter (the worker
+  // bumps them only under state_mu_) while Counters() samples
+  // pushed/popped/shed/depth in one critical section of the queue mutex.
+  // Queue counters can still advance relative to the frozen pipeline
+  // counters, but only in the direction that preserves the ServiceStats
+  // invariants: a concurrent push grows pushed before records_ingested_
+  // is bumped (pushed >= ingested). popped cannot move at all: the worker
+  // pops only under state_mu_ and counts the batch as processed before it
+  // releases it, so the cut sees popped == processed. The depth sampled
+  // inside Counters() makes pushed == popped + shed + depth exact, not
+  // torn.
   std::lock_guard<std::mutex> lock(state_mu_);
   ServiceStats stats;
   if (discoverer_ != nullptr) {

@@ -79,7 +79,7 @@ struct ServicePipelineOptions {
 struct ServiceStats {
   DiscoveryStats discovery;
   IngestQueueCounters queue;
-  int64_t records_ingested = 0;   // accepted by Ingest()
+  int64_t records_ingested = 0;   // accepted by Ingest()/TryIngestBatch()
   int64_t records_processed = 0;  // consumed by the worker
   int64_t records_invalid = 0;    // rejected before admission (outside
                                   // the ValidateRecord range)
@@ -96,6 +96,20 @@ struct ServiceStats {
                                    // no object clustering to shard (BU)
   int64_t shard_snapshots = 0;     // snapshots clustered by the engine
   int64_t shard_halo_objects = 0;  // Σ halo replicas across snapshots
+};
+
+/// Outcome of one ServicePipeline::TryIngestBatch() call over
+/// records[0, n): the first `consumed` records were disposed of —
+/// `accepted` of them admitted to the queue, the rest refused — and
+/// records[consumed, n) were not offered, because the queue filled under
+/// kBlock; the caller parks them and offers them again later.
+struct IngestBatchResult {
+  size_t consumed = 0;
+  size_t accepted = 0;
+  /// Why the last refused record was refused; OK when none was.
+  Status last_refusal;
+
+  size_t refused() const { return consumed - accepted; }
 };
 
 /// The long-running companion-discovery daemon core: a bounded ingest
@@ -128,12 +142,18 @@ class ServicePipeline {
   /// returns OutOfRange, kShedOldest always succeeds.
   Status Ingest(const TrajectoryRecord& record);
 
-  /// Nonblocking variant for the event-loop front-end, which must never
-  /// sleep inside an admission call. Semantics match Ingest() except
-  /// under kBlock at capacity, where it returns OK with *admitted=false
-  /// and the caller retries once the worker drains. *admitted is false on
-  /// every non-OK status too.
-  Status TryIngest(const TrajectoryRecord& record, bool* admitted);
+  /// Nonblocking admission of records[0, n) for the event-loop
+  /// front-end, which must never sleep inside an admission call. The
+  /// outcome — records consumed, accepted and refused, and every counter
+  /// — is what n successive Ingest() calls would give, except that under
+  /// kBlock a full queue ends the call instead of stalling it: the rest
+  /// are left unconsumed. A record outside the ValidateRecord range is
+  /// refused and counted in records_invalid; while the pipeline is not
+  /// running every record is refused. One state check, one queue push
+  /// per run of valid records, one counter update and one
+  /// ingest_admission sample per call.
+  IngestBatchResult TryIngestBatch(const TrajectoryRecord* records,
+                                   size_t n);
 
   /// Barrier: waits until every record admitted before the call has been
   /// processed, then pushes the reorder buffer and the in-progress window
@@ -175,6 +195,9 @@ class ServicePipeline {
 
  private:
   void WorkerLoop();
+  /// Moves one popped record into the window, through the reorder buffer
+  /// when lateness > 0. Caller holds state_mu_.
+  void ProcessRecord(const TrajectoryRecord& record);
   /// Releases ripe reorder-buffer records into the window. Caller holds
   /// state_mu_. `everything` forces a full drain (flush/stop).
   void DrainReorderBuffer(bool everything);
@@ -187,9 +210,10 @@ class ServicePipeline {
 
   // state_mu_ guards everything below: the window/discoverer chain, the
   // reorder buffer, and the pipeline counters. The worker holds it while
-  // processing one record; queries take it for the copy-out.
+  // it pops and processes one batch of records; queries take it for the
+  // copy-out.
   mutable std::mutex state_mu_;
-  std::condition_variable progress_cv_;  // signaled per processed record
+  std::condition_variable progress_cv_;  // signaled per processed batch
   // Declared before discoverer_ so the engine outlives the discoverer
   // holding its provider closure. Created in Start() iff options_.shards
   // > 1 and the algorithm accepts an external C-step; never reset after.

@@ -215,37 +215,6 @@ std::string ProtocolSession::OversizeResponse() {
                      std::to_string(kMaxRequestLineBytes) + " bytes");
 }
 
-std::string ProtocolSession::HandleLine(const std::string& line,
-                                        bool* shutdown_requested) {
-  Request request;
-  Status s = ParseRequest(line, &request);
-  if (!s.ok()) {
-    ++parse_errors_;
-    return ErrLine(s);
-  }
-  switch (request.type) {
-    case Request::Type::kIngest: {
-      Status is = pipeline_->Ingest(request.record);
-      return is.ok() ? "OK\n" : ErrLine(is);
-    }
-    case Request::Type::kFlush: {
-      Status fs = pipeline_->Flush();
-      return fs.ok() ? "OK flushed\n" : ErrLine(fs);
-    }
-    case Request::Type::kShutdown: {
-      *shutdown_requested = true;
-      return "OK shutting-down\n";
-    }
-    case Request::Type::kQuery:
-      break;
-  }
-
-  QueryResult result = RunQuery(request.query);
-  std::ostringstream out;
-  out << "OK " << result.count << '\n' << result.body << ".\n";
-  return out.str();
-}
-
 QueryResult ProtocolSession::RunQuery(Request::QueryKind kind) {
   QueryResult result;
   std::ostringstream out;

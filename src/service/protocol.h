@@ -95,23 +95,16 @@ struct QueryResult {
   std::string body;
 };
 
-/// One client's request/response state machine, independent of any
-/// transport: the server pumps socket bytes through it, and tests drive
-/// it directly in-process. Responses always end with '\n' and never
-/// throw; a malformed line yields `ERR ...` and the session stays usable.
+/// One client's query answering and malformed-request accounting, shared
+/// by both wire protocols of ServiceConnection (service/connection.h),
+/// which dispatches the requests.
 class ProtocolSession {
  public:
   explicit ProtocolSession(ServicePipeline* pipeline);
 
-  /// Handles one complete request line; returns the full response (one or
-  /// more '\n'-terminated lines). Sets *shutdown_requested on SHUTDOWN so
-  /// the transport can initiate the graceful server stop (drain + final
-  /// checkpoint happen there); it is never unset.
-  std::string HandleLine(const std::string& line, bool* shutdown_requested);
-
-  /// Runs one query against the pipeline. Used by HandleLine and by the
-  /// binary-frame dispatcher, so both protocols serve identical payload
-  /// bytes.
+  /// Runs one query against the pipeline. Used by the text and the
+  /// binary-frame dispatchers alike, so both protocols serve identical
+  /// payload bytes.
   QueryResult RunQuery(Request::QueryKind kind);
 
   /// Response for a line the framer flagged as oversized.

@@ -19,9 +19,9 @@ dump_logs_on_failure() {
         echo "cli_smoke: FAILED (exit $status); CLI logs follow" >&2
         for f in gen.log run1.log run2.log run3.log suggest.log \
                  serve1.log serve2.log serve3.log serve4.log \
-                 serve5.log serve6.log blast.log \
+                 serve5.log serve6.log serve7.log blast.log \
                  feed1.log feed2.log feed3.log feed4.log \
-                 feed5.log feed6.log; do
+                 feed5.log feed6.log feed7.log; do
             if [ -f "$f" ]; then
                 echo "--- $f ---" >&2
                 cat "$f" >&2
@@ -227,6 +227,27 @@ wait "$SERVE_PID"
 SERVE_PID=
 grep -q "resumed from bserve.ckpt" serve6.log
 cmp d2_out.csv bserved.csv
+
+# Parked-path round trip: 512-record binary frames into a 64-record
+# queue, so every frame parks part of its records until the worker
+# drains. The served companions must still equal batch discover's, and
+# the parked counter must show the path ran.
+rm -f port.txt
+"$CLI" serve --algo bu --epsilon 24 --mu 5 --min-size 10 \
+    --min-duration 10 --window-seconds 60 --queue-capacity 64 \
+    --port-file port.txt > serve7.log 2>&1 &
+SERVE_PID=$!
+wait_for_port_file port.txt
+PORT=$(cat port.txt)
+
+"$CLI" feed --csv d2.csv --port "$PORT" --binary --batch 512 \
+    --query companions --out parked_served.csv --quiet > feed7.log
+"$CLI" feed --port "$PORT" --query metrics --out metrics5.txt --quiet
+grep -q '^tcomp_conn_records_parked_total [1-9]' metrics5.txt
+"$CLI" feed --port "$PORT" --shutdown --quiet
+wait "$SERVE_PID"
+SERVE_PID=
+cmp d2_out.csv parked_served.csv
 
 # Blast smoke: a tiny self-hosted saturation run over both protocols.
 # The verify pass must report byte-identical products for both, and the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -341,10 +342,9 @@ TEST(ServicePipelineTest, OutOfRangeRecordsAreRefusedAtAdmission) {
   r.timestamp = 1.0;
   r.pos = Point{1.5e308, 0.0};
   for (int k = 0; k < 2; ++k) {
-    bool admitted = true;
-    EXPECT_EQ(pipeline.TryIngest(r, &admitted).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_FALSE(admitted);
+    IngestBatchResult result = pipeline.TryIngestBatch(&r, 1);
+    EXPECT_EQ(result.last_refusal.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.accepted, 0u);
   }
   ASSERT_TRUE(pipeline.Flush().ok());
   ServiceStats stats = pipeline.Stats();
@@ -374,9 +374,10 @@ TEST(IngestQueueTest, BlockModeIsLosslessUnderOverload) {
   constexpr int kRecords = 200;
   std::vector<double> consumed;
   std::thread consumer([&] {
-    TrajectoryRecord r;
-    while (queue.Pop(&r)) {
-      consumed.push_back(r.timestamp);
+    std::vector<TrajectoryRecord> batch;
+    while (queue.WaitForRecords()) {
+      queue.PopBatch(3, &batch);
+      for (const TrajectoryRecord& r : batch) consumed.push_back(r.timestamp);
       // Throttle: the producer fills the queue and must block.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -408,8 +409,11 @@ TEST(IngestQueueTest, ShedOldestKeepsNewestUnderOverload) {
   EXPECT_EQ(queue.depth(), 4u);
   queue.Close();
   std::vector<double> drained;
-  TrajectoryRecord r;
-  while (queue.Pop(&r)) drained.push_back(r.timestamp);
+  std::vector<TrajectoryRecord> batch;
+  while (queue.WaitForRecords()) {
+    queue.PopBatch(3, &batch);
+    for (const TrajectoryRecord& r : batch) drained.push_back(r.timestamp);
+  }
   // The *newest* four survive; everything older was shed in order.
   ASSERT_EQ(drained.size(), 4u);
   EXPECT_EQ(drained, (std::vector<double>{96, 97, 98, 99}));
@@ -436,8 +440,9 @@ TEST(IngestQueueTest, RejectModeRefusesWhenFullAndRecovers) {
   EXPECT_EQ(accepted, 4);
   EXPECT_EQ(rejected, 96);
   // Draining makes room again: rejection is transient, not sticky.
-  TrajectoryRecord r;
-  ASSERT_TRUE(queue.Pop(&r));
+  std::vector<TrajectoryRecord> batch;
+  ASSERT_TRUE(queue.WaitForRecords());
+  ASSERT_EQ(queue.PopBatch(1, &batch), 1u);
   EXPECT_TRUE(queue.Push(NumberedRecord(100)).ok());
   IngestQueueCounters counters = queue.Counters();
   EXPECT_EQ(counters.pushed, 5);
@@ -451,10 +456,102 @@ TEST(IngestQueueTest, PushAfterCloseFailsAndPopDrains) {
   ASSERT_TRUE(queue.Push(NumberedRecord(1)).ok());
   queue.Close();
   EXPECT_FALSE(queue.Push(NumberedRecord(2)).ok());
-  TrajectoryRecord r;
-  EXPECT_TRUE(queue.Pop(&r));
-  EXPECT_TRUE(queue.Pop(&r));
-  EXPECT_FALSE(queue.Pop(&r));  // closed and drained
+  TrajectoryRecord more = NumberedRecord(3);
+  size_t admitted = 1;
+  EXPECT_EQ(queue.TryPushBatch(&more, 1, &admitted).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(admitted, 0u);
+  std::vector<TrajectoryRecord> batch;
+  EXPECT_TRUE(queue.WaitForRecords());
+  EXPECT_EQ(queue.PopBatch(1, &batch), 1u);
+  EXPECT_TRUE(queue.WaitForRecords());
+  EXPECT_EQ(queue.PopBatch(8, &batch), 1u);
+  EXPECT_FALSE(queue.WaitForRecords());  // closed and drained
+}
+
+/// TryPushBatch must leave exactly what one Push() per record would —
+/// contents, counters and status — with the queue already partly full
+/// and a span larger than the free space. Nothing consumes, so the
+/// outcome is fully determined. kBlock has no blocking Push() to compare
+/// with; its model stops at the first record that does not fit.
+TEST(IngestQueueTest, BatchPushMatchesPerRecordPushes) {
+  constexpr size_t kCapacity = 4;
+  for (BackpressureMode mode :
+       {BackpressureMode::kBlock, BackpressureMode::kShedOldest,
+        BackpressureMode::kReject}) {
+    for (int prefill : {0, 1, 3}) {
+      for (int span : {0, 2, 10}) {
+        SCOPED_TRACE(std::string(BackpressureModeName(mode)) + " prefill " +
+                     std::to_string(prefill) + " span " +
+                     std::to_string(span));
+        std::vector<TrajectoryRecord> records;
+        for (int i = 0; i < prefill + span; ++i) {
+          records.push_back(NumberedRecord(i));
+        }
+        // The sequential per-record model.
+        std::vector<double> want;
+        IngestQueueCounters model;
+        size_t want_admitted = 0;
+        for (int i = 0; i < prefill + span; ++i) {
+          const bool full = want.size() == kCapacity;
+          if (full && mode == BackpressureMode::kBlock) break;
+          if (full && mode == BackpressureMode::kReject) {
+            ++model.rejected;
+            continue;
+          }
+          if (full) {
+            want.erase(want.begin());
+            ++model.shed;
+          }
+          want.push_back(records[i].timestamp);
+          ++model.pushed;
+          model.depth_peak = std::max<int64_t>(
+              model.depth_peak, static_cast<int64_t>(want.size()));
+          if (i >= prefill) ++want_admitted;
+        }
+
+        IngestQueue queue(kCapacity, mode);
+        size_t admitted = 0;
+        ASSERT_TRUE(queue.TryPushBatch(records.data(), prefill, &admitted)
+                        .ok());
+        ASSERT_EQ(admitted, static_cast<size_t>(prefill));
+        Status s = queue.TryPushBatch(records.data() + prefill, span,
+                                      &admitted);
+        EXPECT_EQ(admitted, want_admitted);
+        const bool refused_some =
+            mode == BackpressureMode::kReject && model.rejected > 0;
+        EXPECT_EQ(s.code(),
+                  refused_some ? StatusCode::kOutOfRange : StatusCode::kOk);
+        IngestQueueCounters counters = queue.Counters();
+        EXPECT_EQ(counters.pushed, model.pushed);
+        EXPECT_EQ(counters.shed, model.shed);
+        EXPECT_EQ(counters.rejected, model.rejected);
+        EXPECT_EQ(counters.depth_peak, model.depth_peak);
+        EXPECT_EQ(counters.depth, static_cast<int64_t>(want.size()));
+        queue.Close();
+        std::vector<double> got;
+        std::vector<TrajectoryRecord> batch;
+        while (queue.WaitForRecords()) {
+          queue.PopBatch(kCapacity, &batch);
+          for (const TrajectoryRecord& r : batch) got.push_back(r.timestamp);
+        }
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+  // The worked case: ten records into an empty shed-oldest queue of four
+  // keep the newest four and shed six, earlier records of the span too.
+  IngestQueue queue(kCapacity, BackpressureMode::kShedOldest);
+  std::vector<TrajectoryRecord> ten;
+  for (int i = 0; i < 10; ++i) ten.push_back(NumberedRecord(i));
+  size_t admitted = 0;
+  ASSERT_TRUE(queue.TryPushBatch(ten.data(), ten.size(), &admitted).ok());
+  EXPECT_EQ(admitted, 10u);
+  EXPECT_EQ(queue.Counters().shed, 6);
+  std::vector<TrajectoryRecord> batch;
+  ASSERT_EQ(queue.PopBatch(16, &batch), 4u);
+  EXPECT_EQ(batch.front().timestamp, 6.0);
+  EXPECT_EQ(batch.back().timestamp, 9.0);
 }
 
 /// Flush must terminate under kShedOldest even though shed records are
@@ -566,7 +663,10 @@ TrajectoryRecord TimedRecord(ObjectId id, double t) {
   return r;
 }
 
-void HammerStatsWhileIngesting(BackpressureMode mode) {
+/// `batch_span` 0 ingests one record per Ingest() call; > 0 offers spans
+/// of that many records to TryIngestBatch() and re-offers each span's
+/// unconsumed tail, as the event loop does with parked records.
+void HammerStatsWhileIngesting(BackpressureMode mode, int batch_span = 0) {
   ServicePipelineOptions opts = PipelineOptions(Algorithm::kBuddy);
   opts.queue_capacity = 8;  // small: the worker lags, depth is often > 0
   opts.backpressure = mode;
@@ -604,11 +704,34 @@ void HammerStatsWhileIngesting(BackpressureMode mode) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      // Start only once the reader has a cut, so reads overlap ingest
+      // however fast the worker drains.
+      while (reads.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
+      std::vector<TrajectoryRecord> span;
       for (int i = 0; i < kPerProducer; ++i) {
         TrajectoryRecord r =
             TimedRecord(static_cast<ObjectId>(p * kPerProducer + i),
                         static_cast<double>(i));
-        EXPECT_TRUE(pipeline.Ingest(r).ok());
+        if (batch_span == 0) {
+          EXPECT_TRUE(pipeline.Ingest(r).ok());
+          continue;
+        }
+        span.push_back(r);
+        if (static_cast<int>(span.size()) < batch_span &&
+            i + 1 < kPerProducer) {
+          continue;
+        }
+        for (size_t offset = 0; offset < span.size();) {
+          IngestBatchResult result =
+              pipeline.TryIngestBatch(span.data() + offset,
+                                      span.size() - offset);
+          EXPECT_EQ(result.refused(), 0u);
+          offset += result.consumed;
+          if (result.consumed == 0) std::this_thread::yield();
+        }
+        span.clear();
       }
     });
   }
@@ -635,6 +758,120 @@ TEST(ServicePipelineTest, StatsCutIsConsistentUnderBlockBackpressure) {
 
 TEST(ServicePipelineTest, StatsCutIsConsistentUnderShedBackpressure) {
   HammerStatsWhileIngesting(BackpressureMode::kShedOldest);
+}
+
+TEST(ServicePipelineTest, StatsCutIsConsistentUnderBatchAdmission) {
+  HammerStatsWhileIngesting(BackpressureMode::kBlock, /*batch_span=*/32);
+}
+
+/// One TryIngestBatch() call over a frame with out-of-range records
+/// interleaved, at a queue capacity smaller than the frame, disposes of
+/// records exactly as one admission per record would: invalid records are
+/// refused and counted wherever they sit, and each policy meets every
+/// valid record. The queue is empty when the call starts and the first
+/// run of valid records (6) is pushed in one queue hold, so capacity (4)
+/// decides that run; later runs may race the worker's pops, so the
+/// assertions there are what holds whatever the worker does.
+TEST(ServicePipelineTest, BatchAdmissionMatchesPerRecordAdmission) {
+  // v = valid, x = outside the ValidateRecord range.
+  const std::string layout = "xvvvvvvxvvvxvx";
+  std::vector<TrajectoryRecord> frame;
+  size_t valid = 0;
+  for (size_t i = 0; i < layout.size(); ++i) {
+    TrajectoryRecord r = TimedRecord(static_cast<ObjectId>(i), 1.0);
+    if (layout[i] == 'x') {
+      r.pos.x = 1e16;
+    } else {
+      ++valid;
+    }
+    frame.push_back(r);
+  }
+  const size_t invalid = frame.size() - valid;
+
+  for (BackpressureMode mode :
+       {BackpressureMode::kBlock, BackpressureMode::kShedOldest,
+        BackpressureMode::kReject}) {
+    SCOPED_TRACE(BackpressureModeName(mode));
+    ServicePipelineOptions opts = PipelineOptions(Algorithm::kSmartClosed);
+    opts.queue_capacity = 4;
+    opts.backpressure = mode;
+    ServicePipeline pipeline(opts);
+    ASSERT_TRUE(pipeline.Start().ok());
+
+    IngestBatchResult first = pipeline.TryIngestBatch(frame.data(),
+                                                      frame.size());
+    int64_t calls = 1;
+    ServiceStats stats = pipeline.Stats();
+    EXPECT_EQ(stats.records_ingested, static_cast<int64_t>(first.accepted));
+    switch (mode) {
+      case BackpressureMode::kBlock: {
+        // Stops at the fifth valid record: one invalid refused, four in.
+        EXPECT_EQ(first.consumed, 5u);
+        EXPECT_EQ(first.accepted, 4u);
+        EXPECT_EQ(first.refused(), 1u);
+        EXPECT_EQ(stats.records_invalid, 1);
+        // Re-offering the tail, as the event loop does, finishes it.
+        size_t offset = first.consumed;
+        size_t accepted = first.accepted;
+        size_t refused = first.refused();
+        while (offset < frame.size()) {
+          IngestBatchResult more = pipeline.TryIngestBatch(
+              frame.data() + offset, frame.size() - offset);
+          ++calls;
+          if (more.consumed < frame.size() - offset) {
+            // A kBlock stop lands on a valid record, never an invalid one.
+            EXPECT_EQ(layout[offset + more.consumed], 'v');
+          }
+          offset += more.consumed;
+          accepted += more.accepted;
+          refused += more.refused();
+          if (more.consumed == 0) std::this_thread::yield();
+        }
+        EXPECT_EQ(accepted, valid);
+        EXPECT_EQ(refused, invalid);
+        break;
+      }
+      case BackpressureMode::kShedOldest:
+        EXPECT_EQ(first.consumed, frame.size());
+        EXPECT_EQ(first.accepted, valid);
+        EXPECT_EQ(first.refused(), invalid);
+        EXPECT_GE(stats.queue.shed, 2);  // the first run overflows by two
+        break;
+      case BackpressureMode::kReject:
+        EXPECT_EQ(first.consumed, frame.size());
+        EXPECT_EQ(first.accepted + static_cast<size_t>(stats.queue.rejected),
+                  valid);
+        EXPECT_EQ(first.refused(),
+                  invalid + static_cast<size_t>(stats.queue.rejected));
+        EXPECT_GE(stats.queue.rejected, 2);
+        break;
+    }
+    ASSERT_TRUE(pipeline.Flush().ok());
+    stats = pipeline.Stats();
+    EXPECT_EQ(stats.records_invalid, static_cast<int64_t>(invalid));
+    EXPECT_EQ(stats.records_ingested + stats.queue.rejected,
+              static_cast<int64_t>(valid));
+    EXPECT_EQ(stats.queue.pushed, stats.records_ingested);
+    // One admission sample per call, not per record.
+    EXPECT_EQ(pipeline.stage_sink()
+                  ->histogram(Stage::kIngestAdmission)
+                  ->Snap()
+                  .count,
+              static_cast<uint64_t>(calls));
+
+    // A stopped pipeline refuses the whole span; invalid records are
+    // still counted as invalid, as per-record admission counts them.
+    ASSERT_TRUE(pipeline.Stop().ok());
+    IngestBatchResult late = pipeline.TryIngestBatch(frame.data(),
+                                                     frame.size());
+    EXPECT_EQ(late.consumed, frame.size());
+    EXPECT_EQ(late.accepted, 0u);
+    EXPECT_EQ(late.last_refusal.code(), StatusCode::kInvalidArgument);
+    ServiceStats after = pipeline.Stats();
+    EXPECT_EQ(after.records_invalid, static_cast<int64_t>(2 * invalid));
+    EXPECT_EQ(after.records_ingested, stats.records_ingested);
+    EXPECT_EQ(after.queue.pushed, stats.queue.pushed);
+  }
 }
 
 // ---------------------------------------------------------------------

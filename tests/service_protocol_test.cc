@@ -138,7 +138,8 @@ TEST(ParseRequestTest, RejectsNonAsciiBytes) {
 }
 
 // ---------------------------------------------------------------------
-// ProtocolSession: request/response behaviour against a live pipeline.
+// ProtocolSession: request/response behaviour against a live pipeline,
+// through the text dispatcher the server runs (ServiceConnection).
 
 ServicePipelineOptions SmallPipelineOptions() {
   ServicePipelineOptions opts;
@@ -149,6 +150,16 @@ ServicePipelineOptions SmallPipelineOptions() {
   opts.params.duration_threshold = 2;
   opts.window.window_length = 60.0;
   return opts;
+}
+
+/// Sends one request line through the connection and returns the
+/// response bytes it produced.
+std::string Exchange(ServiceConnection* conn, const std::string& line) {
+  std::string wire = line + "\n";
+  conn->Consume(wire.data(), wire.size());
+  std::string response = conn->out();
+  conn->out().clear();
+  return response;
 }
 
 /// Records for a tight 4-object group crossing three snapshots.
@@ -168,15 +179,14 @@ std::vector<std::string> GroupIngestLines() {
 TEST(ProtocolSessionTest, IngestFlushQueryRoundTrip) {
   ServicePipeline pipeline(SmallPipelineOptions());
   ASSERT_TRUE(pipeline.Start().ok());
-  ProtocolSession session(&pipeline);
-  bool shutdown = false;
+  ServiceConnection conn(&pipeline);
 
   for (const std::string& line : GroupIngestLines()) {
-    EXPECT_EQ(session.HandleLine(line, &shutdown), "OK\n");
+    EXPECT_EQ(Exchange(&conn, line), "OK\n");
   }
-  EXPECT_EQ(session.HandleLine("FLUSH", &shutdown), "OK flushed\n");
+  EXPECT_EQ(Exchange(&conn, "FLUSH"), "OK flushed\n");
 
-  std::string response = session.HandleLine("QUERY companions", &shutdown);
+  std::string response = Exchange(&conn, "QUERY companions");
   // Payload is the batch CSV byte for byte, wrapped in OK <n> ... `.`.
   std::ostringstream expected;
   expected << "OK " << pipeline.Companions().size() << "\n";
@@ -185,19 +195,19 @@ TEST(ProtocolSessionTest, IngestFlushQueryRoundTrip) {
   EXPECT_EQ(response, expected.str());
   EXPECT_GE(pipeline.Companions().size(), 1u);
 
-  std::string stats = session.HandleLine("QUERY stats", &shutdown);
+  std::string stats = Exchange(&conn, "QUERY stats");
   EXPECT_EQ(stats.rfind("OK ", 0), 0u);
   EXPECT_NE(stats.find("records_ingested=12\n"), std::string::npos);
   EXPECT_NE(stats.find("snapshots=3\n"), std::string::npos);
   EXPECT_TRUE(stats.size() >= 2 &&
               stats.compare(stats.size() - 2, 2, ".\n") == 0);
 
-  std::string buddies = session.HandleLine("QUERY buddies", &shutdown);
+  std::string buddies = Exchange(&conn, "QUERY buddies");
   EXPECT_EQ(buddies.rfind("OK ", 0), 0u);
   EXPECT_NE(buddies.find("buddies_total="), std::string::npos);
 
-  EXPECT_FALSE(shutdown);
-  EXPECT_EQ(session.parse_errors(), 0);
+  EXPECT_FALSE(conn.shutdown_requested());
+  EXPECT_EQ(conn.parse_errors(), 0);
   EXPECT_TRUE(pipeline.Stop().ok());
 }
 
@@ -227,14 +237,13 @@ std::vector<std::string> MetricNameSequence(const std::string& payload) {
 TEST(ProtocolSessionTest, QueryMetricsReturnsFramedExposition) {
   ServicePipeline pipeline(SmallPipelineOptions());
   ASSERT_TRUE(pipeline.Start().ok());
-  ProtocolSession session(&pipeline);
-  bool shutdown = false;
+  ServiceConnection conn(&pipeline);
   for (const std::string& line : GroupIngestLines()) {
-    ASSERT_EQ(session.HandleLine(line, &shutdown), "OK\n");
+    ASSERT_EQ(Exchange(&conn, line), "OK\n");
   }
-  ASSERT_EQ(session.HandleLine("FLUSH", &shutdown), "OK flushed\n");
+  ASSERT_EQ(Exchange(&conn, "FLUSH"), "OK flushed\n");
 
-  std::string response = session.HandleLine("QUERY metrics", &shutdown);
+  std::string response = Exchange(&conn, "QUERY metrics");
   ASSERT_EQ(response.rfind("OK ", 0), 0u);
   ASSERT_TRUE(response.size() >= 2 &&
               response.compare(response.size() - 2, 2, ".\n") == 0);
@@ -266,14 +275,13 @@ TEST(ProtocolSessionTest, QueryMetricsNamesAreDeterministicAcrossRuns) {
   for (int run = 0; run < 2; ++run) {
     ServicePipeline pipeline(SmallPipelineOptions());
     ASSERT_TRUE(pipeline.Start().ok());
-    ProtocolSession session(&pipeline);
-    bool shutdown = false;
+    ServiceConnection conn(&pipeline);
     for (const std::string& line : GroupIngestLines()) {
-      ASSERT_EQ(session.HandleLine(line, &shutdown), "OK\n");
+      ASSERT_EQ(Exchange(&conn, line), "OK\n");
     }
-    ASSERT_EQ(session.HandleLine("FLUSH", &shutdown), "OK flushed\n");
+    ASSERT_EQ(Exchange(&conn, "FLUSH"), "OK flushed\n");
     runs[run] =
-        MetricNameSequence(session.HandleLine("QUERY metrics", &shutdown));
+        MetricNameSequence(Exchange(&conn, "QUERY metrics"));
     EXPECT_TRUE(pipeline.Stop().ok());
   }
   ASSERT_FALSE(runs[0].empty());
@@ -310,8 +318,7 @@ TEST(ProtocolSessionTest, QueryMetricsNamesAreDeterministicAcrossRuns) {
 TEST(ProtocolSessionTest, MalformedLinesErrorButNeverWedgeTheSession) {
   ServicePipeline pipeline(SmallPipelineOptions());
   ASSERT_TRUE(pipeline.Start().ok());
-  ProtocolSession session(&pipeline);
-  bool shutdown = false;
+  ServiceConnection conn(&pipeline);
 
   const std::vector<std::string> malformed = {
       "",                             // empty frame
@@ -322,34 +329,34 @@ TEST(ProtocolSessionTest, MalformedLinesErrorButNeverWedgeTheSession) {
       "QUERY everything",             // unknown query
   };
   for (const std::string& line : malformed) {
-    std::string response = session.HandleLine(line, &shutdown);
+    std::string response = Exchange(&conn, line);
     EXPECT_EQ(response.rfind("ERR ", 0), 0u) << "line: " << line;
     EXPECT_EQ(response.find('\n'), response.size() - 1)
         << "error replies are single-line";
   }
-  EXPECT_EQ(session.parse_errors(),
+  EXPECT_EQ(conn.parse_errors(),
             static_cast<int64_t>(malformed.size()));
-  EXPECT_FALSE(shutdown);
+  EXPECT_FALSE(conn.shutdown_requested());
 
   // The session still serves correct requests afterwards.
-  EXPECT_EQ(session.HandleLine("INGEST 1 0.0 5.0 5.0", &shutdown), "OK\n");
-  EXPECT_EQ(session.HandleLine("FLUSH", &shutdown), "OK flushed\n");
+  EXPECT_EQ(Exchange(&conn, "INGEST 1 0.0 5.0 5.0"), "OK\n");
+  EXPECT_EQ(Exchange(&conn, "FLUSH"), "OK flushed\n");
   EXPECT_TRUE(pipeline.Stop().ok());
 }
 
 TEST(ProtocolSessionTest, OversizeAndShutdownHandling) {
   ServicePipeline pipeline(SmallPipelineOptions());
   ASSERT_TRUE(pipeline.Start().ok());
-  ProtocolSession session(&pipeline);
-  bool shutdown = false;
+  ServiceConnection conn(&pipeline);
 
-  std::string oversize = session.OversizeResponse();
+  std::string oversize =
+      Exchange(&conn, std::string(kMaxRequestLineBytes + 1, 'x'));
   EXPECT_EQ(oversize.rfind("ERR ", 0), 0u);
-  EXPECT_EQ(session.parse_errors(), 1);
+  EXPECT_EQ(conn.parse_errors(), 1);
 
-  std::string response = session.HandleLine("SHUTDOWN", &shutdown);
+  std::string response = Exchange(&conn, "SHUTDOWN");
   EXPECT_EQ(response, "OK shutting-down\n");
-  EXPECT_TRUE(shutdown);
+  EXPECT_TRUE(conn.shutdown_requested());
   EXPECT_TRUE(pipeline.Stop().ok());
 }
 
@@ -647,6 +654,88 @@ TEST(ServiceConnectionTest, MidFrameShutdownEmitsOneCleanShutdownFrame) {
   EXPECT_EQ(responses[1].type,
             static_cast<uint8_t>(BinaryResponseType::kShutdown));
   EXPECT_NE(responses[1].payload.find("re-send"), std::string::npos);
+  EXPECT_TRUE(pipeline.Stop().ok());
+}
+
+/// The refused-record count an INGEST ack carries in its payload.
+uint64_t RefusedCount(const BinaryResponse& ack) {
+  uint64_t refused = 0;
+  for (size_t i = 0; i < 8 && i < ack.payload.size(); ++i) {
+    refused |= static_cast<uint64_t>(
+                   static_cast<unsigned char>(ack.payload[i]))
+               << (8 * i);
+  }
+  return refused;
+}
+
+/// Re-offers parked records, as the event loop's retry tick does, until
+/// none are left (or 10 s pass).
+void RetryUntilAdmitted(ServiceConnection* conn) {
+  for (int i = 0; i < 10000 && conn->has_parked(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    conn->RetryParked();
+  }
+}
+
+/// A frame larger than the queue is admitted in one call up to capacity;
+/// the rest is parked — counted once — and the frame is acked once, with
+/// the whole frame's tally, after retries have admitted the tail.
+TEST(ServiceConnectionTest, ParkedFrameIsAckedOnceWithTheWholeTally) {
+  ServicePipelineOptions opts = SmallPipelineOptions();
+  opts.queue_capacity = 8;
+  ServicePipeline pipeline(opts);
+  ASSERT_TRUE(pipeline.Start().ok());
+  const MetricCounter* parked = pipeline.mutable_metrics()->GetCounter(
+      "tcomp_conn_records_parked_total", "", "");
+  ServiceConnection conn(&pipeline);
+
+  std::vector<TrajectoryRecord> records;
+  for (int i = 0; i < 300; ++i) {
+    TrajectoryRecord r;
+    r.object = static_cast<ObjectId>(i % 50);
+    r.timestamp = 10.0 + 0.01 * i;  // one window
+    r.pos.x = 100.0 + (i % 50);
+    r.pos.y = 50.0;
+    records.push_back(r);
+  }
+  std::string wire = EncodeIngestBatch(records.data(), records.size());
+  conn.Consume(wire.data(), wire.size());
+  // The queue was empty, so exactly its capacity went in; the ack waits.
+  EXPECT_TRUE(conn.has_parked());
+  EXPECT_TRUE(conn.out().empty());
+  EXPECT_EQ(parked->Value(), 292u);
+  RetryUntilAdmitted(&conn);
+  ASSERT_FALSE(conn.has_parked());
+  std::vector<BinaryResponse> responses = DrainResponses(&conn);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].type,
+            static_cast<uint8_t>(BinaryResponseType::kOk));
+  EXPECT_EQ(responses[0].value, 300u);
+  EXPECT_EQ(RefusedCount(responses[0]), 0u);
+  EXPECT_EQ(parked->Value(), 292u);  // retries do not count again
+
+  // The same frame with three out-of-range records in its parked tail
+  // (a record refused in front of the tail would split the first offer
+  // into two queue pushes, and the worker may drain in between).
+  ASSERT_TRUE(pipeline.Flush().ok());  // empty queue: 8 fit again
+  for (int i : {100, 200, 299}) records[i].pos.x = 1e16;
+  wire = EncodeIngestBatch(records.data(), records.size());
+  conn.Consume(wire.data(), wire.size());
+  EXPECT_EQ(parked->Value(), 2 * 292u);
+  RetryUntilAdmitted(&conn);
+  responses = DrainResponses(&conn);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].value, 297u);
+  EXPECT_EQ(RefusedCount(responses[0]), 3u);
+
+  ASSERT_TRUE(pipeline.Flush().ok());
+  ServiceStats stats = pipeline.Stats();
+  EXPECT_EQ(stats.records_ingested, 597);
+  EXPECT_EQ(stats.records_invalid, 3);
+  EXPECT_LE(stats.queue.depth_peak, 8);
+  EXPECT_NE(pipeline.MetricsText().find(
+                "tcomp_conn_records_parked_total 584\n"),
+            std::string::npos);
   EXPECT_TRUE(pipeline.Stop().ok());
 }
 
