@@ -1,74 +1,193 @@
 #include "data/trajectory_io.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
+
+#include "util/text_fields.h"
 
 namespace tcomp {
 namespace {
 
-/// Splits a CSV line; no quoting support (trajectory files don't use it).
-std::vector<std::string> SplitCsv(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, ',')) fields.push_back(field);
-  return fields;
-}
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
 
-/// Strict full-field parse: the whole field (modulo surrounding
-/// whitespace, so "\r"-terminated Windows lines still load) must be
-/// numeric. A prefix parse ("12abc" → 12) would silently corrupt a
-/// dataset instead of failing the load.
-bool ParseDouble(const std::string& s, double* out) {
-  size_t begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return false;
-  size_t end_idx = s.find_last_not_of(" \t\r");
-  char* end = nullptr;
-  *out = std::strtod(s.c_str() + begin, &end);
-  return end == s.c_str() + end_idx + 1;
-}
-
-/// A getline loop ends on EOF *or* on a hard read error; only the former
-/// is a complete file. Treating badbit as EOF silently truncates the
-/// dataset and reports OK — the exact failure the Status discipline
-/// exists to prevent.
-Status CheckStreamEnd(const std::istream& in, const std::string& path) {
-  if (in.bad()) {
-    return Status::IoError("read error before end of " + path);
+/// A text file read in kReadBlockBytes blocks through one buffer, never
+/// slurped: memory stays one block plus the longest line, whatever the
+/// file size.
+class BlockReader {
+ public:
+  Status Open(const std::string& path) {
+    path_ = path;
+    file_.reset(std::fopen(path.c_str(), "rb"));
+    if (!file_) return Status::IoError("cannot open " + path);
+    // Not zeroed: a page of the block is touched only once a read fills
+    // it, so a small file costs no more memory than its size.
+    block_ = std::make_unique_for_overwrite<char[]>(kReadBlockBytes);
+    return Status::OK();
   }
-  return Status::OK();
+
+  /// An upper bound on the line count of a regular file, from a first
+  /// pass that counts its '\n' bytes and then rewinds; 0 for input that
+  /// cannot seek (a pipe, a terminal), which is read in one pass.
+  Status CountLines(size_t* lines) {
+    *lines = 0;
+    struct stat st;
+    if (fstat(fileno(file_.get()), &st) != 0 || !S_ISREG(st.st_mode)) {
+      return Status::OK();
+    }
+    size_t n = 0;
+    while ((n = Read()) > 0) {
+      *lines += static_cast<size_t>(
+          std::count(block_.get(), block_.get() + n, '\n'));
+    }
+    if (std::ferror(file_.get())) return ReadError();
+    if (std::fseek(file_.get(), 0, SEEK_SET) != 0) {
+      return Status::IoError("cannot rewind " + path_);
+    }
+    ++*lines;  // a last line without '\n'
+    return Status::OK();
+  }
+
+  /// Calls `on_line(line, lineno)` for every line, without its '\n'; a
+  /// line that spans blocks is carried across them. Stops at the first
+  /// error `on_line` returns. A hard read error is IoError, never a
+  /// silently truncated file.
+  template <typename OnLine>
+  Status ForEachLine(OnLine on_line) {
+    std::string carry;
+    int64_t lineno = 0;
+    size_t n = 0;
+    while ((n = Read()) > 0) {
+      const char* p = block_.get();
+      const char* end = p + n;
+      while (const char* nl = static_cast<const char*>(
+                 std::memchr(p, '\n', static_cast<size_t>(end - p)))) {
+        std::string_view line(p, static_cast<size_t>(nl - p));
+        if (!carry.empty()) {
+          carry.append(p, nl);
+          line = carry;
+        }
+        TCOMP_RETURN_IF_ERROR(on_line(line, ++lineno));
+        carry.clear();
+        p = nl + 1;
+      }
+      carry.append(p, end);
+    }
+    if (std::ferror(file_.get())) return ReadError();
+    if (carry.empty()) return Status::OK();
+    return on_line(std::string_view(carry), ++lineno);
+  }
+
+ private:
+  size_t Read() {
+    return std::fread(block_.get(), 1, kReadBlockBytes, file_.get());
+  }
+  Status ReadError() const {
+    return Status::IoError("read error before end of " + path_);
+  }
+
+  std::string path_;
+  std::unique_ptr<std::FILE, FileCloser> file_;
+  std::unique_ptr<char[]> block_;
+};
+
+/// Empty lines (a lone CR included) and '#' comment lines carry no row.
+bool IsSkippedLine(std::string_view line) {
+  return line.empty() || line == "\r" || line[0] == '#';
+}
+
+/// Splits a comma-separated row (no quoting: trajectory files do not use
+/// it) into at most `max_fields` fields. Returns the field count, or
+/// max_fields + 1 when the row has more.
+size_t SplitRow(std::string_view row, std::string_view* fields,
+                size_t max_fields) {
+  size_t n = 0;
+  for (;;) {
+    size_t comma = row.find(',');
+    if (n == max_fields) return max_fields + 1;
+    fields[n++] = row.substr(0, comma);
+    if (comma == std::string_view::npos) return n;
+    row.remove_prefix(comma + 1);
+  }
+}
+
+Status RowError(const std::string& path, int64_t lineno,
+                const std::string& what) {
+  return Status::Corruption(path + ":" + std::to_string(lineno) + ": " +
+                            what);
+}
+
+Status FieldCountError(const std::string& path, int64_t lineno,
+                       size_t found, size_t expected) {
+  return RowError(path, lineno,
+                  "expected " + std::to_string(expected) + " fields, found " +
+                      (found > expected ? "more" : std::to_string(found)));
+}
+
+/// `field` is 1-based, as a user counts columns.
+Status FieldError(const std::string& path, int64_t lineno, int field,
+                  const char* name, std::string_view text,
+                  const char* expected) {
+  return RowError(path, lineno,
+                  "field " + std::to_string(field) + " (" + name + ") '" +
+                      std::string(text) + "' is not " + expected);
+}
+
+constexpr const char* kId = "a decimal uint32";
+constexpr const char* kFinite = "a finite number";
+
+/// A header row's first field cannot begin a number.
+bool IsHeaderRow(std::string_view first_field) {
+  first_field = TrimBlanks(first_field);
+  if (first_field.empty()) return false;
+  char c = first_field[0];
+  return !((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.');
 }
 
 }  // namespace
 
 Status ReadRecordCsv(const std::string& path,
                      std::vector<TrajectoryRecord>* records) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string line;
-  int64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> fields = SplitCsv(line);
-    if (fields.size() < 4) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": expected 4 fields");
+  BlockReader reader;
+  TCOMP_RETURN_IF_ERROR(reader.Open(path));
+  size_t lines = 0;
+  TCOMP_RETURN_IF_ERROR(reader.CountLines(&lines));
+  records->reserve(records->size() + lines);
+  bool header_allowed = true;
+  return reader.ForEachLine([&](std::string_view line,
+                                int64_t lineno) -> Status {
+    if (IsSkippedLine(line)) return Status::OK();
+    std::string_view f[4];
+    size_t n = SplitRow(line, f, 4);
+    if (header_allowed && IsHeaderRow(f[0])) {
+      header_allowed = false;
+      return Status::OK();
     }
-    double oid, ts, x, y;
-    if (!ParseDouble(fields[0], &oid)) continue;  // header row
-    if (!ParseDouble(fields[1], &ts) || !ParseDouble(fields[2], &x) ||
-        !ParseDouble(fields[3], &y)) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": malformed numeric field");
+    header_allowed = false;
+    if (n != 4) return FieldCountError(path, lineno, n, 4);
+    TrajectoryRecord r;
+    if (!ParseIdField(f[0], &r.object)) {
+      return FieldError(path, lineno, 1, "object id", f[0], kId);
     }
-    records->push_back(TrajectoryRecord{
-        static_cast<ObjectId>(oid), ts, Point{x, y}});
-  }
-  return CheckStreamEnd(in, path);
+    if (!ParseFiniteField(f[1], &r.timestamp)) {
+      return FieldError(path, lineno, 2, "timestamp", f[1], kFinite);
+    }
+    if (!ParseFiniteField(f[2], &r.pos.x)) {
+      return FieldError(path, lineno, 3, "x", f[2], kFinite);
+    }
+    if (!ParseFiniteField(f[3], &r.pos.y)) {
+      return FieldError(path, lineno, 4, "y", f[3], kFinite);
+    }
+    records->push_back(r);
+    return Status::OK();
+  });
 }
 
 Status WriteRecordCsv(const std::string& path,
@@ -88,31 +207,35 @@ Status WriteRecordCsv(const std::string& path,
 
 Status ReadGeoLifePlt(const std::string& path, ObjectId object,
                       std::vector<GpsRecord>* records) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string line;
-  // GeoLife .plt files carry six header lines.
-  for (int i = 0; i < 6 && std::getline(in, line); ++i) {
-  }
-  int64_t lineno = 6;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::vector<std::string> fields = SplitCsv(line);
-    if (fields.size() < 5) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": expected ≥5 fields");
+  BlockReader reader;
+  TCOMP_RETURN_IF_ERROR(reader.Open(path));
+  return reader.ForEachLine([&](std::string_view line,
+                                int64_t lineno) -> Status {
+    // GeoLife .plt files carry six header lines.
+    if (lineno <= 6 || IsSkippedLine(line)) return Status::OK();
+    std::string_view f[5];
+    size_t n = SplitRow(line, f, 5);
+    if (n < 5) {
+      return RowError(path, lineno,
+                      "expected at least 5 fields, found " +
+                          std::to_string(n));
     }
-    double lat, lon, days;
-    if (!ParseDouble(fields[0], &lat) || !ParseDouble(fields[1], &lon) ||
-        !ParseDouble(fields[4], &days)) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": malformed numeric field");
+    GpsRecord r;
+    r.object = object;
+    double days = 0.0;
+    if (!ParseFiniteField(f[0], &r.pos.lat)) {
+      return FieldError(path, lineno, 1, "latitude", f[0], kFinite);
     }
-    records->push_back(
-        GpsRecord{object, days * 86400.0, LatLon{lat, lon}});
-  }
-  return CheckStreamEnd(in, path);
+    if (!ParseFiniteField(f[1], &r.pos.lon)) {
+      return FieldError(path, lineno, 2, "longitude", f[1], kFinite);
+    }
+    if (!ParseFiniteField(f[4], &days)) {
+      return FieldError(path, lineno, 5, "serial day", f[4], kFinite);
+    }
+    r.timestamp = days * 86400.0;
+    records->push_back(r);
+    return Status::OK();
+  });
 }
 
 namespace {
@@ -146,29 +269,31 @@ bool ParseDateTime(const std::string& text, double* seconds) {
 
 Status ReadTDriveTxt(const std::string& path,
                      std::vector<GpsRecord>* records) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string line;
-  int64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::vector<std::string> fields = SplitCsv(line);
-    if (fields.size() < 4) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": expected 4 fields");
+  BlockReader reader;
+  TCOMP_RETURN_IF_ERROR(reader.Open(path));
+  return reader.ForEachLine([&](std::string_view line,
+                                int64_t lineno) -> Status {
+    if (IsSkippedLine(line)) return Status::OK();
+    std::string_view f[4];
+    size_t n = SplitRow(line, f, 4);
+    if (n != 4) return FieldCountError(path, lineno, n, 4);
+    GpsRecord r;
+    if (!ParseIdField(f[0], &r.object)) {
+      return FieldError(path, lineno, 1, "taxi id", f[0], kId);
     }
-    double id, lon, lat, ts;
-    if (!ParseDouble(fields[0], &id) || !ParseDouble(fields[2], &lon) ||
-        !ParseDouble(fields[3], &lat) ||
-        !ParseDateTime(fields[1], &ts)) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": malformed field");
+    if (!ParseDateTime(std::string(f[1]), &r.timestamp)) {
+      return FieldError(path, lineno, 2, "time", f[1],
+                        "a YYYY-MM-DD HH:MM:SS time");
     }
-    records->push_back(GpsRecord{static_cast<ObjectId>(id), ts,
-                                 LatLon{lat, lon}});
-  }
-  return CheckStreamEnd(in, path);
+    if (!ParseFiniteField(f[2], &r.pos.lon)) {
+      return FieldError(path, lineno, 3, "longitude", f[2], kFinite);
+    }
+    if (!ParseFiniteField(f[3], &r.pos.lat)) {
+      return FieldError(path, lineno, 4, "latitude", f[3], kFinite);
+    }
+    records->push_back(r);
+    return Status::OK();
+  });
 }
 
 std::vector<TrajectoryRecord> ProjectGpsRecords(

@@ -1,6 +1,7 @@
 #ifndef TCOMP_DATA_TRAJECTORY_IO_H_
 #define TCOMP_DATA_TRAJECTORY_IO_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,20 @@ struct GpsRecord {
   LatLon pos;
 };
 
-/// Reads a record CSV: one `object_id,timestamp,x,y` row per line
-/// (header lines starting with '#' or a non-numeric field are skipped).
-/// Appends to `*records`.
+/// The record readers read in blocks of this many bytes (exposed so
+/// tests can place a row across a block edge).
+inline constexpr size_t kReadBlockBytes = size_t{1} << 20;
+
+/// Reads a record CSV: one `object_id,timestamp,x,y` row per line, in the
+/// field grammar of util/text_fields.h. The id is a decimal uint32; the
+/// other three fields are finite doubles. Blanks around a field and a
+/// trailing '\r' are allowed; empty lines and lines starting with '#' are
+/// skipped anywhere. One header row, whose first field cannot begin a
+/// number, may come before the first record. Any other row that is not
+/// exactly four valid fields is Corruption naming `path:line` and the
+/// field. Appends to `*records`, sized once from a newline count when
+/// `path` is a regular file; a pipe (`/dev/stdin`) is read in one pass.
+/// A hard read error is IoError.
 Status ReadRecordCsv(const std::string& path,
                      std::vector<TrajectoryRecord>* records);
 
@@ -36,7 +48,8 @@ Status ReadGeoLifePlt(const std::string& path, ObjectId object,
 
 /// Reads one T-Drive taxi file (`taxi_id,YYYY-MM-DD HH:MM:SS,lon,lat`
 /// rows, no header) — the paper's D1 source format. The taxi id in the
-/// file is used as the object id; timestamps become seconds since the
+/// file is used as the object id, under the same uint32 grammar as a
+/// record CSV's; timestamps become seconds since the
 /// Unix epoch (the datetimes are treated as UTC — only differences
 /// matter downstream).
 Status ReadTDriveTxt(const std::string& path,

@@ -4,13 +4,26 @@
 
 namespace tcomp {
 
+ConnectionMetrics RegisterConnectionMetrics(MetricsRegistry* registry) {
+  ConnectionMetrics m;
+  m.frames = registry->GetCounter("tcomp_binary_frames_total", "",
+                                  "Binary request frames decoded");
+  m.records = registry->GetCounter(
+      "tcomp_binary_records_total", "",
+      "Records received in binary INGEST batches");
+  m.parse_errors = registry->GetCounter(
+      "tcomp_conn_parse_errors_total", "",
+      "Malformed request lines and frames, all connections");
+  m.records_parked = registry->GetCounter(
+      "tcomp_conn_records_parked_total", "",
+      "Records that found the ingest queue full and waited for a retry");
+  return m;
+}
+
 ServiceConnection::ServiceConnection(ServicePipeline* pipeline)
     : pipeline_(pipeline),
-      session_(pipeline),
-      records_parked_(pipeline->mutable_metrics()->GetCounter(
-          "tcomp_conn_records_parked_total", "",
-          "Records that found the ingest queue full and waited for a "
-          "retry")) {}
+      metrics_(RegisterConnectionMetrics(pipeline->mutable_metrics())),
+      session_(pipeline, metrics_.parse_errors) {}
 
 void ServiceConnection::Consume(const char* data, size_t n) {
   if (fatal_ || n == 0) return;
@@ -99,6 +112,7 @@ void ServiceConnection::HandleTextLine(const std::string& line) {
 
 void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
   ++frames_decoded_;
+  metrics_.frames->Increment();
   switch (static_cast<BinaryRequestType>(frame.type)) {
     case BinaryRequestType::kIngestBatch: {
       Timer decode_timer;
@@ -117,6 +131,7 @@ void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
         return;
       }
       records_batched_ += static_cast<int64_t>(pending_.size());
+      metrics_.records->Add(pending_.size());
       batch_open_ = true;
       batch_accepted_ = 0;
       batch_refused_ = 0;
@@ -171,7 +186,7 @@ bool ServiceConnection::OfferPending(bool first_offer) {
     out_ += result.accepted > 0 ? "OK\n"
                                 : ProtocolErrorLine(result.last_refusal);
   }
-  if (first_offer) records_parked_->Add(offered - result.consumed);
+  if (first_offer) metrics_.records_parked->Add(offered - result.consumed);
   if (pending_pos_ == pending_.size()) {
     pending_.clear();
     pending_pos_ = 0;

@@ -12,6 +12,20 @@
 
 namespace tcomp {
 
+/// The counters every connection of one pipeline shares in its metrics
+/// registry. They are bumped as the work happens, so a scrape sees what a
+/// connection has done while it is still open.
+struct ConnectionMetrics {
+  MetricCounter* frames;          // tcomp_binary_frames_total
+  MetricCounter* records;         // tcomp_binary_records_total
+  MetricCounter* parse_errors;    // tcomp_conn_parse_errors_total
+  MetricCounter* records_parked;  // tcomp_conn_records_parked_total
+};
+
+/// Registers (or finds) the ConnectionMetrics series in `registry`. The
+/// server calls it at start, so the series exist before any connection.
+ConnectionMetrics RegisterConnectionMetrics(MetricsRegistry* registry);
+
 /// Which wire protocol a connection speaks, decided by its first byte:
 /// 0xAB (the binary request magic) selects binary framing, anything else
 /// is the line protocol. The choice is sticky for the connection's life.
@@ -94,6 +108,7 @@ class ServiceConnection {
   void AppendBinaryError(const Status& status);
 
   ServicePipeline* pipeline_;
+  ConnectionMetrics metrics_;
   ProtocolSession session_;
   WireProtocol protocol_ = WireProtocol::kUnknown;
   LineFramer line_framer_;
@@ -104,9 +119,6 @@ class ServiceConnection {
   // are not disposed of yet. Empty whenever nothing is parked.
   std::vector<TrajectoryRecord> pending_;
   size_t pending_pos_ = 0;
-  // tcomp_conn_records_parked_total, shared by every connection of the
-  // pipeline's registry; bumped once per record when it is first parked.
-  MetricCounter* records_parked_;
 
   // An INGEST_BATCH whose ack is deferred until every record is disposed
   // of (admitted or refused). Text ingests park at most one record and

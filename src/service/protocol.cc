@@ -1,12 +1,12 @@
 #include "service/protocol.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "eval/export.h"
+#include "util/text_fields.h"
 
 namespace tcomp {
 namespace {
@@ -19,37 +19,6 @@ bool IsProtocolText(const std::string& line) {
     if (c == '\t') continue;
     if (c < 0x20 || c > 0x7E) return false;
   }
-  return true;
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
-bool ParseFiniteDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseObjectId(const std::string& token, ObjectId* out) {
-  if (token.empty()) return false;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-  }
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  if (v > 0xFFFFFFFFull) return false;
-  *out = static_cast<ObjectId>(v);
   return true;
 }
 
@@ -144,25 +113,27 @@ Status ParseRequest(const std::string& line, Request* request) {
   if (!IsProtocolText(line)) {
     return Status::InvalidArgument("non-ASCII byte in request line");
   }
-  std::vector<std::string> tokens = SplitTokens(line);
+  std::vector<std::string_view> tokens = SplitBlanks(line);
   if (tokens.empty()) {
     return Status::InvalidArgument("empty request");
   }
-  const std::string& verb = tokens[0];
+  std::string_view verb = tokens[0];
   if (verb == "INGEST") {
     if (tokens.size() != 5) {
       return Status::InvalidArgument(
           "INGEST expects: INGEST <object> <timestamp> <x> <y>");
     }
     TrajectoryRecord record;
-    if (!ParseObjectId(tokens[1], &record.object)) {
-      return Status::InvalidArgument("bad object id: " + tokens[1]);
+    if (!ParseIdField(tokens[1], &record.object)) {
+      return Status::InvalidArgument("bad object id: " +
+                                     std::string(tokens[1]));
     }
-    if (!ParseFiniteDouble(tokens[2], &record.timestamp)) {
-      return Status::InvalidArgument("bad timestamp: " + tokens[2]);
+    if (!ParseFiniteField(tokens[2], &record.timestamp)) {
+      return Status::InvalidArgument("bad timestamp: " +
+                                     std::string(tokens[2]));
     }
-    if (!ParseFiniteDouble(tokens[3], &record.pos.x) ||
-        !ParseFiniteDouble(tokens[4], &record.pos.y)) {
+    if (!ParseFiniteField(tokens[3], &record.pos.x) ||
+        !ParseFiniteField(tokens[4], &record.pos.y)) {
       return Status::InvalidArgument("bad coordinate");
     }
     request->type = Request::Type::kIngest;
@@ -184,7 +155,8 @@ Status ParseRequest(const std::string& line, Request* request) {
     } else if (tokens[1] == "metrics") {
       request->query = Request::QueryKind::kMetrics;
     } else {
-      return Status::InvalidArgument("unknown query: " + tokens[1]);
+      return Status::InvalidArgument("unknown query: " +
+                                     std::string(tokens[1]));
     }
     return Status::OK();
   }
@@ -202,14 +174,15 @@ Status ParseRequest(const std::string& line, Request* request) {
     request->type = Request::Type::kShutdown;
     return Status::OK();
   }
-  return Status::InvalidArgument("unknown command: " + verb);
+  return Status::InvalidArgument("unknown command: " + std::string(verb));
 }
 
-ProtocolSession::ProtocolSession(ServicePipeline* pipeline)
-    : pipeline_(pipeline) {}
+ProtocolSession::ProtocolSession(ServicePipeline* pipeline,
+                                 MetricCounter* parse_errors_total)
+    : pipeline_(pipeline), parse_errors_total_(parse_errors_total) {}
 
 std::string ProtocolSession::OversizeResponse() {
-  ++parse_errors_;
+  CountParseError();
   return ErrLine("INVALID_ARGUMENT",
                  "request line exceeds " +
                      std::to_string(kMaxRequestLineBytes) + " bytes");

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
 #include "service/pipeline.h"
 #include "stream/record.h"
 #include "util/status.h"
@@ -76,8 +77,9 @@ struct Request {
 
 /// Parses one request line. Rejects non-ASCII bytes (the protocol is
 /// ASCII; anything else — including valid UTF-8 multibyte sequences — is
-/// a framing error), unknown verbs, wrong arity, and non-finite or
-/// unparsable numeric fields.
+/// a framing error), unknown verbs, wrong arity, and INGEST fields outside
+/// the record-field grammar of util/text_fields.h — the one a record CSV
+/// is read with: a decimal uint32 id, finite doubles with no '+' or hex.
 Status ParseRequest(const std::string& line, Request* request);
 
 /// Formats the text protocol's `ERR <CODE> <message>\n` line (newlines in
@@ -100,7 +102,10 @@ struct QueryResult {
 /// which dispatches the requests.
 class ProtocolSession {
  public:
-  explicit ProtocolSession(ServicePipeline* pipeline);
+  /// Each malformed request also bumps `parse_errors_total`, the counter
+  /// every session of the pipeline shares.
+  ProtocolSession(ServicePipeline* pipeline,
+                  MetricCounter* parse_errors_total);
 
   /// Runs one query against the pipeline. Used by the text and the
   /// binary-frame dispatchers alike, so both protocols serve identical
@@ -112,13 +117,17 @@ class ProtocolSession {
 
   /// Counts one externally detected malformed request (e.g. a bad binary
   /// frame on a sniffed connection) against this session.
-  void CountParseError() { ++parse_errors_; }
+  void CountParseError() {
+    ++parse_errors_;
+    parse_errors_total_->Increment();
+  }
 
   /// Malformed lines seen on this session (parse errors + oversize).
   int64_t parse_errors() const { return parse_errors_; }
 
  private:
   ServicePipeline* pipeline_;
+  MetricCounter* parse_errors_total_;
   int64_t parse_errors_ = 0;
 };
 

@@ -85,9 +85,9 @@ Status CompanionServer::Start() {
                                     "Connections accepted by the event loop");
   m_conns_closed_ = reg->GetCounter("tcomp_conns_closed_total", "",
                                     "Connections closed by the event loop");
-  m_parse_errors_ =
-      reg->GetCounter("tcomp_conn_parse_errors_total", "",
-                      "Malformed request lines and frames, all connections");
+  // Frame, record and parse-error series are counted live by the
+  // connections themselves (ServiceConnection), not folded in at close.
+  RegisterConnectionMetrics(reg);
   m_rejected_admission_ = reg->GetCounter(
       "tcomp_conns_rejected_admission_total", "",
       "Connections refused with an error by the admission breaker");
@@ -97,11 +97,6 @@ Status CompanionServer::Start() {
   m_rejected_limit_ =
       reg->GetCounter("tcomp_conns_rejected_limit_total", "",
                       "Connections refused by the max-connections cap");
-  m_binary_frames_ = reg->GetCounter("tcomp_binary_frames_total", "",
-                                     "Binary request frames decoded");
-  m_binary_records_ =
-      reg->GetCounter("tcomp_binary_records_total", "",
-                      "Records received in binary INGEST batches");
   m_write_stalls_ = reg->GetCounter(
       "tcomp_conn_write_stalls_total", "",
       "Reads paused because a client's write window filled");
@@ -526,13 +521,10 @@ void CompanionServer::PublishMetrics() {
   }
   m_conns_opened_->Set(static_cast<uint64_t>(c.sessions_opened));
   m_conns_closed_->Set(static_cast<uint64_t>(c.sessions_closed));
-  m_parse_errors_->Set(static_cast<uint64_t>(c.parse_errors));
   m_rejected_admission_->Set(
       static_cast<uint64_t>(c.conns_rejected_admission));
   m_shed_admission_->Set(static_cast<uint64_t>(c.conns_shed_admission));
   m_rejected_limit_->Set(static_cast<uint64_t>(c.conns_rejected_limit));
-  m_binary_frames_->Set(static_cast<uint64_t>(c.binary_frames));
-  m_binary_records_->Set(static_cast<uint64_t>(c.binary_records));
   m_write_stalls_->Set(static_cast<uint64_t>(c.write_stalls));
   m_conns_open_->Set(static_cast<int64_t>(conns_.size()));
   m_admission_overloaded_->Set(admission_.overloaded() ? 1 : 0);

@@ -40,8 +40,9 @@ struct ServerOptions {
   AdmissionOptions admission;
 };
 
-/// Aggregated transport accounting (per-connection parse errors fold in
-/// when the connection ends).
+/// Aggregated transport accounting (per-connection parse errors, frames
+/// and records fold in when the connection ends; their metric series are
+/// live, see ConnectionMetrics).
 struct ServerCounters {
   int64_t sessions_opened = 0;
   int64_t sessions_closed = 0;
@@ -157,12 +158,9 @@ class CompanionServer {
   // identical across runs and resume — values change, names never do.
   MetricCounter* m_conns_opened_ = nullptr;
   MetricCounter* m_conns_closed_ = nullptr;
-  MetricCounter* m_parse_errors_ = nullptr;
   MetricCounter* m_rejected_admission_ = nullptr;
   MetricCounter* m_shed_admission_ = nullptr;
   MetricCounter* m_rejected_limit_ = nullptr;
-  MetricCounter* m_binary_frames_ = nullptr;
-  MetricCounter* m_binary_records_ = nullptr;
   MetricCounter* m_write_stalls_ = nullptr;
   MetricGauge* m_conns_open_ = nullptr;
   MetricGauge* m_admission_overloaded_ = nullptr;

@@ -1,27 +1,17 @@
 #include "util/flags.h"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
+#include "util/text_fields.h"
+
 namespace tcomp {
-namespace {
-
-/// Trims leading/trailing ASCII whitespace (strtol skips leading space
-/// itself, but trailing "\r" from Windows-edited scripts must not make a
-/// value malformed).
-std::string Trim(const std::string& text) {
-  size_t begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  size_t end = text.find_last_not_of(" \t\r\n");
-  return text.substr(begin, end - begin + 1);
-}
-
-}  // namespace
 
 StatusOr<int64_t> ParseInt64Text(const std::string& text) {
-  std::string t = Trim(text);
+  // A trailing "\r" from a Windows-edited script must not make a value
+  // malformed.
+  std::string t(TrimBlanks(text));
   if (t.empty()) return Status::InvalidArgument("empty integer");
   errno = 0;
   char* end = nullptr;
@@ -36,22 +26,16 @@ StatusOr<int64_t> ParseInt64Text(const std::string& text) {
 }
 
 StatusOr<double> ParseDoubleText(const std::string& text) {
-  std::string t = Trim(text);
-  if (t.empty()) return Status::InvalidArgument("empty number");
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(t.c_str(), &end);
-  if (end != t.c_str() + t.size()) {
-    return Status::InvalidArgument("not a number: '" + text + "'");
-  }
-  if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) {
-    return Status::OutOfRange("number out of range: '" + text + "'");
+  if (TrimBlanks(text).empty()) return Status::InvalidArgument("empty number");
+  double v = 0.0;
+  if (!ParseFiniteField(text, &v)) {
+    return Status::InvalidArgument("not a finite number: '" + text + "'");
   }
   return v;
 }
 
 StatusOr<bool> ParseBoolText(const std::string& text) {
-  std::string t = Trim(text);
+  std::string_view t = TrimBlanks(text);
   if (t == "true" || t == "1" || t == "yes" || t == "on") return true;
   if (t == "false" || t == "0" || t == "no" || t == "off") return false;
   return Status::InvalidArgument("not a boolean: '" + text + "'");

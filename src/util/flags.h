@@ -15,6 +15,8 @@ namespace tcomp {
 /// trailing garbage ("12abc"), overflow, and empty input are errors, not
 /// best-effort prefixes — atoi-style silent truncation has burned this
 /// codebase's determinism claims before, so nothing here uses it.
+/// ParseDoubleText takes the record-field grammar of util/text_fields.h:
+/// a finite double, so "inf", "nan", "+5" and hex are refused.
 StatusOr<int64_t> ParseInt64Text(const std::string& text);
 StatusOr<double> ParseDoubleText(const std::string& text);
 StatusOr<bool> ParseBoolText(const std::string& text);

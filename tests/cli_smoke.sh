@@ -87,6 +87,60 @@ for cmd in "generate --dataset d2 --out x.csv" \
     grep -q -- "unknown flag --no-such-flag" flag.err
 done
 
+# Runs a command that must exit with the given code; its stderr is left
+# in expect.err for the caller to check.
+expect_exit() {
+    want=$1
+    shift
+    rc=0
+    "$@" > /dev/null 2> expect.err || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "expected exit $want, got $rc: $*" >&2
+        cat expect.err >&2
+        exit 1
+    fi
+}
+
+# A record id outside the uint32 grammar is refused with its line, by
+# every reader of a record CSV (it used to load as 4294967295).
+printf 'object_id,timestamp,x,y\n1,0,1,2\n-1,0,3,4\n' > bad_id.csv
+expect_exit 1 "$CLI" discover --csv bad_id.csv --quiet
+grep -q "bad_id.csv:3:" expect.err
+expect_exit 1 "$CLI" feed --csv bad_id.csv --port 1
+grep -q "bad_id.csv:3:" expect.err
+# So is one in a truth file.
+printf '1 2 3\n-1 4\n' > bad.truth
+expect_exit 1 "$CLI" discover --csv d2.csv --quiet --truth bad.truth
+grep -q "bad.truth:2:" expect.err
+
+# Thresholds the discoverer cannot run with are usage errors naming the
+# flag, never an abort.
+for flag in "--epsilon 0" "--epsilon -1" "--epsilon nan" "--epsilon inf" \
+            "--mu 0" "--min-size 0" "--min-duration nan" \
+            "--window-seconds 0" "--window-objects 0" "--inactive -1"; do
+    # shellcheck disable=SC2086  # $flag is a flag and its value
+    expect_exit 2 "$CLI" discover --csv d2.csv --quiet $flag
+    grep -q -- "${flag%% *}" expect.err
+done
+expect_exit 2 "$CLI" serve --epsilon 0
+grep -q -- "--epsilon" expect.err
+expect_exit 2 "$CLI" blast --mu 0
+grep -q -- "--mu" expect.err
+expect_exit 2 "$CLI" serve --inactive -1
+grep -q -- "--inactive" expect.err
+expect_exit 2 "$CLI" suggest --csv d2.csv --window-seconds 0
+grep -q -- "--window-seconds" expect.err
+expect_exit 2 "$CLI" suggest --csv d2.csv --k 0
+grep -q -- "--k" expect.err
+expect_exit 1 "$CLI" blast --objects 0
+grep -q -- "--objects" expect.err
+
+# A pipe loads in one pass, to the same products as the file.
+cat d2.csv | "$CLI" discover --csv /dev/stdin --algo bu --epsilon 24 \
+    --mu 5 --min-size 10 --min-duration 10 --window-seconds 60 --quiet \
+    --out-csv pipe_out.csv > pipe.log
+cmp d2_out.csv pipe_out.csv
+
 # Service round trip: serve → feed → query → SIGTERM → resume → compare.
 # The stream is split at a window boundary (t = 1200 = snapshot 20 of 40
 # at 60 s/window); graceful shutdown closes the open window and writes a

@@ -130,6 +130,18 @@ TEST(ParseTextTest, DoubleRejectsGarbageAndPrefixes) {
   EXPECT_FALSE(ParseDoubleText("24,5").ok());
 }
 
+TEST(ParseTextTest, DoubleTakesTheRecordFieldGrammar) {
+  // Flags share the record files' field grammar: finite values only, and
+  // no '+' or hex. strtod took all of these; `--epsilon nan` then reached
+  // MakeDiscoverer's invariant checks and aborted the process.
+  for (const char* text :
+       {"inf", "-inf", "nan", "NaN", "1e999", "+5", "0x10", "1e-400"}) {
+    EXPECT_FALSE(ParseDoubleText(text).ok()) << text;
+  }
+  EXPECT_EQ(ParseDoubleText(".5").value(), 0.5);
+  EXPECT_EQ(ParseDoubleText("-0").value(), 0.0);
+}
+
 TEST(ParseTextTest, BoolAcceptsCanonicalTokens) {
   EXPECT_TRUE(ParseBoolText("true").value());
   EXPECT_TRUE(ParseBoolText("1").value());
@@ -157,6 +169,17 @@ TEST(FlagParserStrictTest, MalformedValueNamesTheFlag) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("--mu"), std::string::npos) << s.ToString();
   EXPECT_EQ(mu, 4);  // out still holds the default on error
+}
+
+TEST(FlagParserStrictTest, NonFiniteValueNamesTheFlag) {
+  FlagParser flags = Parse({"--epsilon", "nan", "--min-duration=inf"});
+  double epsilon = 0.0;
+  Status s = flags.GetStrict("epsilon", 20.0, &epsilon);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("--epsilon"), std::string::npos) << s.ToString();
+  EXPECT_EQ(epsilon, 20.0);
+  double duration = 0.0;
+  EXPECT_FALSE(flags.GetStrict("min-duration", 10.0, &duration).ok());
 }
 
 TEST(FlagParserStrictTest, IntRangeIsChecked) {

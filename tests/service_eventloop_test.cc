@@ -438,6 +438,64 @@ TEST(ServerRegressionTest, ParkedFramesAreAckedWithoutWaitingForTicks) {
 }
 
 // ---------------------------------------------------------------------
+// Connection counters are live: a scrape taken while a binary client is
+// still connected sees its frames and records, and a parse error shows up
+// before its connection closes.
+
+TEST(ServerMetricsTest, ConnectionCountersAreLiveWhileConnectionsAreOpen) {
+  ServicePipeline pipeline(SmallPipelineOptions());
+  ASSERT_TRUE(pipeline.Start().ok());
+  CompanionServer server(&pipeline, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kPerFrame = 100;
+  constexpr size_t kFrames = 3;
+  std::vector<TrajectoryRecord> records;
+  for (size_t i = 0; i < kFrames * kPerFrame; ++i) {
+    TrajectoryRecord r;
+    r.object = static_cast<ObjectId>(i % kPerFrame);
+    r.timestamp = 10.0 + 0.1 * static_cast<double>(i);  // one window
+    r.pos.x = 100.0 + static_cast<double>(i % kPerFrame);
+    r.pos.y = 50.0;
+    records.push_back(r);
+  }
+  FrameClient feeder;
+  feeder.Connect(server.port());
+  for (size_t f = 0; f < kFrames; ++f) {
+    feeder.Send(EncodeIngestBatch(&records[f * kPerFrame], kPerFrame));
+    BinaryResponse ack = feeder.ReadFrame();
+    ASSERT_EQ(ack.value, kPerFrame);
+  }
+
+  LineClient scraper;
+  scraper.Connect(server.port());
+  scraper.Send("BOGUS\n");
+  EXPECT_EQ(scraper.ReadLine().rfind("ERR", 0), 0u);
+  scraper.Send("QUERY metrics\n");
+  ASSERT_EQ(scraper.ReadLine().rfind("OK ", 0), 0u);
+  std::string text;
+  for (std::string line = scraper.ReadLine(); line != "." && !line.empty();
+       line = scraper.ReadLine()) {
+    text += line + "\n";
+  }
+  EXPECT_NE(text.find("\ntcomp_binary_frames_total 3\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\ntcomp_binary_records_total 300\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\ntcomp_conn_parse_errors_total 1\n"),
+            std::string::npos);
+
+  feeder.Close();
+  scraper.Close();
+  server.RequestStop();
+  server.Wait();
+  EXPECT_TRUE(pipeline.Stop().ok());
+  // The closed connections fold into the server's own tally once.
+  EXPECT_EQ(server.Counters().binary_records, 300);
+  EXPECT_EQ(server.Counters().parse_errors, 1);
+}
+
+// ---------------------------------------------------------------------
 // Kill + resume across a mid-batch shutdown must be byte-identical to an
 // uninterrupted run when the client honors the re-send contract.
 

@@ -462,6 +462,9 @@ Status RunBlast(const BlastOptions& options, BlastReport* report) {
   if (options.seconds_per_point <= 0.0) {
     return Status::InvalidArgument("seconds per point must be positive");
   }
+  if (options.objects < 1 || options.snapshots < 1) {
+    return Status::InvalidArgument("--objects and --snapshots must be >= 1");
+  }
   if (!options.pipeline.checkpoint_path.empty()) {
     return Status::InvalidArgument("blast does not support checkpoints");
   }

@@ -46,6 +46,7 @@
 #include "stream/sliding_window.h"
 #include "tools/blast.h"
 #include "util/flags.h"
+#include "util/text_fields.h"
 #include "util/timer.h"
 
 namespace tcomp {
@@ -140,6 +141,39 @@ bool ReadFlag(const char* command, const FlagParser& flags,
   return true;
 }
 
+/// Refuses, by flag name, the thresholds MakeDiscoverer() checks as
+/// invariants; run before every discoverer the CLI builds, so a bad flag
+/// value is a usage error, never an abort.
+Status CheckDiscoveryParams(const DiscoveryParams& params) {
+  if (!(params.cluster.epsilon > 0.0)) {
+    return Status::InvalidArgument("--epsilon must be > 0");
+  }
+  if (params.cluster.mu < 1) {
+    return Status::InvalidArgument("--mu must be >= 1");
+  }
+  if (params.size_threshold < 1) {
+    return Status::InvalidArgument("--min-size must be >= 1");
+  }
+  return Status::OK();
+}
+
+/// The same for the window and inactive-period flags, which
+/// SlidingWindowSnapshotter and InactivePeriodFiller check as invariants
+/// (a negative --window-objects would also wrap to a huge size_t).
+Status CheckWindowFlags(int window_objects, double window_seconds,
+                        int inactive) {
+  if (window_objects < 1) {
+    return Status::InvalidArgument("--window-objects must be >= 1");
+  }
+  if (!(window_seconds > 0.0)) {
+    return Status::InvalidArgument("--window-seconds must be > 0");
+  }
+  if (inactive < 0) {
+    return Status::InvalidArgument("--inactive must be >= 0");
+  }
+  return Status::OK();
+}
+
 Status WriteTruth(const std::string& path,
                   const std::vector<ObjectSet>& truth) {
   std::ofstream out(path);
@@ -153,16 +187,27 @@ Status WriteTruth(const std::string& path,
   return Status::OK();
 }
 
+/// Reads a truth file: one group per line, its object ids separated by
+/// blanks, each a decimal uint32 (the record-field grammar). Empty and
+/// '#' lines are skipped, as in a record CSV.
 Status ReadTruth(const std::string& path, std::vector<ObjectSet>* truth) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
   std::string line;
+  int64_t lineno = 0;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
+    ++lineno;
+    if (!line.empty() && line[0] == '#') continue;
     ObjectSet group;
-    std::istringstream row(line);
-    ObjectId id;
-    while (row >> id) group.push_back(id);
+    for (std::string_view token : SplitBlanks(line)) {
+      ObjectId id = 0;
+      if (!ParseIdField(token, &id)) {
+        return Status::Corruption(path + ":" + std::to_string(lineno) +
+                                  ": object id '" + std::string(token) +
+                                  "' is not a decimal uint32");
+      }
+      group.push_back(id);
+    }
     if (!group.empty()) {
       std::sort(group.begin(), group.end());
       truth->push_back(std::move(group));
@@ -289,6 +334,11 @@ int Discover(const FlagParser& flags) {
     return Usage();
   }
   params.cluster.threads = threads;
+  Status vs = CheckDiscoveryParams(params);
+  if (!vs.ok()) {
+    std::fprintf(stderr, "discover: %s\n", vs.ToString().c_str());
+    return Usage();
+  }
 
   std::string algo_name = flags.GetString("algo", "bu");
   Algorithm algorithm;
@@ -318,6 +368,11 @@ int Discover(const FlagParser& flags) {
       !ReadFlag("discover", flags, "window-seconds", 60.0,
                 &window_seconds) ||
       !ReadFlag("discover", flags, "inactive", 0, &inactive)) {
+    return Usage();
+  }
+  Status ws = CheckWindowFlags(window_objects, window_seconds, inactive);
+  if (!ws.ok()) {
+    std::fprintf(stderr, "discover: %s\n", ws.ToString().c_str());
     return Usage();
   }
   // The filler's last sightings are stream state: they ride in the
@@ -527,6 +582,15 @@ int Suggest(const FlagParser& flags) {
       !ReadFlag("suggest", flags, "k", 4, &k)) {
     return Usage();
   }
+  Status ws = CheckWindowFlags(1, wopts.window_length, 0);
+  if (!ws.ok()) {
+    std::fprintf(stderr, "suggest: %s\n", ws.ToString().c_str());
+    return Usage();
+  }
+  if (k < 1) {
+    std::fprintf(stderr, "suggest: --k must be >= 1\n");
+    return Usage();
+  }
   SlidingWindowSnapshotter window(wopts);
   SnapshotStream stream;
   for (const TrajectoryRecord& r : records) {
@@ -565,6 +629,11 @@ bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
     return false;
   }
   opts->params.cluster.threads = threads;
+  Status vs = CheckDiscoveryParams(opts->params);
+  if (!vs.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command, vs.ToString().c_str());
+    return false;
+  }
 
   std::string algo_name = flags.GetString("algo", "bu");
   if (algo_name == "ci") {
@@ -584,6 +653,12 @@ bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
   if (!ReadFlag(command, flags, "window-objects", 100, &window_objects) ||
       !ReadFlag(command, flags, "window-seconds", 60.0, &window_seconds) ||
       !ReadFlag(command, flags, "inactive", 0, &opts->inactive_fill)) {
+    return false;
+  }
+  Status ws =
+      CheckWindowFlags(window_objects, window_seconds, opts->inactive_fill);
+  if (!ws.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command, ws.ToString().c_str());
     return false;
   }
   if (flags.Has("window-objects")) {
@@ -1161,19 +1236,18 @@ int Blast(const FlagParser& flags) {
   }
 
   std::string curve = flags.GetString("curve", "");
-  if (!curve.empty()) {
-    std::istringstream in(curve);
-    std::string field;
-    while (std::getline(in, field, ',')) {
-      char* end = nullptr;
-      double rate = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0' || !(rate > 0.0)) {
-        std::fprintf(stderr, "blast: bad --curve entry '%s'\n",
-                     field.c_str());
-        return Usage();
-      }
-      bopts.offered_rates.push_back(rate);
+  for (std::string_view rest = curve; !rest.empty();) {
+    size_t comma = rest.find(',');
+    std::string_view field = rest.substr(0, comma);
+    double rate = 0.0;
+    if (!ParseFiniteField(field, &rate) || !(rate > 0.0)) {
+      std::fprintf(stderr, "blast: bad --curve entry '%.*s'\n",
+                   static_cast<int>(field.size()), field.data());
+      return Usage();
     }
+    bopts.offered_rates.push_back(rate);
+    rest = comma == std::string_view::npos ? std::string_view()
+                                           : rest.substr(comma + 1);
   }
 
   BlastReport report;
