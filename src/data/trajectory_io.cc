@@ -143,12 +143,19 @@ Status FieldError(const std::string& path, int64_t lineno, int field,
 constexpr const char* kId = "a decimal uint32";
 constexpr const char* kFinite = "a finite number";
 
-/// A header row's first field cannot begin a number.
-bool IsHeaderRow(std::string_view first_field) {
-  first_field = TrimBlanks(first_field);
-  if (first_field.empty()) return false;
-  char c = first_field[0];
-  return !((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.');
+/// A header row names the four columns: no field of it is empty or
+/// begins a number. A row such as `nan,0,1,2` is therefore a record with
+/// a bad id, not a header.
+bool IsHeaderRow(const std::string_view (&fields)[4]) {
+  for (std::string_view field : fields) {
+    field = TrimBlanks(field);
+    if (field.empty()) return false;
+    char c = field[0];
+    if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.') {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -166,12 +173,12 @@ Status ReadRecordCsv(const std::string& path,
     if (IsSkippedLine(line)) return Status::OK();
     std::string_view f[4];
     size_t n = SplitRow(line, f, 4);
-    if (header_allowed && IsHeaderRow(f[0])) {
+    if (n != 4) return FieldCountError(path, lineno, n, 4);
+    if (header_allowed && IsHeaderRow(f)) {
       header_allowed = false;
       return Status::OK();
     }
     header_allowed = false;
-    if (n != 4) return FieldCountError(path, lineno, n, 4);
     TrajectoryRecord r;
     if (!ParseIdField(f[0], &r.object)) {
       return FieldError(path, lineno, 1, "object id", f[0], kId);

@@ -27,12 +27,12 @@ inline constexpr size_t kReadBlockBytes = size_t{1} << 20;
 /// field grammar of util/text_fields.h. The id is a decimal uint32; the
 /// other three fields are finite doubles. Blanks around a field and a
 /// trailing '\r' are allowed; empty lines and lines starting with '#' are
-/// skipped anywhere. One header row, whose first field cannot begin a
-/// number, may come before the first record. Any other row that is not
-/// exactly four valid fields is Corruption naming `path:line` and the
-/// field. Appends to `*records`, sized once from a newline count when
-/// `path` is a regular file; a pipe (`/dev/stdin`) is read in one pass.
-/// A hard read error is IoError.
+/// skipped anywhere. One header row of four column names (no field empty
+/// or beginning a number) may come before the first record. Any other
+/// row that is not exactly four valid fields is Corruption naming
+/// `path:line` and the field. Appends to `*records`, sized once from a
+/// newline count when `path` is a regular file; a pipe (`/dev/stdin`) is
+/// read in one pass. A hard read error is IoError.
 Status ReadRecordCsv(const std::string& path,
                      std::vector<TrajectoryRecord>* records);
 

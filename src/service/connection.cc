@@ -111,7 +111,6 @@ void ServiceConnection::HandleTextLine(const std::string& line) {
 }
 
 void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
-  ++frames_decoded_;
   metrics_.frames->Increment();
   switch (static_cast<BinaryRequestType>(frame.type)) {
     case BinaryRequestType::kIngestBatch: {
@@ -130,7 +129,6 @@ void ServiceConnection::HandleFrame(const BinaryFrame& frame) {
         AppendBinaryError(ds);
         return;
       }
-      records_batched_ += static_cast<int64_t>(pending_.size());
       metrics_.records->Add(pending_.size());
       batch_open_ = true;
       batch_accepted_ = 0;

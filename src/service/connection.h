@@ -23,7 +23,8 @@ struct ConnectionMetrics {
 };
 
 /// Registers (or finds) the ConnectionMetrics series in `registry`. The
-/// server calls it at start, so the series exist before any connection.
+/// server calls it when it is built, so the series exist before any
+/// connection.
 ConnectionMetrics RegisterConnectionMetrics(MetricsRegistry* registry);
 
 /// Which wire protocol a connection speaks, decided by its first byte:
@@ -87,9 +88,6 @@ class ServiceConnection {
   /// oversize lines, bad frames).
   int64_t parse_errors() const { return session_.parse_errors(); }
 
-  int64_t frames_decoded() const { return frames_decoded_; }
-  int64_t records_batched() const { return records_batched_; }
-
   /// Pending response bytes. The server (or test) consumes from the
   /// front; Connection only ever appends.
   std::string& out() { return out_; }
@@ -129,8 +127,6 @@ class ServiceConnection {
 
   bool shutdown_requested_ = false;
   bool fatal_ = false;
-  int64_t frames_decoded_ = 0;
-  int64_t records_batched_ = 0;
 };
 
 }  // namespace tcomp

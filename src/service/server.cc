@@ -35,7 +35,11 @@ void DrainEventFd(int fd) {
 
 CompanionServer::CompanionServer(ServicePipeline* pipeline,
                                  const ServerOptions& options)
-    : pipeline_(pipeline), options_(options), admission_(options.admission) {}
+    : pipeline_(pipeline),
+      options_(options),
+      admission_(options.admission),
+      conn_metrics_(
+          RegisterConnectionMetrics(pipeline->mutable_metrics())) {}
 
 CompanionServer::~CompanionServer() {
   if (started_) {
@@ -85,9 +89,8 @@ Status CompanionServer::Start() {
                                     "Connections accepted by the event loop");
   m_conns_closed_ = reg->GetCounter("tcomp_conns_closed_total", "",
                                     "Connections closed by the event loop");
-  // Frame, record and parse-error series are counted live by the
-  // connections themselves (ServiceConnection), not folded in at close.
-  RegisterConnectionMetrics(reg);
+  // The frame, record and parse-error series are conn_metrics_, counted
+  // live by the connections themselves.
   m_rejected_admission_ = reg->GetCounter(
       "tcomp_conns_rejected_admission_total", "",
       "Connections refused with an error by the admission breaker");
@@ -133,8 +136,16 @@ void CompanionServer::Wait() {
 }
 
 ServerCounters CompanionServer::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  ServerCounters c;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    c = counters_;
+  }
+  c.parse_errors =
+      static_cast<int64_t>(conn_metrics_.parse_errors->Value());
+  c.binary_frames = static_cast<int64_t>(conn_metrics_.frames->Value());
+  c.binary_records = static_cast<int64_t>(conn_metrics_.records->Value());
+  return c;
 }
 
 size_t CompanionServer::SessionHandles() const {
@@ -407,9 +418,6 @@ void CompanionServer::CloseConn(int fd, CloseWhy why) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.sessions_closed;
-    counters_.parse_errors += logic->parse_errors();
-    counters_.binary_frames += logic->frames_decoded();
-    counters_.binary_records += logic->records_batched();
     switch (why) {
       case CloseWhy::kEof:
         if (logic->has_partial_request()) ++counters_.midline_disconnects;

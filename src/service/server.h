@@ -40,9 +40,9 @@ struct ServerOptions {
   AdmissionOptions admission;
 };
 
-/// Aggregated transport accounting (per-connection parse errors, frames
-/// and records fold in when the connection ends; their metric series are
-/// live, see ConnectionMetrics).
+/// Aggregated transport accounting. Parse errors, binary frames and
+/// binary records are read from the connections' live metric series
+/// (ConnectionMetrics), so they include connections still open.
 struct ServerCounters {
   int64_t sessions_opened = 0;
   int64_t sessions_closed = 0;
@@ -152,6 +152,9 @@ class CompanionServer {
 
   mutable std::mutex mu_;  // guards counters_ (loop writes, callers read)
   ServerCounters counters_;
+  // The series Counters() reads parse_errors, binary_frames and
+  // binary_records from; registered at construction.
+  ConnectionMetrics conn_metrics_;
 
   // Event-loop metric series, registered into the pipeline's registry at
   // Start() (before the port is announced) so the exposition name set is

@@ -252,6 +252,27 @@ TEST(TrajectoryIoTest, RefusesBadRowsWithTheirLineNumber) {
   }
 }
 
+TEST(TrajectoryIoTest, FirstRowIsAHeaderOnlyWithFourColumnNames) {
+  // The field count is checked before the header test, and a header has
+  // no numeric field: none of these first rows is skipped.
+  const char* bad_first_rows[] = {"id,t,x", "garbage", "id,t,x,y,z",
+                                  "nan,0,1,2", "id,,x,y"};
+  for (const char* row : bad_first_rows) {
+    std::string path = TempPath("bad_header.csv");
+    WriteFile(path, std::string("# comment\n") + row + "\n1,0.0,1.0,2.0\n");
+    std::vector<TrajectoryRecord> records;
+    Status s = ReadRecordCsv(path, &records);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << row;
+    EXPECT_NE(s.message().find(path + ":2: "), std::string::npos)
+        << row << " -> " << s.ToString();
+  }
+  std::string path = TempPath("good_header.csv");
+  WriteFile(path, " object_id , timestamp,x,y\r\n1,0.0,1.0,2.0\n");
+  std::vector<TrajectoryRecord> records;
+  ASSERT_TRUE(ReadRecordCsv(path, &records).ok());
+  EXPECT_EQ(records.size(), 1u);
+}
+
 TEST(TrajectoryIoTest, AcceptsFullIdRangeAndBlanksAroundFields) {
   std::string path = TempPath("id_range.csv");
   WriteFile(path, "0,0,1,2\n 4294967295 , 1.5 ,\t-2.5 ,3e2\t\r\n");

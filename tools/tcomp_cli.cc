@@ -582,9 +582,8 @@ int Suggest(const FlagParser& flags) {
       !ReadFlag("suggest", flags, "k", 4, &k)) {
     return Usage();
   }
-  Status ws = CheckWindowFlags(1, wopts.window_length, 0);
-  if (!ws.ok()) {
-    std::fprintf(stderr, "suggest: %s\n", ws.ToString().c_str());
+  if (!(wopts.window_length > 0.0)) {
+    std::fprintf(stderr, "suggest: --window-seconds must be > 0\n");
     return Usage();
   }
   if (k < 1) {
