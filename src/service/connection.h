@@ -84,10 +84,6 @@ class ServiceConnection {
   /// frame) — the server's midline-disconnect accounting on EOF.
   bool has_partial_request() const;
 
-  /// Malformed requests seen on this connection (text parse errors,
-  /// oversize lines, bad frames).
-  int64_t parse_errors() const { return session_.parse_errors(); }
-
   /// Pending response bytes. The server (or test) consumes from the
   /// front; Connection only ever appends.
   std::string& out() { return out_; }

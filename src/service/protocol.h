@@ -102,8 +102,8 @@ struct QueryResult {
 /// which dispatches the requests.
 class ProtocolSession {
  public:
-  /// Each malformed request also bumps `parse_errors_total`, the counter
-  /// every session of the pipeline shares.
+  /// Each malformed request bumps `parse_errors_total`, the counter every
+  /// session of the pipeline shares.
   ProtocolSession(ServicePipeline* pipeline,
                   MetricCounter* parse_errors_total);
 
@@ -116,19 +116,12 @@ class ProtocolSession {
   std::string OversizeResponse();
 
   /// Counts one externally detected malformed request (e.g. a bad binary
-  /// frame on a sniffed connection) against this session.
-  void CountParseError() {
-    ++parse_errors_;
-    parse_errors_total_->Increment();
-  }
-
-  /// Malformed lines seen on this session (parse errors + oversize).
-  int64_t parse_errors() const { return parse_errors_; }
+  /// frame on a sniffed connection).
+  void CountParseError() { parse_errors_total_->Increment(); }
 
  private:
   ServicePipeline* pipeline_;
   MetricCounter* parse_errors_total_;
-  int64_t parse_errors_ = 0;
 };
 
 }  // namespace tcomp

@@ -19,6 +19,14 @@
 namespace tcomp {
 namespace {
 
+// Malformed requests counted by every connection of `pipeline`; each test
+// below that reads it drives a single connection.
+int64_t ParseErrors(ServicePipeline* pipeline) {
+  return static_cast<int64_t>(
+      RegisterConnectionMetrics(pipeline->mutable_metrics())
+          .parse_errors->Value());
+}
+
 // ---------------------------------------------------------------------
 // LineFramer: byte-stream framing with a hard line cap.
 
@@ -207,7 +215,7 @@ TEST(ProtocolSessionTest, IngestFlushQueryRoundTrip) {
   EXPECT_NE(buddies.find("buddies_total="), std::string::npos);
 
   EXPECT_FALSE(conn.shutdown_requested());
-  EXPECT_EQ(conn.parse_errors(), 0);
+  EXPECT_EQ(ParseErrors(&pipeline), 0);
   EXPECT_TRUE(pipeline.Stop().ok());
 }
 
@@ -334,7 +342,7 @@ TEST(ProtocolSessionTest, MalformedLinesErrorButNeverWedgeTheSession) {
     EXPECT_EQ(response.find('\n'), response.size() - 1)
         << "error replies are single-line";
   }
-  EXPECT_EQ(conn.parse_errors(),
+  EXPECT_EQ(ParseErrors(&pipeline),
             static_cast<int64_t>(malformed.size()));
   EXPECT_FALSE(conn.shutdown_requested());
 
@@ -352,7 +360,7 @@ TEST(ProtocolSessionTest, OversizeAndShutdownHandling) {
   std::string oversize =
       Exchange(&conn, std::string(kMaxRequestLineBytes + 1, 'x'));
   EXPECT_EQ(oversize.rfind("ERR ", 0), 0u);
-  EXPECT_EQ(conn.parse_errors(), 1);
+  EXPECT_EQ(ParseErrors(&pipeline), 1);
 
   std::string response = Exchange(&conn, "SHUTDOWN");
   EXPECT_EQ(response, "OK shutting-down\n");
@@ -620,7 +628,7 @@ TEST(ServiceConnectionTest, BadFrameAnswersOneErrorFrameAndTurnsFatal) {
   EXPECT_EQ(responses[1].type,
             static_cast<uint8_t>(BinaryResponseType::kErr));
   EXPECT_TRUE(conn.fatal());
-  EXPECT_EQ(conn.parse_errors(), 1);
+  EXPECT_EQ(ParseErrors(&pipeline), 1);
 
   // A fatal connection ignores further input rather than resyncing.
   std::string more = EncodeBinaryRequest(BinaryRequestType::kFlush, 0, "");
