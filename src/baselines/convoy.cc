@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "core/incremental_cluster.h"
 #include "util/label_rows.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
@@ -38,11 +37,8 @@ std::vector<Convoy> DiscoverConvoys(const SnapshotStream& stream,
     }
   };
 
-  // Fresh per call, so repeated DiscoverConvoys() runs are deterministic;
-  // the incremental state only spans this stream. Products are identical
-  // to per-snapshot Dbscan (and to this function before the clusterer
-  // existed) by the layer's byte-identity guarantee.
-  IncrementalClusterer clusterer(params.cluster);
+  // One per call: its scratch is reused across this stream's snapshots.
+  SnapshotClusterer clusterer(params.cluster);
   LabelTable cluster_labels;  // rebuilt per snapshot, storage reused
   std::vector<int32_t> row;
   std::vector<uint32_t> counts;
@@ -53,7 +49,7 @@ std::vector<Convoy> DiscoverConvoys(const SnapshotStream& stream,
     Clustering clustering =
         params.cluster_provider
             ? params.cluster_provider(stream[t], &local.distance_ops)
-            : clusterer.Cluster(stream[t], &local.distance_ops, nullptr);
+            : clusterer.Cluster(stream[t], &local.distance_ops);
     cluster_timer.Stop();
     if (stage_sink != nullptr) {
       stage_sink->RecordStage(Stage::kCluster, cluster_timer.Seconds());

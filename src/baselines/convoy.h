@@ -21,9 +21,9 @@ struct ConvoyParams {
   int min_objects = 10;   // m
   int min_lifetime = 10;  // k, in snapshots
   /// External per-snapshot clustering backend (e.g. the sharded engine,
-  /// src/shard/); empty uses the built-in incremental clusterer. Must
-  /// obey the Clustering determinism spec of core/dbscan.h — convoy
-  /// products are then identical by construction (differential-tested).
+  /// src/shard/); empty uses the built-in SnapshotClusterer. Must obey
+  /// the Clustering determinism spec of core/dbscan.h — convoy products
+  /// are then identical by construction (differential-tested).
   ClusterProvider cluster_provider;
 };
 

@@ -10,13 +10,13 @@ namespace tcomp {
 namespace {
 
 constexpr char kMagic[] = "tcomp-checkpoint";
-// Version 3: the clusterer section records whether its rₑ lists exist,
-// and a `stream` section after the discoverer's carries the
-// inactive-period filler. Version 2 added the cluster_reuse /
-// cluster_dirty / cluster_full_rebuilds counters and the incremental
-// clusterer's anchors. Older checkpoints are rejected (what they lack
-// cannot be reconstructed after the fact).
-constexpr int kVersion = 3;
+// Version 4: CI and SC write no `clusterer` section, since no clustering
+// state outlives a snapshot. Version 3 added the `stream` section after
+// the discoverer's, which carries the inactive-period filler. Every other
+// version is refused: older files lack the filler, and a version-3 file
+// would need its `clusterer` section skipped, which takes more code than
+// refusing it.
+constexpr int kVersion = 4;
 
 }  // namespace
 

@@ -10,35 +10,11 @@ namespace tcomp {
 
 ClusteringIntersectionDiscoverer::ClusteringIntersectionDiscoverer(
     const DiscoveryParams& params)
-    : params_(params), clusterer_(params.cluster) {}
+    : ObjectClusteringDiscoverer(params.cluster), params_(params) {}
 
 void ClusteringIntersectionDiscoverer::ProcessSnapshot(
     const Snapshot& snapshot, std::vector<Companion>* newly_qualified) {
-  Timer cluster_timer;
-  cluster_timer.Start();
-  Clustering clustering;
-  if (cluster_provider_) {
-    // External C-step backend (e.g. the sharded engine). The provider
-    // owns its own reuse strategy, so the incremental reuse/dirty
-    // counters stay 0 on this path.
-    clustering = cluster_provider_(snapshot, &stats_.distance_ops);
-  } else {
-    ClusterDeltaStats cluster_delta;
-    clustering =
-        clusterer_.Cluster(snapshot, &stats_.distance_ops, &cluster_delta);
-    stats_.cluster_reuse += cluster_delta.reuse;
-    stats_.cluster_dirty += cluster_delta.dirty;
-    stats_.cluster_full_rebuilds += cluster_delta.full_rebuilds;
-    stats_.soa_batches += cluster_delta.soa_batches;
-    stats_.soa_lanes += cluster_delta.soa_lanes;
-    stats_.eps_filter_seconds += cluster_delta.eps_filter_seconds;
-    if (cluster_delta.eps_filter_seconds > 0.0) {
-      RecordStage(Stage::kEpsFilter, cluster_delta.eps_filter_seconds);
-    }
-  }
-  cluster_timer.Stop();
-  stats_.cluster_seconds += cluster_timer.Seconds();
-  RecordStage(Stage::kCluster, cluster_timer.Seconds());
+  const Clustering clustering = ClusterObjects(snapshot);
 
   Timer intersect_timer;
   intersect_timer.Start();
@@ -123,7 +99,6 @@ void ClusteringIntersectionDiscoverer::ProcessSnapshot(
 
 void ClusteringIntersectionDiscoverer::Reset() {
   candidates_.clear();
-  clusterer_.Reset();
   log_.Clear();
   stats_ = DiscoveryStats{};
   snapshot_index_ = 0;
@@ -133,14 +108,12 @@ void ClusteringIntersectionDiscoverer::Reset() {
 Status ClusteringIntersectionDiscoverer::SaveState(std::ostream& out) const {
   SaveCommon(out);
   SaveCandidates(out, candidates_);
-  clusterer_.SaveState(out);
   return Status::OK();
 }
 
 Status ClusteringIntersectionDiscoverer::LoadState(std::istream& in) {
   TCOMP_RETURN_IF_ERROR(LoadCommon(in));
-  TCOMP_RETURN_IF_ERROR(LoadCandidates(in, &candidates_));
-  return clusterer_.LoadState(in);
+  return LoadCandidates(in, &candidates_);
 }
 
 }  // namespace tcomp

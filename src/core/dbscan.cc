@@ -7,6 +7,7 @@
 #include "util/eps_filter.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace tcomp {
 
@@ -242,59 +243,6 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
   return ops;
 }
 
-void AppendPairsToRows(const uint64_t* pairs, size_t count,
-                       const uint32_t* value, Arena* arena,
-                       std::vector<std::vector<uint32_t>>* rows) {
-  const size_t nrows = rows->size();
-  uint32_t* degree = arena->AllocateArray<uint32_t>(nrows);
-  std::fill(degree, degree + nrows, 0u);
-  for (size_t k = 0; k < count; ++k) {
-    const uint64_t a = pairs[k] >> 32;
-    const uint32_t b = static_cast<uint32_t>(pairs[k]);
-    if (a < nrows) ++degree[a];
-    if (b < nrows) ++degree[b];
-  }
-  const auto value_of = [value](uint32_t k) {
-    return value == nullptr ? k : value[k];
-  };
-  // Sizing every row once up front replaces the ~log(degree)
-  // reallocations incremental push_backs would cost per row.
-  uint32_t max_appended = 0;
-  for (uint32_t r = 0; r < nrows; ++r) {
-    if (degree[r] == 0) continue;
-    max_appended = std::max(max_appended, degree[r]);
-    std::vector<uint32_t>& row = (*rows)[r];
-    row.reserve(row.size() + degree[r]);
-  }
-  for (size_t k = 0; k < count; ++k) {
-    const uint32_t a = static_cast<uint32_t>(pairs[k] >> 32);
-    const uint32_t b = static_cast<uint32_t>(pairs[k]);
-    if (a < nrows) (*rows)[a].push_back(value_of(b));
-    if (b < nrows) (*rows)[b].push_back(value_of(a));
-  }
-  // Sort each appended tail, then merge it into the row's kept prefix
-  // from the back: a carried list that gained a few entries costs one
-  // linear pass instead of a full re-sort.
-  uint32_t* tail = arena->AllocateArray<uint32_t>(max_appended);
-  for (uint32_t r = 0; r < nrows; ++r) {
-    const size_t appended = degree[r];
-    if (appended == 0) continue;
-    std::vector<uint32_t>& row = (*rows)[r];
-    size_t kept = row.size() - appended;
-    std::sort(row.begin() + kept, row.end());
-    if (kept == 0 || row[kept - 1] <= row[kept]) continue;
-    std::copy(row.begin() + kept, row.end(), tail);
-    size_t out = row.size();
-    for (size_t t = appended; t > 0;) {
-      if (kept > 0 && row[kept - 1] > tail[t - 1]) {
-        row[--out] = row[--kept];
-      } else {
-        row[--out] = tail[--t];
-      }
-    }
-  }
-}
-
 }  // namespace internal
 
 Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
@@ -339,18 +287,36 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
   return internal::BuildClusteringFromCores(snapshot, table, params.mu);
 }
 
+SnapshotClusterer::SnapshotClusterer(const DbscanParams& params)
+    : params_(params) {}
+
+Clustering SnapshotClusterer::Cluster(const Snapshot& snapshot,
+                                      int64_t* distance_ops,
+                                      SweepCost* cost) {
+  // The previous snapshot's scratch dies here; after the high-water
+  // snapshot this is a cursor rewind, not an allocation.
+  arena_.Reset();
+  const size_t n = snapshot.size();
+  Timer sweep_timer;
+  sweep_timer.Start();
+  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
+  int64_t batches = 0;
+  const int64_t swept = internal::SweepNeighborPairs(
+      soa.x, soa.y, n, params_.epsilon, nullptr, &arena_, &pairs_, &batches);
+  const NeighborTable table = internal::NeighborTableFromPairs(
+      pairs_.data(), pairs_.size(), n, &arena_);
+  sweep_timer.Stop();
+  if (distance_ops != nullptr) *distance_ops += swept;
+  if (cost != nullptr) {
+    cost->batches += batches;
+    cost->seconds += sweep_timer.Seconds();
+  }
+  return internal::BuildClusteringFromCores(snapshot, table, params_.mu);
+}
+
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops) {
-  const size_t n = snapshot.size();
-  Arena arena;
-  std::vector<uint64_t> pairs;
-  const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
-  const int64_t ops = internal::SweepNeighborPairs(
-      soa.x, soa.y, n, params.epsilon, nullptr, &arena, &pairs);
-  const NeighborTable table =
-      internal::NeighborTableFromPairs(pairs.data(), pairs.size(), n, &arena);
-  if (distance_ops != nullptr) *distance_ops += ops;
-  return internal::BuildClusteringFromCores(snapshot, table, params.mu);
+  return SnapshotClusterer(params).Cluster(snapshot, distance_ops);
 }
 
 }  // namespace tcomp

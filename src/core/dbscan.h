@@ -20,8 +20,8 @@ namespace tcomp {
 /// and BU's buddy stages across the shared pool (util/thread_pool.h).
 /// Results — labels, core flags, clusters, and the distance_ops counter —
 /// are bit-identical at every thread count; 1 (the default) bypasses the
-/// pool entirely. DbscanGrid and the incremental clusterer are serial and
-/// ignore it; the parallel ε path is the sharded engine (src/shard/).
+/// pool entirely. DbscanGrid and SnapshotClusterer are serial and ignore
+/// it; the parallel ε path is the sharded engine (src/shard/).
 struct DbscanParams {
   double epsilon = 1.0;
   int mu = 3;
@@ -86,8 +86,9 @@ struct NeighborTable {
 /// Pluggable snapshot-clustering backend: given a snapshot, produce the
 /// Clustering described above — same determinism spec, same closed-ball
 /// neighborhood — incrementing `distance_ops` (never null is not
-/// guaranteed; check) by the distance evaluations spent. The sharded
-/// C-step engine (src/shard/) is injected through this type; see
+/// guaranteed; check) by the distance evaluations spent. It replaces the
+/// built-in SnapshotClusterer: the sharded C-step engine (src/shard/) and
+/// road-network DBSCAN (src/network/) are injected through this type; see
 /// CompanionDiscoverer::SetClusterProvider and ConvoyParams.
 using ClusterProvider =
     std::function<Clustering(const Snapshot& snapshot, int64_t* distance_ops)>;
@@ -105,20 +106,65 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
 /// at most once (so at most n(n-1)/2). Serial; `params.threads` is
 /// ignored. Used by generators/examples where a fast exact clustering is
 /// needed and as a reference point in the clustering microbenchmarks;
-/// tests pin it against Dbscan().
+/// tests pin it against Dbscan(). One call runs one SnapshotClusterer.
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
 
+/// What SnapshotClusterer::Cluster spent in its ε sweep besides its
+/// distance_ops (which are also the kernel's lanes): the kernel batches
+/// dispatched, and the wall time of the sweep plus the neighbor-table
+/// build. The time is for monitoring only, never read back into control
+/// flow.
+struct SweepCost {
+  int64_t batches = 0;
+  double seconds = 0.0;
+};
+
+/// DbscanGrid for a stream, and the built-in C-step of CI, SC and the
+/// convoy baseline: each call clusters one snapshot with one ε sweep
+/// (internal::SweepNeighborPairs), the neighbor table and the shared
+/// finisher, exactly as DbscanGrid does. The scratch arena and the sweep's
+/// pair buffer are kept across calls, so once the stream's largest
+/// snapshot has sized them a call allocates no scratch from the heap
+/// (tests/soa_differential_test.cc pins this). Nothing else survives a
+/// call: every snapshot's products and distance_ops are DbscanGrid's, and
+/// a checkpoint has nothing of it to save. DESIGN.md §1.6c records why
+/// no neighborhood state is carried from one snapshot to the next.
+///
+/// Serial; `params.threads` is ignored. Not thread-safe; one instance per
+/// stream, like the discoverers.
+class SnapshotClusterer {
+ public:
+  explicit SnapshotClusterer(const DbscanParams& params);
+
+  /// Clusters `snapshot`. `distance_ops` and `cost`, when non-null, grow
+  /// by the sweep's candidate pairs and by its SweepCost.
+  Clustering Cluster(const Snapshot& snapshot, int64_t* distance_ops,
+                     SweepCost* cost = nullptr);
+
+  /// Heap bytes the scratch holds: the arena's blocks plus the pair
+  /// buffer's capacity. Stable once the stream's high-water snapshot has
+  /// been seen.
+  size_t ScratchBytes() const {
+    return arena_.allocated_bytes() + pairs_.capacity() * sizeof(uint64_t);
+  }
+
+ private:
+  DbscanParams params_;
+  Arena arena_;
+  std::vector<uint64_t> pairs_;
+};
+
 namespace internal {
 
-/// The one ε-neighborhood builder behind DbscanGrid, the shard stripes
-/// and the incremental clusterer's rebuild (at ε) and rₑ lists
-/// (DESIGN.md §1.6d). Given n points as SoA coordinates `xs`/`ys`, a
-/// `radius` > 0 and an optional per-point 0/1 `source` mask (null =
-/// every point is a source), it appends to `pairs` (cleared first) every
-/// pair within `radius` — closed ball, the WithinEps compare — that
-/// involves a source, exactly once, packed as (s << 32 | p) with s the
-/// source that evaluated it:
+/// The one ε-neighborhood builder behind SnapshotClusterer (and so
+/// DbscanGrid), the shard stripes and BU's buddy sweeps (DESIGN.md
+/// §1.6d). Given n points as SoA coordinates `xs`/`ys`, a `radius` > 0
+/// and an optional per-point 0/1 `source` mask (null = every point is a
+/// source), it appends to `pairs` (cleared first) every pair within
+/// `radius` — closed ball, the WithinEps compare — that involves a
+/// source, exactly once, packed as (s << 32 | p) with s the source that
+/// evaluated it:
 ///   - a source–source pair from the smaller index (s < p);
 ///   - a source–non-source pair from the source side.
 /// Pairs of two non-sources are never evaluated.
@@ -136,17 +182,6 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
                            double radius, const uint8_t* source,
                            Arena* arena, std::vector<uint64_t>* pairs,
                            int64_t* batches = nullptr);
-
-/// Materializes pairs (a << 32 | b) as ascending rows: row a gains
-/// value[b] and row b gains value[a], where an endpoint ≥ rows->size()
-/// has no row and `value` null means the identity. Rows keep what they
-/// already hold, which must be sorted: each row is reserved once, and its
-/// new entries are sorted and merged into what it held, so every row ends
-/// ascending. Scratch comes from `arena`. Serves the incremental
-/// clusterer's carried rₑ lists only; ε-graphs go into a NeighborTable.
-void AppendPairsToRows(const uint64_t* pairs, size_t count,
-                       const uint32_t* value, Arena* arena,
-                       std::vector<std::vector<uint32_t>>* rows);
 
 /// Fills a NeighborTable of n rows from packed pairs (a << 32 | b) over
 /// a local index space, in two passes over the same pair lists:

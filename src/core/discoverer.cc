@@ -8,6 +8,7 @@
 #include "core/clustering_intersection.h"
 #include "core/smart_closed.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace tcomp {
 
@@ -129,6 +130,31 @@ Status CompanionDiscoverer::LoadCandidates(
     candidates->push_back(Candidate{std::move(objects), duration});
   }
   return Status::OK();
+}
+
+Clustering ObjectClusteringDiscoverer::ClusterObjects(
+    const Snapshot& snapshot) {
+  Timer cluster_timer;
+  cluster_timer.Start();
+  Clustering clustering;
+  if (cluster_provider_) {
+    clustering = cluster_provider_(snapshot, &stats_.distance_ops);
+  } else {
+    int64_t swept = 0;
+    SweepCost sweep;
+    clustering = clusterer_.Cluster(snapshot, &swept, &sweep);
+    stats_.distance_ops += swept;
+    stats_.soa_lanes += swept;
+    stats_.soa_batches += sweep.batches;
+    stats_.cluster_dirty += static_cast<int64_t>(snapshot.size());
+    ++stats_.cluster_full_rebuilds;
+    stats_.eps_filter_seconds += sweep.seconds;
+    if (sweep.seconds > 0.0) RecordStage(Stage::kEpsFilter, sweep.seconds);
+  }
+  cluster_timer.Stop();
+  stats_.cluster_seconds += cluster_timer.Seconds();
+  RecordStage(Stage::kCluster, cluster_timer.Seconds());
+  return clustering;
 }
 
 const char* AlgorithmName(Algorithm algorithm) {

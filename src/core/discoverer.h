@@ -6,6 +6,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/candidate.h"
@@ -54,14 +55,15 @@ struct DiscoveryStats {
   int64_t buddies_unchanged = 0;     // Σ per-snapshot unchanged buddies
   int64_t buddy_member_sum = 0;      // Σ per-snapshot Σ|b| (avg size calc)
 
-  // Incremental clustering layer (core/incremental_cluster.h); zero for
-  // algorithms that re-cluster from scratch (BU) and when a cluster
-  // provider replaces the built-in clusterer. `cluster_reuse / (cluster_reuse + cluster_dirty)` is the
-  // fraction of object-snapshots whose neighborhood state was carried
-  // over — the coherence the layer exploits.
-  int64_t cluster_reuse = 0;          // Σ per-snapshot stable objects
-  int64_t cluster_dirty = 0;          // Σ per-snapshot reprobed objects
-  int64_t cluster_full_rebuilds = 0;  // snapshots that fell back to full
+  // Kept for the benchmark ledger (bench/ledger reads all three) until
+  // it retires them (ROADMAP item 7); no neighborhood state is carried
+  // between snapshots any more (DESIGN.md §1.6c). Each snapshot the
+  // built-in SnapshotClusterer clusters adds 1 to cluster_full_rebuilds
+  // and its object count to cluster_dirty; cluster_reuse stays 0. Zero
+  // for BU and on the cluster-provider path.
+  int64_t cluster_reuse = 0;
+  int64_t cluster_dirty = 0;
+  int64_t cluster_full_rebuilds = 0;
 
   // SoA ε-filter kernels (util/eps_filter.h): batches dispatched and
   // candidate lanes streamed through them. Zero when the algorithm's
@@ -223,6 +225,34 @@ class CompanionDiscoverer {
   ReportSink report_sink_;
   StageTimerSink* stage_sink_ = nullptr;
   int64_t snapshot_index_ = 0;
+};
+
+/// Base of the discoverers whose C-step clusters the snapshot's objects:
+/// CI and SC (BU clusters buddies). It holds their one C-step: the
+/// cluster provider if one is set, otherwise the built-in
+/// SnapshotClusterer, which also folds its sweep into the stats
+/// (distance_ops, the soa_* counters, eps_filter_seconds, and the three
+/// ledger counters) and records Stage::kEpsFilter; either way the whole
+/// step is timed as Stage::kCluster. The provider replaces only where
+/// the distance evaluations happen: with it, the stats gain what the
+/// provider adds to distance_ops and nothing else.
+class ObjectClusteringDiscoverer : public CompanionDiscoverer {
+ public:
+  bool SetClusterProvider(ClusterProvider provider) override {
+    cluster_provider_ = std::move(provider);
+    return true;
+  }
+
+ protected:
+  explicit ObjectClusteringDiscoverer(const DbscanParams& params)
+      : clusterer_(params) {}
+
+  /// The C-step of one snapshot.
+  Clustering ClusterObjects(const Snapshot& snapshot);
+
+ private:
+  ClusterProvider cluster_provider_;  // empty = clusterer_
+  SnapshotClusterer clusterer_;
 };
 
 /// Factory for the three incremental algorithms.

@@ -9,48 +9,15 @@
 namespace tcomp {
 
 SmartClosedDiscoverer::SmartClosedDiscoverer(const DiscoveryParams& params)
-    : params_(params), clusterer_(params.cluster) {
+    : ObjectClusteringDiscoverer(params.cluster), params_(params) {
   // SC reports only closed companions (Definition 5 applied to outputs);
   // emitting the redundant non-closed ones is CI's failure mode.
   log_.set_closed_mode(true);
 }
 
-SmartClosedDiscoverer::SmartClosedDiscoverer(const DiscoveryParams& params,
-                                             ClusteringFn clustering)
-    : params_(params),
-      clustering_fn_(std::move(clustering)),
-      clusterer_(params.cluster) {
-  log_.set_closed_mode(true);
-}
-
 void SmartClosedDiscoverer::ProcessSnapshot(
     const Snapshot& snapshot, std::vector<Companion>* newly_qualified) {
-  Timer cluster_timer;
-  cluster_timer.Start();
-  Clustering clustering;
-  if (cluster_provider_) {
-    // External C-step backend (e.g. the sharded engine); the incremental
-    // reuse/dirty counters stay 0 on this path.
-    clustering = cluster_provider_(snapshot, &stats_.distance_ops);
-  } else if (clustering_fn_) {
-    clustering = clustering_fn_(snapshot);
-  } else {
-    ClusterDeltaStats cluster_delta;
-    clustering =
-        clusterer_.Cluster(snapshot, &stats_.distance_ops, &cluster_delta);
-    stats_.cluster_reuse += cluster_delta.reuse;
-    stats_.cluster_dirty += cluster_delta.dirty;
-    stats_.cluster_full_rebuilds += cluster_delta.full_rebuilds;
-    stats_.soa_batches += cluster_delta.soa_batches;
-    stats_.soa_lanes += cluster_delta.soa_lanes;
-    stats_.eps_filter_seconds += cluster_delta.eps_filter_seconds;
-    if (cluster_delta.eps_filter_seconds > 0.0) {
-      RecordStage(Stage::kEpsFilter, cluster_delta.eps_filter_seconds);
-    }
-  }
-  cluster_timer.Stop();
-  stats_.cluster_seconds += cluster_timer.Seconds();
-  RecordStage(Stage::kCluster, cluster_timer.Seconds());
+  const Clustering clustering = ClusterObjects(snapshot);
 
   Timer intersect_timer;
   intersect_timer.Start();
@@ -166,7 +133,6 @@ void SmartClosedDiscoverer::ProcessSnapshot(
 
 void SmartClosedDiscoverer::Reset() {
   candidates_.clear();
-  clusterer_.Reset();
   log_.Clear();
   stats_ = DiscoveryStats{};
   snapshot_index_ = 0;
@@ -176,14 +142,12 @@ void SmartClosedDiscoverer::Reset() {
 Status SmartClosedDiscoverer::SaveState(std::ostream& out) const {
   SaveCommon(out);
   SaveCandidates(out, candidates_);
-  clusterer_.SaveState(out);
   return Status::OK();
 }
 
 Status SmartClosedDiscoverer::LoadState(std::istream& in) {
   TCOMP_RETURN_IF_ERROR(LoadCommon(in));
-  TCOMP_RETURN_IF_ERROR(LoadCandidates(in, &candidates_));
-  return clusterer_.LoadState(in);
+  return LoadCandidates(in, &candidates_);
 }
 
 }  // namespace tcomp

@@ -88,7 +88,7 @@ struct IdMergeItem {
 /// Snapshot maintains). The workhorse for snapshot diffing: consecutive
 /// snapshots share most ids, and the merge classifies each id as
 /// present-in-both / only-in-a / only-in-b in one pass. Used by the
-/// incremental clusterer and the R-tree maintenance path.
+/// R-tree maintenance path.
 std::vector<IdMergeItem> MergeIdSequences(const std::vector<ObjectId>& a,
                                           const std::vector<ObjectId>& b);
 

@@ -86,11 +86,15 @@ Clustering NetworkDbscan(const Snapshot& snapshot, const RoadGraph& graph,
 std::unique_ptr<CompanionDiscoverer> MakeNetworkDiscoverer(
     const RoadGraph& graph, const DiscoveryParams& params) {
   graph.Freeze();
-  DbscanParams cluster = params.cluster;
-  return std::make_unique<SmartClosedDiscoverer>(
-      params, [&graph, cluster](const Snapshot& snapshot) {
+  auto discoverer = std::make_unique<SmartClosedDiscoverer>(params);
+  // Network distance evaluations are NetworkDbscanStats', not the
+  // discoverer's distance_ops.
+  discoverer->SetClusterProvider(
+      [&graph, cluster = params.cluster](const Snapshot& snapshot,
+                                         int64_t* /*distance_ops*/) {
         return NetworkDbscan(snapshot, graph, cluster);
       });
+  return discoverer;
 }
 
 }  // namespace tcomp

@@ -23,10 +23,10 @@
 namespace tcomp {
 
 /// Bump allocator for per-snapshot scratch. The hot paths (SoA snapshot
-/// views, the ε-filter candidate/survivor buffers, the incremental
-/// clusterer's cell index and id→index table) allocate a handful of flat
-/// arrays every snapshot; individually heap-allocating them is pure churn
-/// — the sizes are near-identical snapshot to snapshot. An Arena hands
+/// views, the ε sweep's grid and candidate/survivor buffers, the neighbor
+/// table) allocate a handful of flat arrays every snapshot; individually
+/// heap-allocating them is pure churn — the sizes are near-identical
+/// snapshot to snapshot. An Arena hands
 /// out pointers by bumping a cursor through one retained block:
 ///
 ///   - AllocateArray<T>(n) returns n uninitialized T slots (T must be

@@ -6,14 +6,13 @@
 
 namespace tcomp {
 
-/// Batched ε-filter kernel over structure-of-arrays coordinates (ROADMAP
-/// item 4). Its consumers are the ε-neighborhood sweep
-/// (internal::SweepNeighborPairs in core/dbscan.h, which DbscanGrid, the
-/// shard stripes and the incremental clusterer's rₑ probes all call) and
-/// the incremental clusterer's FinishExact pass over carried lists; both
-/// ask "which of these candidates are within ε of the query point?". The
-/// kernel takes the candidates as indices into contiguous double arrays
-/// so the squared-distance compare auto-vectorizes.
+/// Batched ε-filter kernel over structure-of-arrays coordinates. Its one
+/// consumer is the ε-neighborhood sweep (internal::SweepNeighborPairs in
+/// core/dbscan.h, which SnapshotClusterer, the shard stripes and BU's
+/// buddy sweeps all call), asking "which of these candidates are within
+/// ε of the query point?". The kernel takes the candidates as indices
+/// into contiguous double arrays so the squared-distance compare
+/// auto-vectorizes.
 ///
 /// Exact-compare contract: every lane evaluates literally
 /// `dx*dx + dy*dy <= eps2` in double — the same expression, types, and
@@ -27,8 +26,8 @@ namespace tcomp {
 /// Filters candidates cand[0..count) (indices into xs/ys, any order)
 /// against the query point (qx, qy) and writes the surviving *indices* —
 /// cand[k] values, in input order — to `out` (capacity at least count).
-/// Returns how many. The candidate set may be scattered: a carried
-/// neighbor list, or a sweep band with its skip rules applied first.
+/// Returns how many. The candidate set may be scattered: a sweep band
+/// with its skip rules applied first.
 size_t EpsFilterGather(const double* xs, const double* ys,
                        const uint32_t* cand, size_t count, double qx,
                        double qy, double eps2, uint32_t* out);

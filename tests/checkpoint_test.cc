@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -283,9 +284,18 @@ TEST(CheckpointTest, CorruptHeaderRejected) {
   std::stringstream empty;
   EXPECT_EQ(LoadDiscoverer(sc.get(), empty).code(),
             StatusCode::kCorruption);
-  std::stringstream version("tcomp-checkpoint 99 SC\n");
-  EXPECT_EQ(LoadDiscoverer(sc.get(), version).code(),
-            StatusCode::kCorruption);
+  // Version 3 carried the clustering state of CI and SC; it is refused
+  // like every version other than the current one.
+  for (const char* version : {"3", "99"}) {
+    std::stringstream header(std::string("tcomp-checkpoint ") + version +
+                             " SC\n");
+    const Status s = LoadDiscoverer(sc.get(), header);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << version;
+    EXPECT_NE(s.message().find(std::string("unsupported checkpoint version ") +
+                               version),
+              std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(CheckpointTest, TruncatedBodyRejected) {
@@ -394,7 +404,7 @@ TEST(CheckpointTest, ImplausibleLogCountRejected) {
 TEST(CheckpointTest, ImplausibleCompanionSizeRejected) {
   // Handcrafted checkpoint whose single log entry claims 2^40 members.
   std::stringstream bad(
-      "tcomp-checkpoint 3 SC\n"
+      "tcomp-checkpoint 4 SC\n"
       "common 3\n"
       "stats 3 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0\n"
       "log 1\n"
@@ -728,6 +738,120 @@ TEST(CheckpointTest, NonFiniteBuddyStateRejected) {
       EXPECT_EQ(LoadLines(Algorithm::kBuddy, lines).code(),
                 StatusCode::kCorruption)
           << bad << " at line " << line << " field " << field;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Kill+resume of CI and SC at every snapshot index: the resumed run is the
+// uninterrupted run, counters included.
+
+/// Low-speed groups (per-snapshot motion well under ε) whose ids
+/// id % 5 < 2 — 40% of the population — teleport far away at every 4th
+/// snapshot and at t = 9, so coherent stretches and mass jumps alternate.
+SnapshotStream TeleportingGroupStream(uint64_t seed) {
+  GroupModelOptions options;
+  options.num_objects = 120;
+  options.num_snapshots = 40;
+  options.area_size = 1800.0;
+  options.min_group_size = 6;
+  options.max_group_size = 12;
+  options.group_speed = 1.0;
+  options.free_speed = 1.5;
+  options.member_jitter = 0.8;
+  options.seed = seed;
+  const GroupDataset data = GenerateGroupStream(options);
+  SnapshotStream stream;
+  int jumps = 0;
+  for (size_t t = 0; t < data.stream.size(); ++t) {
+    if (t > 0 && (t % 4 == 0 || t == 9)) ++jumps;
+    const Snapshot& s = data.stream[t];
+    std::vector<ObjectPosition> moved;
+    for (size_t i = 0; i < s.size(); ++i) {
+      Point p = s.pos(i);
+      if (s.id(i) % 5 < 2) {
+        p.x += 1e5 * jumps;
+        p.y += 7e4 * jumps;
+      }
+      moved.push_back(ObjectPosition{s.id(i), p});
+    }
+    stream.push_back(Snapshot(std::move(moved), s.duration()));
+  }
+  return stream;
+}
+
+DiscoveryParams KillResumeParams() {
+  DiscoveryParams params;
+  params.cluster.epsilon = 18.0;
+  params.cluster.mu = 3;
+  params.size_threshold = 5;
+  params.duration_threshold = 7;
+  return params;
+}
+
+TEST(IncrementalCheckpointTest, MidStreamKillResumeReplaysExactly) {
+  const SnapshotStream stream = TeleportingGroupStream(721);
+  const DiscoveryParams params = KillResumeParams();
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::unique_ptr<CompanionDiscoverer> first =
+        MakeDiscoverer(algorithm, params);
+    const size_t half = stream.size() / 2;
+    for (size_t t = 0; t < half; ++t) first->ProcessSnapshot(stream[t], nullptr);
+    // The discoverer's own SaveState on a default-precision stream: the
+    // state must survive without the caller's setprecision(17).
+    std::stringstream checkpoint;
+    ASSERT_TRUE(first->SaveState(checkpoint).ok());
+    for (size_t t = half; t < stream.size(); ++t) {
+      first->ProcessSnapshot(stream[t], nullptr);
+    }
+
+    std::unique_ptr<CompanionDiscoverer> resumed =
+        MakeDiscoverer(algorithm, params);
+    ASSERT_TRUE(resumed->LoadState(checkpoint).ok());
+    for (size_t t = half; t < stream.size(); ++t) {
+      resumed->ProcessSnapshot(stream[t], nullptr);
+    }
+    EXPECT_GT(first->log().size(), 0u) << "test wants companions";
+    EXPECT_EQ(testing_util::NormalizedState(*first),
+              testing_util::NormalizedState(*resumed))
+        << AlgorithmName(algorithm);
+  }
+}
+
+/// The resumed run also streams the same SoA lanes over the resumed
+/// suffix (those counters are not saved, so they restart from zero).
+TEST(IncrementalCheckpointTest, KillResumeAtEverySnapshotReplaysExactly) {
+  const SnapshotStream stream = TeleportingGroupStream(722);
+  const DiscoveryParams params = KillResumeParams();
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
+    std::unique_ptr<CompanionDiscoverer> full =
+        MakeDiscoverer(algorithm, params);
+    std::vector<std::string> checkpoints;
+    std::vector<int64_t> lanes_at;
+    for (size_t t = 0; t <= stream.size(); ++t) {
+      std::ostringstream saved;
+      ASSERT_TRUE(full->SaveState(saved).ok());
+      checkpoints.push_back(saved.str());
+      lanes_at.push_back(full->stats().soa_lanes);
+      if (t < stream.size()) full->ProcessSnapshot(stream[t], nullptr);
+    }
+    EXPECT_GT(full->log().size(), 0u) << "test wants companions";
+    const std::string want = testing_util::NormalizedState(*full);
+    for (size_t kill = 0; kill <= stream.size(); ++kill) {
+      std::unique_ptr<CompanionDiscoverer> resumed =
+          MakeDiscoverer(algorithm, params);
+      std::istringstream in(checkpoints[kill]);
+      ASSERT_TRUE(resumed->LoadState(in).ok()) << "kill " << kill;
+      for (size_t t = kill; t < stream.size(); ++t) {
+        resumed->ProcessSnapshot(stream[t], nullptr);
+      }
+      EXPECT_EQ(testing_util::NormalizedState(*resumed), want)
+          << AlgorithmName(algorithm) << " killed at " << kill;
+      EXPECT_EQ(resumed->stats().soa_lanes,
+                full->stats().soa_lanes - lanes_at[kill])
+          << AlgorithmName(algorithm) << " killed at " << kill;
     }
   }
 }

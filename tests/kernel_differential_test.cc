@@ -179,9 +179,8 @@ TEST_P(KernelDifferentialTest, DiscoverersByteIdenticalAcrossKernelModes) {
 }
 
 TEST_P(KernelDifferentialTest, SparseIdStreamsByteIdentical) {
-  // Merge path plus the incremental clusterer's binary-search id lookup
-  // (its dense id table is skipped at this density), against the
-  // reference Dbscan provider.
+  // Merge path with the built-in C-step, against the reference Dbscan
+  // provider.
   SnapshotStream sparse = SparsifyIds(ChurnyStream(GetParam()).stream,
                                       kStride);
   DiscoveryParams params = BaseParams();

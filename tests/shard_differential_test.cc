@@ -1,9 +1,8 @@
 // Serve-vs-batch differentials for the sharded C-step (ISSUE 7): a
 // pipeline serving with --shards ∈ {1, 2, 8} must emit companions
 // byte-identical to the batch discover path — for every algorithm, with
-// the word-parallel kernels on or off, with the incremental clustering
-// layer on or off, and across a mid-stream kill + resume at a *different*
-// shard count. Plus the convoy-baseline differential through the same
+// the word-parallel kernels on or off, and across a mid-stream kill +
+// resume at a *different* shard count. Plus the convoy-baseline differential through the same
 // ClusterProvider seam, and a TSan hammer on the partitioner/merge
 // queues (this binary carries the tsan label).
 #include <gtest/gtest.h>

@@ -8,9 +8,9 @@
 /// intersection counts through the kernels as with Dbscan injected as
 /// their cluster provider. The shared ε-neighborhood sweep is compared
 /// with a brute-force all-pairs oracle under every source-mask shape.
-/// Also pins the incremental clusterer's steady-state no-heap-growth
-/// invariant on both the reuse and the full-rebuild path: the
-/// per-snapshot scratch arena stops growing once the workload's
+/// Also pins SnapshotClusterer's steady-state no-heap-growth invariant on
+/// a coherent stream and on one whose objects jump every snapshot: the
+/// scratch it reuses across snapshots stops growing once the workload's
 /// high-water mark has been seen.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "baselines/convoy.h"
 #include "core/dbscan.h"
 #include "core/discoverer.h"
-#include "core/incremental_cluster.h"
 #include "core/snapshot.h"
 #include "data/group_model.h"
 #include "test_util.h"
@@ -331,41 +330,6 @@ TEST(NeighborSweepTest, EmptyAndSinglePoint) {
   EXPECT_EQ(ops, 0);
 }
 
-TEST(NeighborSweepTest, RowsHelperBuildsSortedNeighborhoods) {
-  // Sweep + rows helper == the brute-force neighbor rows, self excluded
-  // (the carried rₑ lists' form), with values mapped through `value` and
-  // rows only for the leading points.
-  Pcg32 rng(911);
-  const double r = 8.0;
-  std::vector<double> xs, ys;
-  std::vector<uint32_t> value;
-  for (uint32_t i = 0; i < 250; ++i) {
-    xs.push_back(rng.NextDouble(0.0, 150.0));
-    ys.push_back(rng.NextDouble(0.0, 150.0));
-    value.push_back(1000 + 3 * i);
-  }
-  const size_t with_rows = 180;
-  std::vector<uint8_t> source(xs.size(), 0);
-  std::fill(source.begin(), source.begin() + with_rows, uint8_t{1});
-  Arena arena;
-  std::vector<uint64_t> pairs;
-  internal::SweepNeighborPairs(xs.data(), ys.data(), xs.size(), r,
-                               source.data(), &arena, &pairs);
-  std::vector<std::vector<uint32_t>> rows(with_rows);
-  internal::AppendPairsToRows(pairs.data(), pairs.size(), value.data(),
-                              &arena, &rows);
-  for (size_t i = 0; i < with_rows; ++i) {
-    std::vector<uint32_t> want;
-    for (size_t j = 0; j < xs.size(); ++j) {
-      if (j != i &&
-          WithinEps(Point{xs[i], ys[i]}, Point{xs[j], ys[j]}, r * r)) {
-        want.push_back(value[j]);
-      }
-    }
-    EXPECT_EQ(rows[i], want) << "row " << i;
-  }
-}
-
 // ---------------------------------------------------------------------
 // DbscanGrid: the sweep over every point must reproduce the reference
 // Dbscan exactly — labels, core flags, and cluster sets. Its distance_ops
@@ -477,8 +441,7 @@ TEST_P(SoADifferentialTest, DiscoverersByteIdenticalAcrossSoAModes) {
   GroupDataset data = ChurnyStream(GetParam());
   DiscoveryParams params = BaseParams();
 
-  // The built-in incremental clusterer filters its carried lists through
-  // EpsFilterGather.
+  // The built-in SnapshotClusterer's sweep runs EpsFilterGather.
   for (Algorithm algorithm :
        {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
     RunResult soa =
@@ -541,10 +504,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SoADifferentialTest,
                          ::testing::Values(901, 902, 903));
 
 // ---------------------------------------------------------------------
-// Arena steady state: once the incremental clusterer has seen the
-// workload's high-water snapshot, further snapshots of the same
-// population must not grow the scratch arena — the per-snapshot SoA
-// views, cell index, and edge buffers all come out of recycled capacity.
+// Scratch steady state: once a SnapshotClusterer has seen the workload's
+// high-water snapshot, further snapshots of the same population must not
+// grow its scratch — the per-snapshot SoA views, sweep grid, pair buffer
+// and neighbor table all come out of recycled capacity.
 
 TEST(ScratchArenaTest, SteadyStateStopsGrowingHeap) {
   GroupModelOptions options;
@@ -561,30 +524,26 @@ TEST(ScratchArenaTest, SteadyStateStopsGrowingHeap) {
   DbscanParams params;
   params.epsilon = 18.0;
   params.mu = 3;
-  IncrementalClusterer clusterer(params);
+  SnapshotClusterer clusterer(params);
 
   // Warm-up pass: play the entire stream once, so the high-water snapshot
   // — wherever in the stream it falls — has been seen.
-  for (const Snapshot& s : data.stream) {
-    clusterer.Cluster(s, nullptr, nullptr);
-  }
-  const size_t steady = clusterer.ScratchArenaBytes();
-  EXPECT_GT(steady, 0u) << "arena is not being used at all";
-  // Second pass over the same snapshots (the wrap-around discontinuity
-  // forces a full rebuild, the worst-case scratch user): every byte must
-  // come out of recycled capacity.
+  for (const Snapshot& s : data.stream) clusterer.Cluster(s, nullptr);
+  const size_t steady = clusterer.ScratchBytes();
+  EXPECT_GT(steady, 0u) << "scratch is not being used at all";
+  // Second pass over the same snapshots: every byte must come out of
+  // recycled capacity.
   for (size_t t = 0; t < data.stream.size(); ++t) {
-    clusterer.Cluster(data.stream[t], nullptr, nullptr);
-    EXPECT_EQ(clusterer.ScratchArenaBytes(), steady)
-        << "arena grew at snapshot " << t
+    clusterer.Cluster(data.stream[t], nullptr);
+    EXPECT_EQ(clusterer.ScratchBytes(), steady)
+        << "scratch grew at snapshot " << t
         << " — per-snapshot scratch is leaking into fresh allocations";
   }
 }
 
 TEST(ScratchArenaTest, RebuildPathStopsGrowingHeap) {
-  // Every object jumps to a fresh uniform position each snapshot, so the
-  // churn is far above 30% and every snapshot takes the full-rebuild
-  // path: the rₑ sweep over all anchors, then the exact pass.
+  // Every object jumps to a fresh uniform position each snapshot, so no
+  // two consecutive snapshots share any geometry.
   Pcg32 rng(912);
   SnapshotStream stream;
   for (int t = 0; t < 24; ++t) {
@@ -593,18 +552,17 @@ TEST(ScratchArenaTest, RebuildPathStopsGrowingHeap) {
   DbscanParams params;
   params.epsilon = 18.0;
   params.mu = 3;
-  IncrementalClusterer clusterer(params);
-  ClusterDeltaStats delta;
-  for (const Snapshot& s : stream) clusterer.Cluster(s, nullptr, &delta);
-  EXPECT_EQ(delta.full_rebuilds, static_cast<int64_t>(stream.size()));
-  const size_t steady = clusterer.ScratchArenaBytes();
-  EXPECT_GT(steady, 0u) << "arena is not being used at all";
+  SnapshotClusterer clusterer(params);
+  SweepCost cost;
+  for (const Snapshot& s : stream) clusterer.Cluster(s, nullptr, &cost);
+  EXPECT_GT(cost.batches, 0);
+  const size_t steady = clusterer.ScratchBytes();
+  EXPECT_GT(steady, 0u) << "scratch is not being used at all";
   for (size_t t = 0; t < stream.size(); ++t) {
-    clusterer.Cluster(stream[t], nullptr, &delta);
-    EXPECT_EQ(clusterer.ScratchArenaBytes(), steady)
-        << "arena grew at rebuild snapshot " << t;
+    clusterer.Cluster(stream[t], nullptr);
+    EXPECT_EQ(clusterer.ScratchBytes(), steady)
+        << "scratch grew at snapshot " << t;
   }
-  EXPECT_EQ(delta.full_rebuilds, 2 * static_cast<int64_t>(stream.size()));
 }
 
 }  // namespace

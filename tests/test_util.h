@@ -17,7 +17,7 @@ namespace tcomp {
 namespace testing_util {
 
 /// The reference O(n²) Dbscan as a cluster provider: the oracle the
-/// built-in clustering paths (incremental clusterer, SoA kernels, shard
+/// built-in clustering paths (SnapshotClusterer, SoA kernels, shard
 /// engine) are differentially tested against.
 inline ClusterProvider ReferenceDbscanProvider(const DbscanParams& params) {
   return [params](const Snapshot& snapshot, int64_t* distance_ops) {
@@ -119,12 +119,11 @@ inline std::vector<bool> CoreFromRows(
 
 /// A discoverer's serialized state with the wall-clock fields of the
 /// "stats" line (its last three tokens) zeroed, and — when
-/// `products_only` — also the clusterer's carried-state section and the
-/// clustering-dependent counters (distance_ops, cluster reuse/dirty/full
-/// rebuilds). The full form must match bit for bit between a run and its
-/// resumed twin; the product form between runs that cluster differently
-/// (built-in vs a provider) but must decide the same companions,
-/// candidates, and intersections.
+/// `products_only` — also the clustering-dependent counters
+/// (distance_ops, cluster reuse/dirty/full rebuilds). The full form must
+/// match bit for bit between a run and its resumed twin; the product form
+/// between runs that cluster differently (built-in vs a provider) but
+/// must decide the same companions, candidates, and intersections.
 inline std::string NormalizedState(const CompanionDiscoverer& d,
                                    bool products_only = false) {
   std::ostringstream raw;
@@ -133,20 +132,7 @@ inline std::string NormalizedState(const CompanionDiscoverer& d,
   std::istringstream in(raw.str());
   std::ostringstream out;
   std::string line;
-  uint64_t skip_anchor_lines = 0;
   while (std::getline(in, line)) {
-    if (skip_anchor_lines > 0) {
-      --skip_anchor_lines;
-      continue;
-    }
-    if (products_only && line.rfind("clusterer ", 0) == 0) {
-      std::istringstream fields(line);
-      std::string tag;
-      int has = 0;
-      int lists = 0;
-      fields >> tag >> has >> lists >> skip_anchor_lines;
-      continue;
-    }
     if (line.rfind("stats ", 0) == 0) {
       std::istringstream fields(line);
       std::vector<std::string> tokens;

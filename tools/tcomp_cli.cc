@@ -296,6 +296,69 @@ int Generate(const FlagParser& flags) {
   return 0;
 }
 
+/// The discovery, window and inactive-period flags, parsed one way for
+/// discover, serve and blast, so the batch and daemon paths agree flag
+/// for flag. A bad value is reported by name; the caller prints usage.
+bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
+                           ServicePipelineOptions* opts) {
+  int threads = 1;
+  if (!ReadFlag(command, flags, "epsilon", 20.0,
+                &opts->params.cluster.epsilon) ||
+      !ReadFlag(command, flags, "mu", 4, &opts->params.cluster.mu) ||
+      !ReadFlag(command, flags, "min-size", 10,
+                &opts->params.size_threshold) ||
+      !ReadFlag(command, flags, "min-duration", 10.0,
+                &opts->params.duration_threshold) ||
+      !ReadFlag(command, flags, "threads", 1, &threads)) {
+    return false;
+  }
+  if (threads < 1) {
+    std::fprintf(stderr, "%s: --threads must be >= 1\n", command);
+    return false;
+  }
+  opts->params.cluster.threads = threads;
+  Status vs = CheckDiscoveryParams(opts->params);
+  if (!vs.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command, vs.ToString().c_str());
+    return false;
+  }
+
+  std::string algo_name = flags.GetString("algo", "bu");
+  if (algo_name == "ci") {
+    opts->algorithm = Algorithm::kClusteringIntersection;
+  } else if (algo_name == "sc") {
+    opts->algorithm = Algorithm::kSmartClosed;
+  } else if (algo_name == "bu") {
+    opts->algorithm = Algorithm::kBuddy;
+  } else {
+    std::fprintf(stderr, "%s: unknown --algo %s\n", command,
+                 algo_name.c_str());
+    return false;
+  }
+
+  int window_objects = 100;
+  double window_seconds = 60.0;
+  if (!ReadFlag(command, flags, "window-objects", 100, &window_objects) ||
+      !ReadFlag(command, flags, "window-seconds", 60.0, &window_seconds) ||
+      !ReadFlag(command, flags, "inactive", 0, &opts->inactive_fill)) {
+    return false;
+  }
+  Status ws =
+      CheckWindowFlags(window_objects, window_seconds, opts->inactive_fill);
+  if (!ws.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command, ws.ToString().c_str());
+    return false;
+  }
+  if (flags.Has("window-objects")) {
+    opts->window.mode = WindowMode::kEqualWidth;
+    opts->window.min_objects = static_cast<size_t>(window_objects);
+  } else {
+    opts->window.mode = WindowMode::kEqualLength;
+    opts->window.window_length = window_seconds;
+  }
+  return true;
+}
+
 int Discover(const FlagParser& flags) {
   if (!RejectUnknownFlags(
           "discover", flags,
@@ -310,74 +373,28 @@ int Discover(const FlagParser& flags) {
     std::fprintf(stderr, "discover: --csv is required\n");
     return Usage();
   }
+  ServicePipelineOptions opts;
+  bool want_timeline = false;
+  bool quiet = false;
+  double slow_snapshot_ms = 0.0;
+  if (!ParseDiscoveryOptions("discover", flags, &opts) ||
+      !ReadFlag("discover", flags, "timeline", false, &want_timeline) ||
+      !ReadFlag("discover", flags, "quiet", false, &quiet) ||
+      !ReadFlag("discover", flags, "slow-snapshot-ms", 0.0,
+                &slow_snapshot_ms)) {
+    return Usage();
+  }
   std::vector<TrajectoryRecord> records;
   Status s = ReadRecordCsv(csv, &records);
   if (!s.ok()) {
     std::fprintf(stderr, "discover: %s\n", s.ToString().c_str());
     return 1;
   }
-
-  DiscoveryParams params;
-  int threads = 1;
-  if (!ReadFlag("discover", flags, "epsilon", 20.0,
-                &params.cluster.epsilon) ||
-      !ReadFlag("discover", flags, "mu", 4, &params.cluster.mu) ||
-      !ReadFlag("discover", flags, "min-size", 10,
-                &params.size_threshold) ||
-      !ReadFlag("discover", flags, "min-duration", 10.0,
-                &params.duration_threshold) ||
-      !ReadFlag("discover", flags, "threads", 1, &threads)) {
-    return Usage();
-  }
-  if (threads < 1) {
-    std::fprintf(stderr, "discover: --threads must be >= 1\n");
-    return Usage();
-  }
-  params.cluster.threads = threads;
-  Status vs = CheckDiscoveryParams(params);
-  if (!vs.ok()) {
-    std::fprintf(stderr, "discover: %s\n", vs.ToString().c_str());
-    return Usage();
-  }
-
-  std::string algo_name = flags.GetString("algo", "bu");
-  Algorithm algorithm;
-  if (algo_name == "ci") {
-    algorithm = Algorithm::kClusteringIntersection;
-  } else if (algo_name == "sc") {
-    algorithm = Algorithm::kSmartClosed;
-  } else if (algo_name == "bu") {
-    algorithm = Algorithm::kBuddy;
-  } else {
-    std::fprintf(stderr, "discover: unknown --algo %s\n",
-                 algo_name.c_str());
-    return Usage();
-  }
-  auto discoverer = MakeDiscoverer(algorithm, params);
-
+  auto discoverer = MakeDiscoverer(opts.algorithm, opts.params);
   CompanionTimeline timeline;
-  bool want_timeline = false;
-  bool quiet = false;
-  int window_objects = 100;
-  double window_seconds = 60.0;
-  int inactive = 0;
-  if (!ReadFlag("discover", flags, "timeline", false, &want_timeline) ||
-      !ReadFlag("discover", flags, "quiet", false, &quiet) ||
-      !ReadFlag("discover", flags, "window-objects", 100,
-                &window_objects) ||
-      !ReadFlag("discover", flags, "window-seconds", 60.0,
-                &window_seconds) ||
-      !ReadFlag("discover", flags, "inactive", 0, &inactive)) {
-    return Usage();
-  }
-  Status ws = CheckWindowFlags(window_objects, window_seconds, inactive);
-  if (!ws.ok()) {
-    std::fprintf(stderr, "discover: %s\n", ws.ToString().c_str());
-    return Usage();
-  }
   // The filler's last sightings are stream state: they ride in the
   // checkpoint beside the discoverer's.
-  InactivePeriodFiller filler(inactive);
+  InactivePeriodFiller filler(opts.inactive_fill);
 
   std::string load_state = flags.GetString("load-state", "");
   if (!load_state.empty()) {
@@ -396,25 +413,12 @@ int Discover(const FlagParser& flags) {
   // attached (timing only — products are differential-tested to be
   // byte-identical with it on), --stats-json dumps the registry at the
   // end, and --slow-snapshot-ms mirrors the serve-side warning log.
-  double slow_snapshot_ms = 0.0;
-  if (!ReadFlag("discover", flags, "slow-snapshot-ms", 0.0,
-                &slow_snapshot_ms)) {
-    return Usage();
-  }
   std::string stats_json = flags.GetString("stats-json", "");
   MetricsRegistry registry;
   MetricsStageSink stage_sink(&registry);
   discoverer->set_stage_sink(&stage_sink);
 
-  SlidingWindowOptions wopts;
-  if (flags.Has("window-objects")) {
-    wopts.mode = WindowMode::kEqualWidth;
-    wopts.min_objects = static_cast<size_t>(window_objects);
-  } else {
-    wopts.mode = WindowMode::kEqualLength;
-    wopts.window_length = window_seconds;
-  }
-  SlidingWindowSnapshotter window(wopts);
+  SlidingWindowSnapshotter window(opts.window);
   int64_t snapshots = 0;
   std::vector<Snapshot> ready;
   auto process = [&](const Snapshot& snap) {
@@ -606,68 +610,6 @@ int Suggest(const FlagParser& flags) {
               stream.size(), suggestion.params.epsilon,
               suggestion.params.mu, 100.0 * suggestion.noise_fraction);
   return 0;
-}
-
-/// Shared by serve: parse the discovery/window options exactly as
-/// Discover does, so the daemon and batch paths agree flag for flag.
-bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
-                           ServicePipelineOptions* opts) {
-  int threads = 1;
-  if (!ReadFlag(command, flags, "epsilon", 20.0,
-                &opts->params.cluster.epsilon) ||
-      !ReadFlag(command, flags, "mu", 4, &opts->params.cluster.mu) ||
-      !ReadFlag(command, flags, "min-size", 10,
-                &opts->params.size_threshold) ||
-      !ReadFlag(command, flags, "min-duration", 10.0,
-                &opts->params.duration_threshold) ||
-      !ReadFlag(command, flags, "threads", 1, &threads)) {
-    return false;
-  }
-  if (threads < 1) {
-    std::fprintf(stderr, "%s: --threads must be >= 1\n", command);
-    return false;
-  }
-  opts->params.cluster.threads = threads;
-  Status vs = CheckDiscoveryParams(opts->params);
-  if (!vs.ok()) {
-    std::fprintf(stderr, "%s: %s\n", command, vs.ToString().c_str());
-    return false;
-  }
-
-  std::string algo_name = flags.GetString("algo", "bu");
-  if (algo_name == "ci") {
-    opts->algorithm = Algorithm::kClusteringIntersection;
-  } else if (algo_name == "sc") {
-    opts->algorithm = Algorithm::kSmartClosed;
-  } else if (algo_name == "bu") {
-    opts->algorithm = Algorithm::kBuddy;
-  } else {
-    std::fprintf(stderr, "%s: unknown --algo %s\n", command,
-                 algo_name.c_str());
-    return false;
-  }
-
-  int window_objects = 100;
-  double window_seconds = 60.0;
-  if (!ReadFlag(command, flags, "window-objects", 100, &window_objects) ||
-      !ReadFlag(command, flags, "window-seconds", 60.0, &window_seconds) ||
-      !ReadFlag(command, flags, "inactive", 0, &opts->inactive_fill)) {
-    return false;
-  }
-  Status ws =
-      CheckWindowFlags(window_objects, window_seconds, opts->inactive_fill);
-  if (!ws.ok()) {
-    std::fprintf(stderr, "%s: %s\n", command, ws.ToString().c_str());
-    return false;
-  }
-  if (flags.Has("window-objects")) {
-    opts->window.mode = WindowMode::kEqualWidth;
-    opts->window.min_objects = static_cast<size_t>(window_objects);
-  } else {
-    opts->window.mode = WindowMode::kEqualLength;
-    opts->window.window_length = window_seconds;
-  }
-  return true;
 }
 
 int Serve(const FlagParser& flags) {
