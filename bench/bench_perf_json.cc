@@ -1,16 +1,12 @@
-// Perf-trajectory harness: times the sharded C-step against the
-// single-worker discoverer and emits one JSON record on stdout
-// (tools/bench_json.py wraps this into BENCH_PR<n>.json).
+// Perf-trajectory harness: times the striped ε sweep against the serial
+// one and emits one JSON record on stdout (tools/bench_json.py wraps
+// this into BENCH_PR<n>.json).
 //
-//   sharded — SC end-to-end at shards ∈ {1, 2, 4, 8}: shards=1 is the
-//     stock single-worker path, shards>1 routes the C-step through the
-//     src/shard/ engine. Products must be byte-identical at every shard
-//     count (digest over the companion log). On a single-core host the
-//     speedup is algorithmic — per-stripe ε-cell grids with stripe-local
-//     extents versus the single-worker full-rebuild path's 2ε-padded
-//     grid — and extra cores scale the per-shard work on top of that;
-//     the recorded provenance (tools/bench_json.py) says which machine
-//     produced the numbers.
+//   sharded — SC end-to-end at shards ∈ {1, 2, 4, 8}, the stripe count
+//     of the C-step's ε sweep (DbscanParams::threads, `--shards`).
+//     Products (digest over the companion log) and distance_ops must be
+//     identical at every count. The recorded provenance
+//     (tools/bench_json.py) says which machine produced the numbers.
 //   stage_metrics — one instrumented CI/SC/BU pass with the per-stage
 //     latency histograms.
 //
@@ -32,7 +28,6 @@
 #include "data/group_model.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
-#include "shard/sharded_engine.h"
 #include "util/flags.h"
 #include "util/timer.h"
 
@@ -72,37 +67,17 @@ uint64_t CompanionDigest(const CompanionLog& log) {
   return h;
 }
 
-/// SC end-to-end at one shard count. shards=1 is the stock single-worker
-/// discoverer exactly as `tcomp serve` runs it today; shards>1 wires a
-/// ShardedClusterEngine in through SetClusterProvider, exactly as the
-/// service pipeline does under `--shards N`.
-/// Accumulates the engine's shard-stage seconds — the JSON carries the
-/// route/work/merge split so a sharded-path regression can be localized
-/// straight from the recorded file.
-struct ShardStageSums : StageTimerSink {
-  double route = 0.0, work = 0.0, merge = 0.0;
-  void RecordStage(Stage stage, double seconds) override {
-    if (stage == Stage::kShardRoute) route += seconds;
-    if (stage == Stage::kShardCluster) work += seconds;
-    if (stage == Stage::kMergeStitch) merge += seconds;
-  }
-};
-
 struct ShardedResult {
   std::string scenario;
   int shards = 1;
   int objects = 0;
   double seconds = 0.0;          // best-of-reps full ProcessSnapshot loop
   double cluster_seconds = 0.0;  // best-of-reps C-step stage time
-  double route_seconds = 0.0;    // partition stage, best-timed rep
-  double work_seconds = 0.0;     // per-stripe neighborhoods, best-timed rep
-  double merge_seconds = 0.0;    // stitch + finisher, best-timed rep
   int64_t distance_ops = 0;
-  int64_t halo_objects = 0;  // Σ halo replicas across the stream
-  int64_t halo_peak = 0;     // largest per-snapshot halo total
   size_t companions = 0;
   uint64_t digest = 0;
-  bool identical_products = false;  // vs the scenario's shards=1 entry
+  // Companions and distance_ops equal the scenario's shards=1 entry's.
+  bool identical_products = false;
 };
 
 /// One scenario across every shard count, with the shard counts
@@ -121,43 +96,22 @@ std::vector<ShardedResult> BenchShardedScenario(
   }
   auto run = [&](size_t ci, bool timed, int rep) {
     ShardedResult& r = out[ci];
-    // The engine outlives the discoverer holding the provider closure
-    // (declaration order — reverse destruction).
-    std::unique_ptr<ShardedClusterEngine> engine;
+    DiscoveryParams striped = params;
+    striped.cluster.threads = r.shards;
     std::unique_ptr<CompanionDiscoverer> d =
-        MakeDiscoverer(Algorithm::kSmartClosed, params);
-    ShardStageSums stages;
-    if (r.shards > 1) {
-      engine = std::make_unique<ShardedClusterEngine>(params.cluster,
-                                                      r.shards);
-      engine->set_stage_sink(&stages);
-      ShardedClusterEngine* raw = engine.get();
-      d->SetClusterProvider(
-          [raw](const Snapshot& snapshot, int64_t* distance_ops) {
-            return raw->Cluster(snapshot, distance_ops);
-          });
-    }
+        MakeDiscoverer(Algorithm::kSmartClosed, striped);
     Timer t;
     t.Start();
     for (const Snapshot& s : stream) d->ProcessSnapshot(s, nullptr);
     t.Stop();
     if (!timed) return;
-    if (rep == 0 || t.Seconds() < r.seconds) {
-      r.seconds = t.Seconds();
-      r.route_seconds = stages.route;
-      r.work_seconds = stages.work;
-      r.merge_seconds = stages.merge;
-    }
+    if (rep == 0 || t.Seconds() < r.seconds) r.seconds = t.Seconds();
     const double cluster = d->stats().cluster_seconds;
     if (rep == 0 || cluster < r.cluster_seconds) r.cluster_seconds = cluster;
     if (rep == 0) {
       r.distance_ops = d->stats().distance_ops;
       r.companions = d->log().companions().size();
       r.digest = CompanionDigest(d->log());
-      if (engine != nullptr) {
-        r.halo_objects = engine->stats().halo_objects;
-        r.halo_peak = engine->stats().halo_peak;
-      }
     }
   };
   for (int w = 0; w < warmup; ++w) {
@@ -167,8 +121,9 @@ std::vector<ShardedResult> BenchShardedScenario(
     for (size_t ci = 0; ci < out.size(); ++ci) run(ci, /*timed=*/true, rep);
   }
   for (ShardedResult& r : out) {
-    r.identical_products =
-        r.digest == out[0].digest && r.companions == out[0].companions;
+    r.identical_products = r.digest == out[0].digest &&
+                           r.companions == out[0].companions &&
+                           r.distance_ops == out[0].distance_ops;
   }
   return out;
 }
@@ -234,16 +189,14 @@ int Main(int argc, char** argv) {
   params.size_threshold = 5;
   params.duration_threshold = 7;
 
-  // Sharded C-step scenarios, at 3x the base population (density fixed
-  // via the sqrt-area rule) — fleet-scale streams are the regime the
-  // shard subsystem targets; at small populations the per-snapshot fixed
-  // costs both paths share drown the comparison. `coherent_multi_tile`
-  // keeps the base stream's dynamics: coherent groups sweeping a world
-  // hundreds of ε-cells wide, moving far above the Δ = ε/2 slack, so the
-  // single-worker baseline full-rebuilds on its 2ε-padded grid every
-  // snapshot. `transit_burst` adds heavy group splits/departures on top
-  // (terminal-transit bursts: companions keep dissolving and reforming),
-  // stressing the partition/merge path with unstable cluster structure.
+  // Striped C-step scenarios, at 3x the base population (density fixed
+  // via the sqrt-area rule) — at small populations the sweep clamps to
+  // few stripes and the per-snapshot fixed costs drown the comparison.
+  // `coherent_multi_tile` keeps the base stream's dynamics: coherent
+  // groups sweeping a world hundreds of ε-cells wide. `transit_burst` adds
+  // heavy group splits/departures on top (terminal-transit bursts:
+  // companions keep dissolving and reforming), so cluster structure is
+  // unstable snapshot to snapshot.
   GroupModelOptions tile_options = options;
   tile_options.num_objects = config.objects * 3;
   tile_options.area_size =
@@ -286,12 +239,7 @@ int Main(int argc, char** argv) {
         << ", \"cluster_seconds\": " << r.cluster_seconds
         << ", \"cluster_speedup_vs_1\": "
         << SafeRatio(base.cluster_seconds, r.cluster_seconds)
-        << ", \"route_seconds\": " << r.route_seconds
-        << ", \"work_seconds\": " << r.work_seconds
-        << ", \"merge_seconds\": " << r.merge_seconds
         << ", \"distance_ops\": " << r.distance_ops
-        << ", \"halo_objects\": " << r.halo_objects
-        << ", \"halo_peak\": " << r.halo_peak
         << ", \"companions\": " << r.companions
         << ", \"identical_products\": "
         << (r.identical_products ? "true" : "false") << "}"
@@ -303,11 +251,13 @@ int Main(int argc, char** argv) {
   out << "  \"stage_metrics\": " << StageMetricsJson(params, data.stream);
   out << "}\n";
 
-  // Smoke contract: the sharded C-step may not change any product.
+  // Smoke contract: the stripe count may change neither a product nor
+  // the distance_ops count.
   bool ok = true;
   for (const ShardedResult& r : sharded) ok = ok && r.identical_products;
   if (!ok) {
-    std::cerr << "FAIL: sharded and single-worker products disagree\n";
+    std::cerr << "FAIL: striped and serial runs disagree on products or "
+                 "distance_ops\n";
     return 1;
   }
   return 0;

@@ -20,10 +20,11 @@ struct ConvoyParams {
   DbscanParams cluster;
   int min_objects = 10;   // m
   int min_lifetime = 10;  // k, in snapshots
-  /// External per-snapshot clustering backend (e.g. the sharded engine,
-  /// src/shard/); empty uses the built-in SnapshotClusterer. Must obey
-  /// the Clustering determinism spec of core/dbscan.h — convoy products
-  /// are then identical by construction (differential-tested).
+  /// External per-snapshot clustering backend (a test seam: the tests
+  /// inject the reference Dbscan); empty uses the built-in
+  /// SnapshotClusterer, in `cluster.threads` stripes. Must obey the
+  /// Clustering determinism spec of core/dbscan.h — convoy products are
+  /// then identical by construction (differential-tested).
   ClusterProvider cluster_provider;
 };
 

@@ -6,7 +6,6 @@
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/sorted_ops.h"
-#include "util/thread_pool.h"
 
 namespace tcomp {
 namespace {
@@ -108,10 +107,11 @@ void BuddySet::Initialize(const Snapshot& snapshot) {
   // pairs (i, j > i): the sweep emits each pair once from the smaller
   // index, and sorting the packed pairs groups them by seed.
   Arena arena;
-  std::vector<uint64_t> pairs;
+  internal::SweepPairs swept;
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
   internal::SweepNeighborPairs(soa.x, soa.y, n, 2.0 * radius_threshold_,
-                               nullptr, &arena, &pairs);
+                               nullptr, stripes_, &arena, &swept);
+  std::vector<uint64_t>& pairs = swept.pairs;
   std::sort(pairs.begin(), pairs.end());
 
   std::vector<bool> assigned(n, false);
@@ -198,32 +198,18 @@ void BuddySet::Update(const Snapshot& snapshot,
   std::vector<Buddy> born;  // changed buddies, ids assigned at the end
 
   // --- Split phase (Algorithm 3, lines 1–8). ---
-  // Buddies split independently of each other: each reads the shared
-  // last-position table and produces only its own outcome, so the sweep
-  // runs on the thread pool (buddy bi owned by shard bi % num_shards) and
-  // a serial stitch below replays the outcomes in buddy order —
-  // reproducing the exact `born`/`next`/`retired_ids_` sequences and
-  // counter totals of the serial sweep.
-  struct SplitOutcome {
-    std::vector<Buddy> singles;  // split-out singletons, in member order
-    Buddy remainder;
-    bool split_any = false;
-    int64_t distance_ops = 0;
-  };
-  std::vector<SplitOutcome> outcomes(buddies_.size());
-  auto split_one = [&](size_t bi) {
-    const Buddy& b = buddies_[bi];
-    SplitOutcome& out = outcomes[bi];
+  for (const Buddy& b : buddies_) {
     // Exact center from current member positions (equivalent to the
     // paper's incremental "add the member shifts to the stored sum").
     Point sum{};
     for (ObjectId oid : b.members) sum = sum + last_pos_[oid];
     double count = static_cast<double>(b.members.size());
 
-    ObjectSet survivors;
-    survivors.reserve(b.members.size());
+    Buddy remainder;
+    remainder.members.reserve(b.members.size());
+    bool split_any = false;
     for (ObjectId oid : b.members) {
-      ++out.distance_ops;
+      ++local.distance_ops;
       Point center = sum / count;
       if (count > 1.0 &&
           Distance(last_pos_[oid], center) > radius_threshold_) {
@@ -232,47 +218,32 @@ void BuddySet::Update(const Snapshot& snapshot,
         single.members = {oid};
         single.coord_sum = last_pos_[oid];
         single.radius = 0.0;
-        out.singles.push_back(std::move(single));
+        born.push_back(std::move(single));
+        ++local.splits;
         sum = sum - last_pos_[oid];
         count -= 1.0;
-        out.split_any = true;
+        split_any = true;
       } else {
-        survivors.push_back(oid);
+        remainder.members.push_back(oid);
       }
     }
 
-    out.remainder.members = std::move(survivors);
-    out.remainder.coord_sum = sum;
+    remainder.coord_sum = sum;
     Point center = sum / count;
-    double radius = 0.0;
-    for (ObjectId oid : out.remainder.members) {
-      ++out.distance_ops;
-      radius = std::max(radius, Distance(last_pos_[oid], center));
+    for (ObjectId oid : remainder.members) {
+      ++local.distance_ops;
+      remainder.radius =
+          std::max(remainder.radius, Distance(last_pos_[oid], center));
     }
-    out.remainder.radius = radius;
-  };
-  const int shards = EffectiveShards(threads_, buddies_.size());
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    for (size_t bi = static_cast<size_t>(shard); bi < buddies_.size();
-         bi += static_cast<size_t>(num_shards)) {
-      split_one(bi);
-    }
-  });
-  for (size_t bi = 0; bi < buddies_.size(); ++bi) {
-    SplitOutcome& out = outcomes[bi];
-    local.distance_ops += out.distance_ops;
-    local.splits += static_cast<int64_t>(out.singles.size());
-    for (Buddy& single : out.singles) born.push_back(std::move(single));
-    if (out.split_any) {
-      retired_ids_.push_back(buddies_[bi].id);
-      born.push_back(std::move(out.remainder));
+    if (split_any) {
+      retired_ids_.push_back(b.id);
+      born.push_back(std::move(remainder));
     } else {
       // membership unchanged: id survives (so far)
-      out.remainder.id = buddies_[bi].id;
-      next.push_back(std::move(out.remainder));
+      remainder.id = b.id;
+      next.push_back(std::move(remainder));
     }
   }
-  outcomes.clear();
 
   // Objects never seen before this snapshot become singleton buddies.
   for (size_t i = 0; i < snapshot.size(); ++i) {
@@ -308,7 +279,7 @@ void BuddySet::Update(const Snapshot& snapshot,
   while (merged_any) {
     merged_any = false;
     Arena arena;
-    std::vector<uint64_t> pairs;
+    internal::SweepPairs swept;
     uint32_t* work_at = arena.AllocateArray<uint32_t>(work.size());
     double* xs = arena.AllocateArray<double>(work.size());
     double* ys = arena.AllocateArray<double>(work.size());
@@ -322,11 +293,12 @@ void BuddySet::Update(const Snapshot& snapshot,
       ++live;
     }
     local.distance_ops += internal::SweepNeighborPairs(
-        xs, ys, live, 2.0 * radius_threshold_, nullptr, &arena, &pairs);
+        xs, ys, live, 2.0 * radius_threshold_, nullptr, stripes_, &arena,
+        &swept);
     // Live positions keep work order, so ascending packed pairs are
     // ascending (i, j) in `work` too.
-    std::sort(pairs.begin(), pairs.end());
-    for (uint64_t pair : pairs) {
+    std::sort(swept.pairs.begin(), swept.pairs.end());
+    for (uint64_t pair : swept.pairs) {
       const uint32_t i = work_at[pair >> 32];
       const uint32_t j = work_at[static_cast<uint32_t>(pair)];
       if (dead[i] || dead[j]) continue;

@@ -87,14 +87,10 @@ class BuddySet {
 
   double radius_threshold() const { return radius_threshold_; }
 
-  /// Parallelism for the per-buddy split sweep in Update(). The split
-  /// phase is embarrassingly parallel across buddies (each buddy reads
-  /// shared positions and writes only its own outcome); results are
-  /// bit-identical at any thread count. 1 (the default) never touches the
-  /// thread pool. The merge fixpoint stays serial: a merge changes the
-  /// centers later pair checks read, so its sweep order is semantic.
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-  int threads() const { return threads_; }
+  /// Stripe count of the 2·δγ sweeps in Initialize() and the merge
+  /// passes (DbscanParams::threads; see internal::SweepNeighborPairs).
+  /// Buddies and counters are identical at every count.
+  void set_stripes(int stripes) { stripes_ = stripes; }
 
   /// The buddy currently containing `id`, or nullptr.
   const Buddy* FindBuddyOfObject(ObjectId id) const;
@@ -122,7 +118,7 @@ class BuddySet {
   void RebuildObjectMap();
 
   double radius_threshold_;
-  int threads_ = 1;
+  int stripes_ = 1;
   BuddyId next_id_ = 0;
   std::vector<Buddy> buddies_;            // ascending by id
   std::vector<BuddyId> retired_ids_;      // from the last Update()

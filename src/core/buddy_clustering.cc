@@ -4,7 +4,6 @@
 
 #include "util/arena.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace tcomp {
 namespace {
@@ -65,7 +64,7 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   std::vector<std::vector<uint32_t>> adjacent(m);
   {
     Arena arena;
-    std::vector<uint64_t> pairs;
+    internal::SweepPairs swept;
     uint32_t* buddy_at = arena.AllocateArray<uint32_t>(m);
     double* xs = arena.AllocateArray<double>(m);
     double* ys = arena.AllocateArray<double>(m);
@@ -82,10 +81,10 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
     }
     local.pairs_checked += nonempty * (nonempty - 1) / 2;
     internal::SweepNeighborPairs(xs, ys, static_cast<size_t>(nonempty),
-                                 eps + 2.0 * gamma_max, nullptr, &arena,
-                                 &pairs);
+                                 eps + 2.0 * gamma_max, nullptr,
+                                 params.threads, &arena, &swept);
     int64_t linked = 0;
-    for (uint64_t pair : pairs) {
+    for (uint64_t pair : swept.pairs) {
       const uint32_t i = buddy_at[pair >> 32];
       const uint32_t j = buddy_at[static_cast<uint32_t>(pair)];
       double d = Distance(blist[i].center(), blist[j].center());
@@ -107,57 +106,42 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
 
   // Core flags. Members of density-connected buddies are core for free;
   // everyone else counts ε-neighbors (self included) over its own buddy
-  // plus adjacent buddies, stopping early at μ. The scan is per-buddy
-  // independent (each object belongs to exactly one buddy), so it runs on
-  // the thread pool: shard s owns buddies s, s+T, ... and writes only its
-  // buddies' entries of the byte vector (vector<bool> would pack bits and
-  // race) plus a per-shard op counter. Results are bit-identical to the
-  // serial scan at any thread count.
-  std::vector<uint8_t> core8(n, 0);
-  const int core_shards = EffectiveShards(params.threads, m);
-  std::vector<int64_t> core_shard_ops(static_cast<size_t>(core_shards), 0);
-  ParallelForShards(core_shards, [&](int shard, int num_shards) {
-    int64_t shard_ops = 0;
-    for (size_t b = static_cast<size_t>(shard); b < m;
-         b += static_cast<size_t>(num_shards)) {
-      if (dcb[b]) {
-        for (uint32_t idx : members[b]) core8[idx] = 1;
-        continue;
-      }
-      for (uint32_t idx : members[b]) {
-        size_t count = 1;  // self
-        Point p = snapshot.pos(idx);
-        auto scan = [&](const std::vector<uint32_t>& list) {
-          for (uint32_t other : list) {
-            if (other == idx) continue;
-            ++shard_ops;
-            // tcomp-lint: allow(soa-raw-loop): the ≥μ early stop (return
-            // on the μ-th hit) is the whole optimization; a batched
-            // filter would evaluate the full list and change
-            // distance_ops.
-            if (WithinEps(p, snapshot.pos(other), eps2)) {
-              ++count;
-              if (count >= mu) return true;
-            }
-          }
-          return false;
-        };
-        bool done = scan(members[b]);
-        if (!done) {
-          for (uint32_t nb : adjacent[b]) {
-            if (scan(members[nb])) {
-              done = true;
-              break;
-            }
+  // plus adjacent buddies, stopping early at μ.
+  std::vector<bool> core(n, false);
+  for (size_t b = 0; b < m; ++b) {
+    if (dcb[b]) {
+      for (uint32_t idx : members[b]) core[idx] = true;
+      continue;
+    }
+    for (uint32_t idx : members[b]) {
+      size_t count = 1;  // self
+      Point p = snapshot.pos(idx);
+      auto scan = [&](const std::vector<uint32_t>& list) {
+        for (uint32_t other : list) {
+          if (other == idx) continue;
+          ++local.distance_ops;
+          // tcomp-lint: allow(soa-raw-loop): the ≥μ early stop (return on
+          // the μ-th hit) is the whole optimization; a batched filter
+          // would evaluate the full list and change distance_ops.
+          if (WithinEps(p, snapshot.pos(other), eps2)) {
+            ++count;
+            if (count >= mu) return true;
           }
         }
-        core8[idx] = count >= mu ? 1 : 0;
+        return false;
+      };
+      bool done = scan(members[b]);
+      if (!done) {
+        for (uint32_t nb : adjacent[b]) {
+          if (scan(members[nb])) {
+            done = true;
+            break;
+          }
+        }
       }
+      core[idx] = count >= mu;
     }
-    core_shard_ops[static_cast<size_t>(shard)] = shard_ops;
-  });
-  for (int64_t s : core_shard_ops) local.distance_ops += s;
-  std::vector<bool> core(core8.begin(), core8.end());
+  }
 
   // Union core objects into clusters.
   internal::DisjointSets sets(n);

@@ -9,7 +9,6 @@
 
 #include "util/logging.h"
 #include "util/sorted_ops.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tcomp {
@@ -28,7 +27,7 @@ BuddyDiscoverer::BuddyDiscoverer(const DiscoveryParams& params)
     : params_(params), buddies_(EffectiveBuddyRadius(params)) {
   // Like SC, BU reports only closed companions (Definition 5 on outputs).
   log_.set_closed_mode(true);
-  buddies_.set_threads(params.cluster.threads);
+  buddies_.set_stripes(params.cluster.threads);
 }
 
 BuddyId BuddyDiscoverer::LiveBuddyOf(ObjectId oid) const {
@@ -66,19 +65,11 @@ void BuddyDiscoverer::ProcessSnapshot(
 
     // Replace retired buddy tokens in stored candidates by their objects
     // (Definition 7: the index knows every referenced id's membership).
-    // Expansion is per-candidate independent (the index is read-only
-    // here), so candidates are strided over the thread pool.
     const std::vector<BuddyId>& retired = buddies_.retired_ids();
     if (!retired.empty()) {
-      ParallelForShards(
-          EffectiveShards(params_.cluster.threads, candidates_.size()),
-          [&](int shard, int num_shards) {
-            for (size_t k = static_cast<size_t>(shard);
-                 k < candidates_.size();
-                 k += static_cast<size_t>(num_shards)) {
-              index_.ExpandRetired(retired, &candidates_[k]);
-            }
-          });
+      for (AtomSet& candidate : candidates_) {
+        index_.ExpandRetired(retired, &candidate);
+      }
     }
   }
   maintain_timer.Stop();
@@ -140,8 +131,7 @@ void BuddyDiscoverer::ProcessSnapshot(
   // One id → cluster-label table for the snapshot (util/label_rows.h):
   // every candidate probes every cluster, so each membership test inside
   // IntersectAtomSets becomes one lookup. Sparse id universes fail the
-  // BitsetProfitable gate and keep the binary-search path. The table is
-  // read-only during the parallel I-step, so the shards share it safely.
+  // BitsetProfitable gate and keep the binary-search path.
   const LabelTable* labels =
       cluster_labels_.Assign(snapshot.ids(), clustering.clusters)
           ? &cluster_labels_
@@ -156,26 +146,12 @@ void BuddyDiscoverer::ProcessSnapshot(
   std::vector<AtomSet> next;
   next.reserve(candidates_.size() + cluster_atoms.size());
 
-  // Candidates intersect against the clusters independently of each other
-  // (cluster atoms, index, and buddy set are read-only here); only the
-  // outputs — companion reports and surviving candidates — are order
-  // sensitive. So each candidate is processed by one shard into a private
-  // outcome, and the outcomes are replayed serially in candidate order:
-  // the report sequence, the `next` sequence, and the intersections total
-  // are bit-identical to the serial loop.
-  struct CandidateOutcome {
-    // (qualified, product) in the order the serial loop would emit them.
-    std::vector<std::pair<bool, AtomSet>> events;
-    int64_t intersections = 0;
-  };
-  std::vector<CandidateOutcome> outcomes(candidates_.size());
-  auto process_candidate = [&](size_t ci) {
-    CandidateOutcome& outcome = outcomes[ci];
-    double duration = candidates_[ci].duration + snapshot.duration();
-    AtomSet working = std::move(candidates_[ci]);
+  for (AtomSet& candidate : candidates_) {
+    double duration = candidate.duration + snapshot.duration();
+    AtomSet working = std::move(candidate);
 
     auto intersect_with = [&](size_t k) {
-      ++outcome.intersections;
+      ++stats_.intersections;
       AtomIntersection inter =
           IntersectAtomSets(working, cluster_atoms[k], index_, buddy_of,
                             labels, static_cast<int32_t>(k));
@@ -185,8 +161,11 @@ void BuddyDiscoverer::ProcessSnapshot(
       inter.result.duration = duration;
       // Qualified companions are output and leave the candidate set
       // (Definition 4: candidate duration < δt).
-      outcome.events.emplace_back(duration >= params_.duration_threshold,
-                                  std::move(inter.result));
+      if (duration >= params_.duration_threshold) {
+        report(inter.result, duration);
+      } else {
+        next.push_back(std::move(inter.result));
+      }
     };
 
     // Probe the cluster holding the candidate's first object before the
@@ -215,26 +194,7 @@ void BuddyDiscoverer::ProcessSnapshot(
       if (static_cast<int32_t>(k) == first_label) continue;
       intersect_with(k);
     }
-  };
-  ParallelForShards(
-      EffectiveShards(params_.cluster.threads, candidates_.size()),
-      [&](int shard, int num_shards) {
-        for (size_t ci = static_cast<size_t>(shard); ci < candidates_.size();
-             ci += static_cast<size_t>(num_shards)) {
-          process_candidate(ci);
-        }
-      });
-  for (CandidateOutcome& outcome : outcomes) {
-    stats_.intersections += outcome.intersections;
-    for (auto& [qualified, product] : outcome.events) {
-      if (qualified) {
-        report(product, product.duration);
-      } else {
-        next.push_back(std::move(product));
-      }
-    }
   }
-  outcomes.clear();
 
   // New clusters enter as candidates only if closed (Definition 5).
   // Closure runs inside the I-step timer (stats_.intersect_seconds keeps

@@ -19,58 +19,115 @@ double GridCellWidth(double eps, double max_abs_coord) {
   return eps * (1.0 + kPad) + max_abs_coord * kPad;
 }
 
+namespace {
+
+// A point's place in the sweep order: (column, y, index).
+struct SweepEntry {
+  int64_t cx;
+  double y;
+  uint32_t idx;
+};
+
+// What the sweep's column loop reads, in sweep order: `grid`, its SoA
+// mirror sx/sy/sidx, and col[c], the first position of column c (col has
+// ncols + 1 entries, closed by n).
+struct SweepView {
+  const SweepEntry* grid;
+  const uint32_t* col;
+  size_t ncols;
+  const double* sx;
+  const double* sy;
+  const uint32_t* sidx;
+  const uint8_t* source;
+  double w;
+  double r2;
+};
+
+// Sweeps columns [c_begin, c_end) of `v` into `dst`; `cand` and `surv`
+// hold the widest column. Sources walk each column bottom-up, so the band
+// in each of the up to three probe columns only moves forward: one cursor
+// per probe column replaces a per-source binary search. Nothing carries
+// from one column to the next, which is what lets the column loop run in
+// stripes. `v` is taken by value so the loop keeps it in registers.
+void SweepColumns(const SweepView v, size_t c_begin, size_t c_end,
+                  uint32_t* cand, uint32_t* surv, std::vector<uint64_t>* dst,
+                  int64_t* ops_out, int64_t* dispatched_out) {
+  int64_t ops = 0;
+  int64_t dispatched = 0;
+  for (size_t c = c_begin; c < c_end; ++c) {
+    const int64_t cx = v.grid[v.col[c]].cx;
+    size_t probe[3];
+    uint32_t lo[3];
+    int nprobe = 0;
+    if (c > 0 && v.grid[v.col[c - 1]].cx == cx - 1) probe[nprobe++] = c - 1;
+    probe[nprobe++] = c;
+    if (c + 1 < v.ncols && v.grid[v.col[c + 1]].cx == cx + 1) {
+      probe[nprobe++] = c + 1;
+    }
+    for (int k = 0; k < nprobe; ++k) lo[k] = v.col[probe[k]];
+
+    for (uint32_t s = v.col[c]; s < v.col[c + 1]; ++s) {
+      const uint32_t i = v.sidx[s];
+      if (v.source != nullptr && v.source[i] == 0) continue;
+      const double y_lo = v.sy[s] - v.w;
+      const double y_hi = v.sy[s] + v.w;
+      for (int k = 0; k < nprobe; ++k) {
+        const uint32_t end = v.col[probe[k] + 1];
+        uint32_t e = lo[k];
+        while (e < end && v.sy[e] < y_lo) ++e;
+        lo[k] = e;
+        // The skip rules (self, a source-source pair owned by the smaller
+        // index) run before anything is counted or compared.
+        size_t m = 0;
+        for (; e < end && v.sy[e] <= y_hi; ++e) {
+          const uint32_t j = v.sidx[e];
+          if (j == i) continue;
+          if (j < i && (v.source == nullptr || v.source[j] != 0)) continue;
+          cand[m++] = e;
+        }
+        if (m == 0) continue;
+        ops += static_cast<int64_t>(m);
+        ++dispatched;
+        const size_t kept = EpsFilterGather(v.sx, v.sy, cand, m, v.sx[s],
+                                            v.sy[s], v.r2, surv);
+        for (size_t t = 0; t < kept; ++t) {
+          dst->push_back((static_cast<uint64_t>(i) << 32) | v.sidx[surv[t]]);
+        }
+      }
+    }
+  }
+  *ops_out = ops;
+  *dispatched_out = dispatched;
+}
+
+}  // namespace
+
 namespace internal {
-
-NeighborTableBuilder::NeighborTableBuilder(size_t n, Arena* arena)
-    : n_(n), arena_(arena), offsets_(arena->AllocateArray<uint32_t>(n + 1)) {
-  std::fill(offsets_, offsets_ + n + 1, 0u);
-}
-
-void NeighborTableBuilder::CountPairs(const uint64_t* pairs, size_t count,
-                                      size_t nrows, const uint32_t* value) {
-  uint32_t* degree = offsets_ + 1;
-  for (uint32_t k = 0; k < nrows; ++k) {
-    ++degree[value == nullptr ? k : value[k]];
-  }
-  for (size_t p = 0; p < count; ++p) {
-    const uint64_t a = pairs[p] >> 32;
-    const uint32_t b = static_cast<uint32_t>(pairs[p]);
-    if (a < nrows) ++degree[value == nullptr ? a : value[a]];
-    if (b < nrows) ++degree[value == nullptr ? b : value[b]];
-  }
-}
-
-void NeighborTableBuilder::Seal() {
-  for (size_t i = 0; i < n_; ++i) offsets_[i + 1] += offsets_[i];
-  cursor_ = arena_->AllocateArray<uint32_t>(n_);
-  std::copy(offsets_, offsets_ + n_, cursor_);
-  entries_ = arena_->AllocateArray<uint32_t>(offsets_[n_]);
-}
-
-void NeighborTableBuilder::FillPairs(const uint64_t* pairs, size_t count,
-                                     size_t nrows, const uint32_t* value) {
-  const auto value_of = [value](uint64_t k) {
-    return value == nullptr ? static_cast<uint32_t>(k) : value[k];
-  };
-  for (uint32_t k = 0; k < nrows; ++k) {
-    const uint32_t row = value_of(k);
-    entries_[cursor_[row]++] = row;
-  }
-  for (size_t p = 0; p < count; ++p) {
-    const uint64_t a = pairs[p] >> 32;
-    const uint32_t b = static_cast<uint32_t>(pairs[p]);
-    if (a < nrows) entries_[cursor_[value_of(a)]++] = value_of(b);
-    if (b < nrows) entries_[cursor_[value_of(b)]++] = value_of(a);
-  }
-}
 
 NeighborTable NeighborTableFromPairs(const uint64_t* pairs, size_t count,
                                      size_t n, Arena* arena) {
-  NeighborTableBuilder builder(n, arena);
-  builder.CountPairs(pairs, count, n, nullptr);
-  builder.Seal();
-  builder.FillPairs(pairs, count, n, nullptr);
-  return builder.table();
+  // Degrees at offsets[i + 1] (each row holds itself), then prefix sums.
+  uint32_t* offsets = arena->AllocateArray<uint32_t>(n + 1);
+  offsets[0] = 0;
+  std::fill(offsets + 1, offsets + n + 1, 1u);
+  for (size_t p = 0; p < count; ++p) {
+    ++offsets[(pairs[p] >> 32) + 1];
+    ++offsets[static_cast<uint32_t>(pairs[p]) + 1];
+  }
+  for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  uint32_t* cursor = arena->AllocateArray<uint32_t>(n);
+  uint32_t* entries = arena->AllocateArray<uint32_t>(offsets[n]);
+  for (uint32_t i = 0; i < n; ++i) {
+    entries[offsets[i]] = i;
+    cursor[i] = offsets[i] + 1;
+  }
+  for (size_t p = 0; p < count; ++p) {
+    const uint32_t a = static_cast<uint32_t>(pairs[p] >> 32);
+    const uint32_t b = static_cast<uint32_t>(pairs[p]);
+    entries[cursor[a]++] = b;
+    entries[cursor[b]++] = a;
+  }
+  return NeighborTable{n, offsets, entries};
 }
 
 Clustering BuildClusteringFromCores(const Snapshot& snapshot,
@@ -132,10 +189,10 @@ void NumberClusters(const Snapshot& snapshot,
 }
 
 int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
-                           double radius, const uint8_t* source,
-                           Arena* arena, std::vector<uint64_t>* pairs,
-                           int64_t* batches) {
+                           double radius, const uint8_t* source, int stripes,
+                           Arena* arena, SweepPairs* out, int64_t* batches) {
   TCOMP_CHECK_GT(radius, 0.0);
+  std::vector<uint64_t>* pairs = &out->pairs;
   pairs->clear();
   double max_abs = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -156,11 +213,6 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
 
   // Sweep order: (column, y, index) — a total, value-determined order, so
   // the candidate sets and the returned count are deterministic.
-  struct SweepEntry {
-    int64_t cx;
-    double y;
-    uint32_t idx;
-  };
   SweepEntry* grid = arena->AllocateArray<SweepEntry>(n);
   for (size_t i = 0; i < n; ++i) {
     // tcomp-lint: allow(cell-grid): the column bucketing of the one
@@ -175,8 +227,9 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
   });
 
   // Sweep-order SoA mirror (sy doubles as the band cursors' key, sx/sy
-  // feed EpsFilterGather, sidx maps positions back to points) and the
-  // first position of every column, closed by n.
+  // feed EpsFilterGather, sidx maps positions back to points), the first
+  // position of every column, closed by n, and the largest column, which
+  // bounds one band's candidates.
   double* sx = arena->AllocateArray<double>(n);
   double* sy = arena->AllocateArray<double>(n);
   uint32_t* sidx = arena->AllocateArray<uint32_t>(n);
@@ -189,53 +242,59 @@ int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
     if (e == 0 || grid[e].cx != grid[e - 1].cx) col[ncols++] = e;
   }
   col[ncols] = static_cast<uint32_t>(n);
-  uint32_t* cand = arena->AllocateArray<uint32_t>(n);
-  uint32_t* surv = arena->AllocateArray<uint32_t>(n);
+  size_t widest = 0;
+  for (size_t c = 0; c < ncols; ++c) {
+    widest = std::max<size_t>(widest, col[c + 1] - col[c]);
+  }
 
-  // Sources walk each column bottom-up, so the band in each of the up to
-  // three probe columns only moves forward: one cursor per probe column
-  // replaces a per-source binary search.
+  const SweepView view{grid, col, ncols, sx, sy, sidx, source, w, r2};
+
+  // Stripe count: as asked, but at most one stripe a column and at least
+  // kMinPointsPerStripe points a stripe; 0 or 1 runs the serial loop.
+  const size_t nstripes = std::min(
+      {static_cast<size_t>(std::max(stripes, 1)), ncols,
+       std::max<size_t>(n / kMinPointsPerStripe, 1)});
   int64_t ops = 0;
   int64_t dispatched = 0;
-  for (size_t c = 0; c < ncols; ++c) {
-    const int64_t cx = grid[col[c]].cx;
-    size_t probe[3];
-    uint32_t lo[3];
-    int nprobe = 0;
-    if (c > 0 && grid[col[c - 1]].cx == cx - 1) probe[nprobe++] = c - 1;
-    probe[nprobe++] = c;
-    if (c + 1 < ncols && grid[col[c + 1]].cx == cx + 1) {
-      probe[nprobe++] = c + 1;
+  if (nstripes <= 1) {
+    uint32_t* cand = arena->AllocateArray<uint32_t>(widest);
+    uint32_t* surv = arena->AllocateArray<uint32_t>(widest);
+    SweepColumns(view, 0, ncols, cand, surv, pairs, &ops, &dispatched);
+  } else {
+    // Stripe k sweeps columns [bound[k], bound[k + 1]): the first column
+    // at or past point k·n/S, kept at least one column past the previous
+    // bound and one short of the columns the later stripes need. The
+    // arena is not thread-safe, so every stripe's scratch comes out of it
+    // here, before the fan-out.
+    size_t* bound = arena->AllocateArray<size_t>(nstripes + 1);
+    bound[0] = 0;
+    bound[nstripes] = ncols;
+    for (size_t k = 1; k < nstripes; ++k) {
+      const size_t first = static_cast<size_t>(
+          std::lower_bound(col, col + ncols, k * n / nstripes) - col);
+      bound[k] = std::clamp(first, bound[k - 1] + 1, ncols - (nstripes - k));
     }
-    for (int k = 0; k < nprobe; ++k) lo[k] = col[probe[k]];
-
-    for (uint32_t s = col[c]; s < col[c + 1]; ++s) {
-      const uint32_t i = sidx[s];
-      if (source != nullptr && source[i] == 0) continue;
-      const double y_lo = sy[s] - w;
-      const double y_hi = sy[s] + w;
-      for (int k = 0; k < nprobe; ++k) {
-        const uint32_t end = col[probe[k] + 1];
-        uint32_t e = lo[k];
-        while (e < end && sy[e] < y_lo) ++e;
-        lo[k] = e;
-        // The skip rules (self, a source-source pair owned by the smaller
-        // index) run before anything is counted or compared.
-        size_t m = 0;
-        for (; e < end && sy[e] <= y_hi; ++e) {
-          const uint32_t j = sidx[e];
-          if (j == i) continue;
-          if (j < i && (source == nullptr || source[j] != 0)) continue;
-          cand[m++] = e;
-        }
-        if (m == 0) continue;
-        ops += static_cast<int64_t>(m);
-        ++dispatched;
-        const size_t kept =
-            EpsFilterGather(sx, sy, cand, m, sx[s], sy[s], r2, surv);
-        for (size_t t = 0; t < kept; ++t) {
-          pairs->push_back((static_cast<uint64_t>(i) << 32) | sidx[surv[t]]);
-        }
+    uint32_t* cand = arena->AllocateArray<uint32_t>(nstripes * widest);
+    uint32_t* surv = arena->AllocateArray<uint32_t>(nstripes * widest);
+    int64_t* stripe_ops = arena->AllocateArray<int64_t>(nstripes);
+    int64_t* stripe_batches = arena->AllocateArray<int64_t>(nstripes);
+    // Stripe 0 appends straight into `pairs`; stripe k > 0 into
+    // out->stripes[k - 1], appended after it below.
+    if (out->stripes.size() < nstripes - 1) out->stripes.resize(nstripes - 1);
+    ParallelForShards(static_cast<int>(nstripes), [&](int k, int) {
+      const size_t s = static_cast<size_t>(k);
+      std::vector<uint64_t>* dst = s == 0 ? pairs : &out->stripes[s - 1];
+      dst->clear();
+      SweepColumns(view, bound[s], bound[s + 1], cand + s * widest,
+                   surv + s * widest, dst, &stripe_ops[s],
+                   &stripe_batches[s]);
+    });
+    for (size_t s = 0; s < nstripes; ++s) {
+      ops += stripe_ops[s];
+      dispatched += stripe_batches[s];
+      if (s > 0) {
+        const std::vector<uint64_t>& stripe = out->stripes[s - 1];
+        pairs->insert(pairs->end(), stripe.begin(), stripe.end());
       }
     }
   }
@@ -250,39 +309,22 @@ Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
   const size_t n = snapshot.size();
   const double eps2 = params.epsilon * params.epsilon;
   int64_t ops = 0;
-  const int shards = EffectiveShards(params.threads, n);
-  // Each shard owns a strided set of rows (row i of the upper triangle
-  // is computed entirely by shard i % num_shards; striding balances the
-  // triangular row lengths) and collects its within-ε pairs (i < j) on
-  // its own; the lists are joined into the table afterwards, and the ops
-  // total is the same n(n-1)/2 at every shard count.
-  std::vector<std::vector<uint64_t>> pairs(static_cast<size_t>(shards));
-  std::vector<int64_t> shard_ops(static_cast<size_t>(shards), 0);
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    std::vector<uint64_t>& out = pairs[static_cast<size_t>(shard)];
-    int64_t local_ops = 0;
-    for (uint32_t i = static_cast<uint32_t>(shard); i < n;
-         i += static_cast<uint32_t>(num_shards)) {
-      Point pi = snapshot.pos(i);
-      for (uint32_t j = i + 1; j < n; ++j) {
-        ++local_ops;
-        // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend —
-        // the paper's cost model for CI/SC; deliberately unaccelerated
-        // so distance_ops stays the figure the paper plots.
-        if (WithinEps(pi, snapshot.pos(j), eps2)) {
-          out.push_back((static_cast<uint64_t>(i) << 32) | j);
-        }
+  std::vector<uint64_t> pairs;
+  for (uint32_t i = 0; i < n; ++i) {
+    Point pi = snapshot.pos(i);
+    for (uint32_t j = i + 1; j < n; ++j) {
+      ++ops;
+      // tcomp-lint: allow(soa-raw-loop): reference O(n²) backend — the
+      // paper's cost model for CI/SC; deliberately unaccelerated so
+      // distance_ops stays the figure the paper plots.
+      if (WithinEps(pi, snapshot.pos(j), eps2)) {
+        pairs.push_back((static_cast<uint64_t>(i) << 32) | j);
       }
     }
-    shard_ops[static_cast<size_t>(shard)] = local_ops;
-  });
-  for (int64_t s : shard_ops) ops += s;
-  for (size_t k = 1; k < pairs.size(); ++k) {
-    pairs[0].insert(pairs[0].end(), pairs[k].begin(), pairs[k].end());
   }
   Arena arena;
-  const NeighborTable table = internal::NeighborTableFromPairs(
-      pairs[0].data(), pairs[0].size(), n, &arena);
+  const NeighborTable table =
+      internal::NeighborTableFromPairs(pairs.data(), pairs.size(), n, &arena);
   if (distance_ops != nullptr) *distance_ops += ops;
   return internal::BuildClusteringFromCores(snapshot, table, params.mu);
 }
@@ -302,9 +344,10 @@ Clustering SnapshotClusterer::Cluster(const Snapshot& snapshot,
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena_);
   int64_t batches = 0;
   const int64_t swept = internal::SweepNeighborPairs(
-      soa.x, soa.y, n, params_.epsilon, nullptr, &arena_, &pairs_, &batches);
+      soa.x, soa.y, n, params_.epsilon, nullptr, params_.threads, &arena_,
+      &pairs_, &batches);
   const NeighborTable table = internal::NeighborTableFromPairs(
-      pairs_.data(), pairs_.size(), n, &arena_);
+      pairs_.pairs.data(), pairs_.pairs.size(), n, &arena_);
   sweep_timer.Stop();
   if (distance_ops != nullptr) *distance_ops += swept;
   if (cost != nullptr) {
@@ -312,6 +355,15 @@ Clustering SnapshotClusterer::Cluster(const Snapshot& snapshot,
     cost->seconds += sweep_timer.Seconds();
   }
   return internal::BuildClusteringFromCores(snapshot, table, params_.mu);
+}
+
+size_t SnapshotClusterer::ScratchBytes() const {
+  size_t bytes =
+      arena_.allocated_bytes() + pairs_.pairs.capacity() * sizeof(uint64_t);
+  for (const std::vector<uint64_t>& stripe : pairs_.stripes) {
+    bytes += stripe.capacity() * sizeof(uint64_t);
+  }
+  return bytes;
 }
 
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,

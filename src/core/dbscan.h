@@ -16,12 +16,11 @@ namespace tcomp {
 /// N_ε(o) includes o itself (dist(o,o)=0 ≤ ε), so an object is a *core*
 /// object iff at least `mu` objects (itself included) lie within ε.
 ///
-/// `threads` parallelizes the reference Dbscan()'s O(n²) neighbor stage
-/// and BU's buddy stages across the shared pool (util/thread_pool.h).
-/// Results — labels, core flags, clusters, and the distance_ops counter —
-/// are bit-identical at every thread count; 1 (the default) bypasses the
-/// pool entirely. DbscanGrid and SnapshotClusterer are serial and ignore
-/// it; the parallel ε path is the sharded engine (src/shard/).
+/// `threads` is the stripe count of the ε sweep (internal::
+/// SweepNeighborPairs) in DbscanGrid, SnapshotClusterer and BU's buddy
+/// sweeps: the one parallel knob (`--shards`). Products and every counter
+/// are identical at every count; 1 (the default) never touches the
+/// thread pool. The reference Dbscan() ignores it.
 struct DbscanParams {
   double epsilon = 1.0;
   int mu = 3;
@@ -39,14 +38,14 @@ inline bool WithinEps(Point a, Point b, double eps2) {
   return SquaredDistance(a, b) <= eps2;
 }
 
-/// Column width for the ε-neighborhood sweep (and the shard halo radius)
-/// that is guaranteed to cover every pair within `eps` through adjacent
-/// columns and a ±width band, even at the edge of floating-point
-/// resolution. A naive `floor(x / eps)` bucketing can put two coordinates
-/// exactly `eps` apart two columns apart once |x| grows to ~eps·2^52 (the
-/// division's rounding error reaches a whole column), and a pair at
-/// distance exactly eps that straddles a border is then missed. Padding
-/// the width by max|coord|·2⁻⁴⁰ (plus a relative ε pad) keeps
+/// Column width for the ε-neighborhood sweep that is guaranteed to cover
+/// every pair within `eps` through adjacent columns and a ±width band,
+/// even at the edge of floating-point resolution. A naive
+/// `floor(x / eps)` bucketing can put two coordinates exactly `eps` apart
+/// two columns apart once |x| grows to ~eps·2^52 (the division's rounding
+/// error reaches a whole column), and a pair at distance exactly eps
+/// that straddles a border is then missed. Padding the width by
+/// max|coord|·2⁻⁴⁰ (plus a relative ε pad) keeps
 /// |floor(x₁/c) − floor(x₂/c)| ≤ 1 whenever |x₁ − x₂| ≤ eps, at the cost
 /// of a slightly wider band.
 double GridCellWidth(double eps, double max_abs_coord);
@@ -85,30 +84,45 @@ struct NeighborTable {
 
 /// Pluggable snapshot-clustering backend: given a snapshot, produce the
 /// Clustering described above — same determinism spec, same closed-ball
-/// neighborhood — incrementing `distance_ops` (never null is not
-/// guaranteed; check) by the distance evaluations spent. It replaces the
-/// built-in SnapshotClusterer: the sharded C-step engine (src/shard/) and
-/// road-network DBSCAN (src/network/) are injected through this type; see
+/// neighborhood — incrementing `distance_ops` (may be null; check) by the
+/// distance evaluations spent. It replaces the built-in
+/// SnapshotClusterer: road-network DBSCAN (src/network/) is injected
+/// through this type, and the tests inject the reference Dbscan; see
 /// CompanionDiscoverer::SetClusterProvider and ConvoyParams.
 using ClusterProvider =
     std::function<Clustering(const Snapshot& snapshot, int64_t* distance_ops)>;
 
 /// Reference density-based clustering, O(n²) pairwise distances (the cost
-/// model the paper assumes for the CI/SC baselines). If `distance_ops` is
-/// non-null it is incremented by the number of distance evaluations.
+/// model the paper assumes for the CI/SC baselines). Serial;
+/// `params.threads` is ignored. If `distance_ops` is non-null it is
+/// incremented by the number of distance evaluations.
 Clustering Dbscan(const Snapshot& snapshot, const DbscanParams& params,
                   int64_t* distance_ops = nullptr);
 
 /// Grid-accelerated density clustering with identical output to Dbscan():
 /// the ε-neighborhood plane sweep (internal::SweepNeighborPairs) over every
-/// point into a NeighborTable, then the shared finisher. `distance_ops`
-/// grows by the candidate pairs the sweep evaluated, each unordered pair
-/// at most once (so at most n(n-1)/2). Serial; `params.threads` is
-/// ignored. Used by generators/examples where a fast exact clustering is
-/// needed and as a reference point in the clustering microbenchmarks;
-/// tests pin it against Dbscan(). One call runs one SnapshotClusterer.
+/// point, in `params.threads` stripes, into a NeighborTable, then the
+/// shared finisher. `distance_ops` grows by the candidate pairs the sweep
+/// evaluated, each unordered pair at most once (so at most n(n-1)/2), the
+/// same at every stripe count. Used by generators/examples where a fast
+/// exact clustering is needed and as a reference point in the clustering
+/// microbenchmarks; tests pin it against Dbscan(). One call runs one
+/// SnapshotClusterer.
 Clustering DbscanGrid(const Snapshot& snapshot, const DbscanParams& params,
                       int64_t* distance_ops = nullptr);
+
+namespace internal {
+
+/// What internal::SweepNeighborPairs writes: `pairs`, and the buffers of
+/// stripes 1..S−1 of a striped sweep, which it appends to `pairs` in
+/// stripe order once every stripe is done. Keep one across sweeps to
+/// reuse their capacity.
+struct SweepPairs {
+  std::vector<uint64_t> pairs;
+  std::vector<std::vector<uint64_t>> stripes;
+};
+
+}  // namespace internal
 
 /// What SnapshotClusterer::Cluster spent in its ε sweep besides its
 /// distance_ops (which are also the kernel's lanes): the kernel batches
@@ -122,17 +136,19 @@ struct SweepCost {
 
 /// DbscanGrid for a stream, and the built-in C-step of CI, SC and the
 /// convoy baseline: each call clusters one snapshot with one ε sweep
-/// (internal::SweepNeighborPairs), the neighbor table and the shared
-/// finisher, exactly as DbscanGrid does. The scratch arena and the sweep's
-/// pair buffer are kept across calls, so once the stream's largest
-/// snapshot has sized them a call allocates no scratch from the heap
-/// (tests/soa_differential_test.cc pins this). Nothing else survives a
-/// call: every snapshot's products and distance_ops are DbscanGrid's, and
-/// a checkpoint has nothing of it to save. DESIGN.md §1.6c records why
-/// no neighborhood state is carried from one snapshot to the next.
+/// (internal::SweepNeighborPairs, in `params.threads` stripes), the
+/// neighbor table and the shared finisher, exactly as DbscanGrid does.
+/// The scratch arena and the sweep's pair buffers are kept across calls,
+/// so once the stream's largest snapshot has sized them a call allocates
+/// no scratch from the heap (tests/soa_differential_test.cc pins this).
+/// Nothing else survives a call: every snapshot's products and
+/// distance_ops are DbscanGrid's, and a checkpoint has nothing of it to
+/// save. DESIGN.md §1.6c records why no neighborhood state is carried
+/// from one snapshot to the next.
 ///
-/// Serial; `params.threads` is ignored. Not thread-safe; one instance per
-/// stream, like the discoverers.
+/// Not thread-safe; one instance per stream, like the discoverers. Its
+/// stripes run on the shared pool (util/thread_pool.h), so Cluster() must
+/// not be called from inside a ParallelForShards region.
 class SnapshotClusterer {
  public:
   explicit SnapshotClusterer(const DbscanParams& params);
@@ -143,28 +159,29 @@ class SnapshotClusterer {
                      SweepCost* cost = nullptr);
 
   /// Heap bytes the scratch holds: the arena's blocks plus the pair
-  /// buffer's capacity. Stable once the stream's high-water snapshot has
+  /// buffers' capacity. Stable once the stream's high-water snapshot has
   /// been seen.
-  size_t ScratchBytes() const {
-    return arena_.allocated_bytes() + pairs_.capacity() * sizeof(uint64_t);
-  }
+  size_t ScratchBytes() const;
 
  private:
   DbscanParams params_;
   Arena arena_;
-  std::vector<uint64_t> pairs_;
+  internal::SweepPairs pairs_;
 };
 
 namespace internal {
 
+/// Fewest points a stripe of the ε sweep is given: a smaller share costs
+/// more in the pool hand-off than it saves.
+inline constexpr size_t kMinPointsPerStripe = 32;
+
 /// The one ε-neighborhood builder behind SnapshotClusterer (and so
-/// DbscanGrid), the shard stripes and BU's buddy sweeps (DESIGN.md
-/// §1.6d). Given n points as SoA coordinates `xs`/`ys`, a `radius` > 0
-/// and an optional per-point 0/1 `source` mask (null = every point is a
-/// source), it appends to `pairs` (cleared first) every pair within
-/// `radius` — closed ball, the WithinEps compare — that involves a
-/// source, exactly once, packed as (s << 32 | p) with s the source that
-/// evaluated it:
+/// DbscanGrid) and BU's buddy sweeps (DESIGN.md §1.6d). Given n points as
+/// SoA coordinates `xs`/`ys`, a `radius` > 0 and an optional per-point
+/// 0/1 `source` mask (null = every point is a source), it sets
+/// `out->pairs` to every pair within `radius` — closed ball, the
+/// WithinEps compare — that involves a source, exactly once, packed as
+/// (s << 32 | p) with s the source that evaluated it:
 ///   - a source–source pair from the smaller index (s < p);
 ///   - a source–non-source pair from the source side.
 /// Pairs of two non-sources are never evaluated.
@@ -178,47 +195,24 @@ namespace internal {
 /// Reset(). Returns the candidate pairs evaluated (the distance_ops
 /// figure and the kernel's lanes), a pure function of the input;
 /// `batches`, if non-null, grows by the kernel dispatches.
+///
+/// `stripes` > 1 splits the column loop into that many contiguous column
+/// ranges of about equal point count (clamped to the column count and to
+/// kMinPointsPerStripe points a stripe) and runs them on the shared pool
+/// (ParallelForShards). A column's pairs, candidates and dispatches depend
+/// only on it and its two neighbors, so the stripes' buffers, appended in
+/// column order, are the serial pair list, and the returned count and
+/// `batches` are the serial ones, at every stripe count. The sort, and
+/// everything the caller does with the pairs, stays serial. Must not be
+/// called from inside a ParallelForShards region.
 int64_t SweepNeighborPairs(const double* xs, const double* ys, size_t n,
-                           double radius, const uint8_t* source,
-                           Arena* arena, std::vector<uint64_t>* pairs,
+                           double radius, const uint8_t* source, int stripes,
+                           Arena* arena, SweepPairs* out,
                            int64_t* batches = nullptr);
 
-/// Fills a NeighborTable of n rows from packed pairs (a << 32 | b) over
-/// a local index space, in two passes over the same pair lists:
-///   1. CountPairs for every list: the degree of each row it touches;
-///   2. Seal(): prefix sums into offsets, entries allocated;
-///   3. FillPairs for every list: each row gets itself, then its pairs.
-/// For a list, local index k < nrows has a row, table row value[k]
-/// (`value` null = identity); an endpoint ≥ nrows has none, so the pair
-/// lands only in the other endpoint's row. Lists whose row sets are
-/// disjoint may be counted, and after Seal() filled, concurrently — the
-/// shard stripes do (§1.8). Storage comes from `arena` and lives until
-/// its next Reset().
-class NeighborTableBuilder {
- public:
-  NeighborTableBuilder(size_t n, Arena* arena);
-
-  void CountPairs(const uint64_t* pairs, size_t count, size_t nrows,
-                  const uint32_t* value);
-  void Seal();
-  void FillPairs(const uint64_t* pairs, size_t count, size_t nrows,
-                 const uint32_t* value);
-
-  /// Valid once every list counted before Seal() has been filled.
-  NeighborTable table() const {
-    return NeighborTable{n_, offsets_, entries_};
-  }
-
- private:
-  size_t n_;
-  Arena* arena_;
-  uint32_t* offsets_;  // degrees at [i + 1] until Seal(), then offsets
-  uint32_t* cursor_ = nullptr;
-  uint32_t* entries_ = nullptr;
-};
-
-/// The one-list case: the ε-graph of n points from their symmetric pairs
-/// (every point a row, value = identity).
+/// The ε-graph of n points from their symmetric pairs (a << 32 | b) over
+/// [0, n): each row gets itself, then its pairs in list order. Storage
+/// comes from `arena` and lives until its next Reset().
 NeighborTable NeighborTableFromPairs(const uint64_t* pairs, size_t count,
                                      size_t n, Arena* arena);
 

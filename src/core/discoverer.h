@@ -152,14 +152,13 @@ class CompanionDiscoverer {
   void set_stage_sink(StageTimerSink* sink) { stage_sink_ = sink; }
 
   /// Replaces the algorithm's per-snapshot object clustering with an
-  /// external backend (the sharded C-step engine, a spatial index, ...).
-  /// The provider must obey the Clustering determinism spec of
+  /// external backend (road-network DBSCAN, the reference Dbscan in
+  /// tests). The provider must obey the Clustering determinism spec of
   /// core/dbscan.h, in which case products are unchanged by construction
   /// — only where the distance evaluations happen moves. Returns false
   /// when the algorithm has no object-clustering stage to replace (BU
-  /// clusters buddies, not raw objects); callers must then fall back to
-  /// the built-in path (see ServicePipeline's --shards fallback story).
-  /// Pass an empty provider to restore the built-in clustering.
+  /// clusters buddies, not raw objects). Pass an empty provider to
+  /// restore the built-in clustering.
   virtual bool SetClusterProvider(ClusterProvider provider) {
     (void)provider;
     return false;

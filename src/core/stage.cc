@@ -22,12 +22,6 @@ const char* StageName(Stage stage) {
       return "closure";
     case Stage::kCheckpointWrite:
       return "checkpoint_write";
-    case Stage::kShardRoute:
-      return "shard_route";
-    case Stage::kShardCluster:
-      return "shard_cluster";
-    case Stage::kMergeStitch:
-      return "merge_stitch";
     case Stage::kFrameDecode:
       return "frame_decode";
     case Stage::kConnFlush:

@@ -16,26 +16,19 @@ enum class Stage {
   kSnapshotClose,    // window close → discoverer done (whole snapshot)
   kMaintain,         // M-step: buddy split/merge maintenance (BU)
   kCluster,          // C-step: density clustering
-  kEpsFilter,        // ε-neighborhood filtering inside the C-step: the
-                     // batched SoA kernels (util/eps_filter.h) or their
-                     // scalar fallback. Nests inside kCluster, like the
-                     // shard stages; zero samples on paths that do not
-                     // time their filter portion separately.
+  kEpsFilter,        // ε-neighborhood sweep inside the C-step: the
+                     // sweep (in its stripes) and the neighbor table.
+                     // Nests inside kCluster; zero samples on paths that
+                     // do not time their sweep separately.
   kIntersect,        // I-step: candidate × cluster intersections
   kClosure,          // closedness checks on new clusters (SC, BU, convoy)
   kCheckpointWrite,  // checkpoint serialization + file write
-  // Sharded C-step (src/shard/): zero samples unless --shards > 1 routes
-  // the snapshot-clustering stage through the sharded engine. The three
-  // stages nest inside kCluster (partition → per-shard work → stitch).
-  kShardRoute,       // partition: stripe assignment + halo computation
-  kShardCluster,     // per-shard ε-neighborhood work, submit → all done
-  kMergeStitch,      // cross-shard merge: union-find stitch + finishing
   // Event-loop connection layer (src/service/server.cc): zero samples
   // unless `serve` is running. Both sit outside kSnapshotClose.
   kFrameDecode,      // socket bytes → parsed requests (text or binary)
   kConnFlush,        // queued response bytes → socket, one drain attempt
 };
-inline constexpr int kStageCount = 14;
+inline constexpr int kStageCount = 11;
 
 /// Stable lowercase identifier used as the `stage` label value.
 const char* StageName(Stage stage);

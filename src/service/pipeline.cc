@@ -49,28 +49,6 @@ Status ServicePipeline::Start() {
   // Stage reporting is timing-only: the serve-vs-batch differential runs
   // with the sink attached and stays byte-identical to the batch path.
   discoverer_->set_stage_sink(&stage_sink_);
-  if (options_.shards > 1) {
-    auto engine = std::make_unique<ShardedClusterEngine>(
-        options_.params.cluster, options_.shards);
-    engine->set_stage_sink(&stage_sink_);
-    ShardedClusterEngine* raw = engine.get();
-    if (discoverer_->SetClusterProvider(
-            [raw](const Snapshot& snapshot, int64_t* distance_ops) {
-              return raw->Cluster(snapshot, distance_ops);
-            })) {
-      shard_engine_ = std::move(engine);
-    } else {
-      // Fallback, not failure: the algorithm has no object-clustering
-      // stage to shard (BU clusters buddies). Serve with the built-in
-      // path — products are what --shards 1 would produce, i.e. still
-      // byte-identical to batch — and say so once.
-      shard_fallback_ = true;
-      TCOMP_LOG_WARNING << "--shards " << options_.shards << " ignored: "
-                        << discoverer_->name()
-                        << " has no object-clustering stage to shard; "
-                           "serving on the single-worker path";
-    }
-  }
   started_ = true;
   worker_ = std::thread(&ServicePipeline::WorkerLoop, this);
   return Status::OK();
@@ -377,13 +355,6 @@ ServiceStats ServicePipeline::Stats() const {
   stats.snapshots_emitted = window_.emitted();
   stats.checkpoints_written = checkpoints_written_;
   stats.resumed = resumed_;
-  stats.shard_fallback = shard_fallback_;
-  if (shard_engine_ != nullptr) {
-    stats.shards = shard_engine_->num_shards();
-    ShardEngineStats shard = shard_engine_->stats();
-    stats.shard_snapshots = shard.snapshots;
-    stats.shard_halo_objects = shard.halo_objects;
-  }
   return stats;
 }
 
@@ -434,15 +405,8 @@ std::string ServicePipeline::MetricsText() const {
         stats.reorder_held_peak);
   gauge("tcomp_resumed", "1 if state was restored from a checkpoint",
         stats.resumed ? 1 : 0);
-  gauge("tcomp_shard_fallback",
-        "1 if --shards was requested but the algorithm cannot shard",
-        stats.shard_fallback ? 1 : 0);
-  // The engine's series (per-shard queue depths, halo counters) exist
-  // only when sharding is live, so a server's exposed name set is stable
-  // for its configuration. The pointer is written once in Start() under
-  // state_mu_ (Stats() above synchronized with it); the engine's own
-  // counters are monitoring-grade atomics.
-  if (shard_engine_ != nullptr) shard_engine_->ExportMetrics(&metrics_);
+  gauge("tcomp_shards", "Configured shard count (--shards)",
+        options_.params.cluster.threads);
   return metrics_.ExpositionText();
 }
 

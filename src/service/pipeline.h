@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "service/ingest_queue.h"
-#include "shard/sharded_engine.h"
 #include "stream/inactive_period.h"
 #include "stream/record.h"
 #include "stream/sliding_window.h"
@@ -56,17 +55,6 @@ struct ServicePipelineOptions {
   /// line with the per-stage breakdown. 0 disables the log. Logging only —
   /// never affects processing or results.
   double slow_snapshot_ms = 0.0;
-
-  /// Shard count for the C-step (--shards). 1 (the default) reproduces
-  /// the single-worker path exactly; > 1 routes each snapshot's
-  /// clustering through the sharded engine (src/shard/) — partition →
-  /// per-shard ε-neighborhoods → deterministic merge — with products
-  /// byte-identical to the batch path at every shard count
-  /// (shard_differential_test pins this). Algorithms without an object
-  /// clustering stage (BU) fall back to the built-in path with one
-  /// WARNING; no shard state survives a snapshot close, so checkpoints
-  /// taken at one shard count resume at any other.
-  int shards = 1;
 };
 
 /// Pipeline-level counters; discovery and queue counters ride along so one
@@ -89,13 +77,6 @@ struct ServiceStats {
   int64_t checkpoints_written = 0;
   int64_t companions_distinct = 0;  // deduplicated log size
   bool resumed = false;           // state restored from a checkpoint
-
-  // Sharded C-step (zeros / defaults when options.shards == 1):
-  int shards = 1;                  // shard count actually serving
-  bool shard_fallback = false;     // --shards > 1 but the algorithm has
-                                   // no object clustering to shard (BU)
-  int64_t shard_snapshots = 0;     // snapshots clustered by the engine
-  int64_t shard_halo_objects = 0;  // Σ halo replicas across snapshots
 };
 
 /// Outcome of one ServicePipeline::TryIngestBatch() call over
@@ -116,9 +97,10 @@ struct IngestBatchResult {
 /// queue feeding the SlidingWindow → CompanionDiscoverer chain on one
 /// dedicated worker thread. Producers call Ingest() from any thread;
 /// queries are served from a consistent view at any time. As on the batch
-/// path, options.params.cluster.threads > 1 fans BU's split, retired-token
-/// expansion, core-flag and intersection loops out over the process-wide
-/// ThreadPool; CI and SC ignore it (their parallel C-step is --shards).
+/// path, options.params.cluster.threads (`--shards`) is the stripe count
+/// of every ε sweep the discoverer runs; products, counters and
+/// checkpoints are the same at every count, so a checkpoint taken at one
+/// count resumes at any other.
 ///
 /// Lifecycle: Start() → {Ingest() | Flush() | queries}* → Stop().
 /// Stop() drains the queue, flushes the reorder buffer and the open
@@ -214,11 +196,6 @@ class ServicePipeline {
   // copy-out.
   mutable std::mutex state_mu_;
   std::condition_variable progress_cv_;  // signaled per processed batch
-  // Declared before discoverer_ so the engine outlives the discoverer
-  // holding its provider closure. Created in Start() iff options_.shards
-  // > 1 and the algorithm accepts an external C-step; never reset after.
-  std::unique_ptr<ShardedClusterEngine> shard_engine_;
-  bool shard_fallback_ = false;  // set in Start(); immutable after
   std::unique_ptr<CompanionDiscoverer> discoverer_;
   SlidingWindowSnapshotter window_;
   InactivePeriodFiller filler_;

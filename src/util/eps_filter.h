@@ -8,8 +8,8 @@ namespace tcomp {
 
 /// Batched ε-filter kernel over structure-of-arrays coordinates. Its one
 /// consumer is the ε-neighborhood sweep (internal::SweepNeighborPairs in
-/// core/dbscan.h, which SnapshotClusterer, the shard stripes and BU's
-/// buddy sweeps all call), asking "which of these candidates are within
+/// core/dbscan.h, which SnapshotClusterer and BU's buddy sweeps call,
+/// from every stripe), asking "which of these candidates are within
 /// ε of the query point?". The kernel takes the candidates as indices
 /// into contiguous double arrays so the squared-distance compare
 /// auto-vectorizes.

@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "util/logging.h"
@@ -65,12 +64,6 @@ void ThreadPool::RunShards(int num_shards,
   num_shards_ = 0;
 }
 
-int EffectiveShards(int threads, size_t n) {
-  if (threads <= 1 || n <= 1) return 1;
-  return static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(threads), n));
-}
-
 namespace {
 
 // One shared pool, grown on demand. The mutex is held for the whole
@@ -108,23 +101,6 @@ void ParallelForShards(int threads,
     pool = std::make_unique<ThreadPool>(threads - 1);
   }
   pool->RunShards(threads, body);
-}
-
-void ParallelFor(int threads, size_t n,
-                 const std::function<void(size_t, size_t, int)>& body) {
-  int shards = EffectiveShards(threads, n);
-  if (shards == 1) {
-    body(0, n, 0);
-    return;
-  }
-  ParallelForShards(shards, [&](int shard, int num_shards) {
-    size_t chunk = n / static_cast<size_t>(num_shards);
-    size_t extra = n % static_cast<size_t>(num_shards);
-    size_t s = static_cast<size_t>(shard);
-    size_t begin = s * chunk + std::min(s, extra);
-    size_t end = begin + chunk + (s < extra ? 1 : 0);
-    body(begin, end, shard);
-  });
 }
 
 }  // namespace tcomp

@@ -2,7 +2,6 @@
 #define TCOMP_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -16,8 +15,8 @@ namespace tcomp {
 ///
 /// Deliberately work-stealing-free: RunShards() hands shard i to exactly
 /// one participant (the caller runs shard 0, background worker w runs
-/// shard w+1), so any data owned by a shard — a slice of `neighbors[]`, a
-/// per-worker counter — is written by exactly one thread and the results
+/// shard w+1), so any data owned by a shard — a stripe's pair buffer, a
+/// per-stripe counter — is written by exactly one thread and the results
 /// are bit-identical to running the shards sequentially. Determinism is
 /// the contract: a shard's output may depend only on its shard index,
 /// never on scheduling.
@@ -54,28 +53,16 @@ class ThreadPool {
   bool shutdown_ = false;                                // guarded by mu_
 };
 
-/// Shard count actually worth using for a loop of `n` items: the requested
-/// thread count clamped to [1, n]. A result of 1 means "run serially".
-int EffectiveShards(int threads, size_t n);
-
 /// Runs body(shard, num_shards) with num_shards == max(threads, 1) on a
 /// lazily created process-wide pool. threads <= 1 calls body(0, 1) inline
 /// on the calling thread — the pool is never touched, so single-threaded
 /// configurations behave exactly as if this facility did not exist. On a
 /// host with one hardware thread every shard runs inline, in shard order.
 /// Concurrent calls from different threads are serialized on the shared
-/// pool; parallelize within one region, not across regions. This is the
-/// one fan-out facility: `--threads` loops and `--shards` stripes both
-/// run on it.
+/// pool, whose lock is held for the whole region: body must not call
+/// ParallelForShards itself. The one caller is the ε sweep's stripes
+/// (internal::SweepNeighborPairs in core/dbscan.h).
 void ParallelForShards(int threads, const std::function<void(int, int)>& body);
-
-/// Contiguous-slice helper over an index range: partitions [0, n) into
-/// `threads` near-equal slices and runs body(begin, end, shard) for each.
-/// Use when per-item cost is uniform; for triangular loops prefer
-/// ParallelForShards with a strided (i = shard; i < n; i += num_shards)
-/// walk, which balances the load while keeping per-item ownership fixed.
-void ParallelFor(int threads, size_t n,
-                 const std::function<void(size_t, size_t, int)>& body);
 
 }  // namespace tcomp
 

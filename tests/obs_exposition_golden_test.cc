@@ -52,10 +52,10 @@ std::string RenderFixture() {
   sink.RecordStage(Stage::kCluster, 3e-6);
   sink.RecordStage(Stage::kCluster, 100.0);
   sink.RecordStage(Stage::kSnapshotClose, 1e-3);
-  // The sharded C-step stages exist (count 0 when sharding is off); give
-  // two of them samples so the rendered buckets are pinned too.
-  sink.RecordStage(Stage::kShardCluster, 2e-4);
-  sink.RecordStage(Stage::kMergeStitch, 5e-5);
+  // Two stages nested inside others get a sample each, so their
+  // rendered buckets are pinned too.
+  sink.RecordStage(Stage::kEpsFilter, 2e-4);
+  sink.RecordStage(Stage::kClosure, 5e-5);
   return registry.ExpositionText();
 }
 

@@ -48,15 +48,6 @@ TEST(ThreadPoolTest, ReusableAcrossManyRegions) {
   EXPECT_EQ(sum, 100 * (0 + 1 + 2));
 }
 
-TEST(ThreadPoolTest, EffectiveShardsClampsToWorkSize) {
-  EXPECT_EQ(EffectiveShards(4, 100), 4);
-  EXPECT_EQ(EffectiveShards(4, 2), 2);
-  EXPECT_EQ(EffectiveShards(4, 0), 1);
-  EXPECT_EQ(EffectiveShards(1, 100), 1);
-  EXPECT_EQ(EffectiveShards(0, 100), 1);
-  EXPECT_EQ(EffectiveShards(-3, 100), 1);
-}
-
 TEST(ThreadPoolTest, ParallelForShardsInlineWhenSingleThreaded) {
   // threads <= 1 must run on the calling thread (the pool is bypassed).
   std::thread::id caller = std::this_thread::get_id();
@@ -70,26 +61,8 @@ TEST(ThreadPoolTest, ParallelForShardsInlineWhenSingleThreaded) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPoolTest, ParallelForPartitionsWholeRange) {
-  for (int threads : {1, 2, 3, 4, 8}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
-      std::vector<std::atomic<int>> seen(n);
-      for (auto& s : seen) s = 0;
-      ParallelFor(threads, n, [&](size_t begin, size_t end, int shard) {
-        EXPECT_LE(begin, end);
-        EXPECT_GE(shard, 0);
-        for (size_t i = begin; i < end; ++i) ++seen[i];
-      });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(seen[i], 1) << "threads=" << threads << " n=" << n
-                              << " i=" << i;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Differential: parallel clustering ≡ serial clustering, bit for bit.
+// Differential: striped clustering ≡ the reference, bit for bit.
 
 void ExpectSameClustering(const Clustering& a, const Clustering& b,
                           const char* what) {
@@ -100,47 +73,32 @@ void ExpectSameClustering(const Clustering& a, const Clustering& b,
 
 class ParallelDbscanTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ParallelDbscanTest, DbscanMatchesSerialAtEveryThreadCount) {
-  Pcg32 rng(GetParam());
-  for (int round = 0; round < 4; ++round) {
-    Snapshot snap = testing_util::ClusteredSnapshot(
-        /*clusters=*/6, /*per_cluster=*/20, /*noise=*/40,
-        /*extent=*/800.0, /*spread=*/6.0, rng);
-    DbscanParams params{/*epsilon=*/15.0, /*mu=*/4};
-
-    int64_t serial_ops = 0;
-    Clustering serial = Dbscan(snap, params, &serial_ops);
-
-    for (int threads : {2, 4, 8}) {
-      DbscanParams p = params;
-      p.threads = threads;
-      int64_t ops = 0;
-      Clustering got = Dbscan(snap, p, &ops);
-      ExpectSameClustering(got, serial, "Dbscan");
-      EXPECT_EQ(ops, serial_ops) << "threads=" << threads;
-    }
-  }
-}
-
 TEST_P(ParallelDbscanTest, GridStillMatchesReferenceWhenParallel) {
+  // 400 points: enough for 8 stripes of kMinPointsPerStripe.
   Pcg32 rng(GetParam() + 41);
-  Snapshot snap = testing_util::ClusteredSnapshot(4, 25, 30, 500.0, 5.0, rng);
-  DbscanParams params{/*epsilon=*/14.0, /*mu=*/4};
-  // DbscanGrid is serial: a threads setting is accepted and changes
-  // nothing, so the products still equal the reference's.
-  params.threads = 4;
-  Clustering reference = Dbscan(snap, DbscanParams{14.0, 4});
-  Clustering grid = DbscanGrid(snap, params);
-  ExpectSameClustering(grid, reference, "DbscanGrid vs Dbscan");
+  Snapshot snap =
+      testing_util::ClusteredSnapshot(8, 40, 80, 1200.0, 5.0, rng);
+  const DbscanParams reference_params{/*epsilon=*/14.0, /*mu=*/4};
+  const Clustering reference = Dbscan(snap, reference_params);
+  int64_t serial_ops = 0;
+  DbscanGrid(snap, reference_params, &serial_ops);
+  for (int stripes : {2, 4, 8}) {
+    DbscanParams params = reference_params;
+    params.threads = stripes;
+    int64_t ops = 0;
+    ExpectSameClustering(DbscanGrid(snap, params, &ops), reference,
+                         "DbscanGrid vs Dbscan");
+    EXPECT_EQ(ops, serial_ops) << "stripes=" << stripes;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDbscanTest,
                          ::testing::Values(501, 502, 503));
 
 // ---------------------------------------------------------------------------
-// Differential: full discovery runs with threads=4 ≡ threads=1 — identical
-// companion logs (objects, duration, snapshot index, order) and identical
-// cost counters.
+// Differential: full discovery runs with threads=4 ≡ threads=1 (the ε
+// sweeps' stripe count) — identical companion logs (objects, duration,
+// snapshot index, order) and identical cost counters.
 
 GroupDataset ChurnyStream(uint64_t seed) {
   GroupModelOptions options;
@@ -190,8 +148,7 @@ void ExpectSameRun(const CompanionDiscoverer& serial,
   EXPECT_EQ(s.buddies_total, p.buddies_total);
   EXPECT_EQ(s.buddies_unchanged, p.buddies_unchanged);
   EXPECT_EQ(s.buddy_member_sum, p.buddy_member_sum);
-  // The built-in C-step is serial by contract, so its counters may never
-  // depend on the thread count either.
+  // The stripe count may never move the C-step's counters either.
   EXPECT_EQ(s.cluster_reuse, p.cluster_reuse);
   EXPECT_EQ(s.cluster_dirty, p.cluster_dirty);
   EXPECT_EQ(s.cluster_full_rebuilds, p.cluster_full_rebuilds);
@@ -248,9 +205,9 @@ TEST_P(ParallelDiscoveryTest, ParallelBuddyStillEqualsSmartClosed) {
 }
 
 TEST_P(ParallelDiscoveryTest, CoherentStreamIdenticalAcrossThreads) {
-  // A slow, coherent stream across --threads: the C-step itself is
-  // serial, but it feeds parallel consumers; the whole run (products,
-  // distance_ops, the C-step counters) must be thread-count-invariant.
+  // A slow, coherent stream across stripe counts: the whole run
+  // (products, distance_ops, the C-step counters) must be
+  // stripe-count-invariant.
   GroupModelOptions options;
   options.num_objects = 120;
   options.num_snapshots = 40;

@@ -1,10 +1,11 @@
-// Serve-vs-batch differentials for the sharded C-step (ISSUE 7): a
-// pipeline serving with --shards ∈ {1, 2, 8} must emit companions
-// byte-identical to the batch discover path — for every algorithm, with
-// the word-parallel kernels on or off, and across a mid-stream kill +
-// resume at a *different* shard count. Plus the convoy-baseline differential through the same
-// ClusterProvider seam, and a TSan hammer on the partitioner/merge
-// queues (this binary carries the tsan label).
+// Serve-vs-batch differentials for the one parallel knob: --shards, the
+// stripe count of every ε sweep (DbscanParams::threads). A pipeline
+// serving with --shards ∈ {1, 2, 8} must emit companions byte-identical
+// to the serial batch discover path, with the same counters, for every
+// algorithm, and across a mid-stream kill + resume at a *different*
+// count. Plus the convoy baseline at 1 ≡ 4 stripes, and a TSan hammer
+// reading Stats()/MetricsText() while an 8-stripe pipeline ingests (this
+// binary carries the tsan label).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +22,6 @@
 #include "data/trajectory_io.h"
 #include "eval/export.h"
 #include "service/pipeline.h"
-#include "shard/sharded_engine.h"
 #include "stream/sliding_window.h"
 
 namespace tcomp {
@@ -29,11 +29,13 @@ namespace {
 
 constexpr double kSecondsPerSnapshot = 60.0;
 
+/// 320 objects, so a snapshot runs the full 8 stripes of
+/// kMinPointsPerStripe points.
 GroupDataset ChurnyStream(uint64_t seed) {
   GroupModelOptions options;
-  options.num_objects = 80;
+  options.num_objects = 320;
   options.num_snapshots = 24;
-  options.area_size = 1500.0;
+  options.area_size = 3000.0;
   options.min_group_size = 6;
   options.max_group_size = 12;
   options.split_probability = 0.015;
@@ -57,9 +59,11 @@ std::string CompanionsCsv(const std::vector<Companion>& companions) {
   return out.str();
 }
 
-/// The reference: the batch discover path, no sharding anywhere.
+/// The reference: the serial batch discover path. Its counters go to
+/// `stats_out`, if given.
 std::string BatchCsv(Algorithm algorithm,
-                     const std::vector<TrajectoryRecord>& records) {
+                     const std::vector<TrajectoryRecord>& records,
+                     DiscoveryStats* stats_out = nullptr) {
   auto discoverer = MakeDiscoverer(algorithm, BaseParams());
   SlidingWindowOptions wopts;
   wopts.window_length = kSecondsPerSnapshot;
@@ -72,7 +76,33 @@ std::string BatchCsv(Algorithm algorithm,
   }
   window.Flush(&ready);
   for (const Snapshot& s : ready) discoverer->ProcessSnapshot(s, nullptr);
+  if (stats_out != nullptr) *stats_out = discoverer->stats();
   return CompanionsCsv(discoverer->log().companions());
+}
+
+/// Every DiscoveryStats counter; the *_seconds fields are wall time and
+/// are left out. The soa_* counters are not in the checkpoint and restart
+/// from zero on resume, so `with_soa` is false where one run resumed.
+void ExpectSameCounters(const DiscoveryStats& want, const DiscoveryStats& got,
+                        const std::string& what, bool with_soa = true) {
+  EXPECT_EQ(want.snapshots, got.snapshots) << what;
+  EXPECT_EQ(want.intersections, got.intersections) << what;
+  EXPECT_EQ(want.distance_ops, got.distance_ops) << what;
+  EXPECT_EQ(want.candidate_objects_peak, got.candidate_objects_peak) << what;
+  EXPECT_EQ(want.candidate_objects_last, got.candidate_objects_last) << what;
+  EXPECT_EQ(want.companions_reported, got.companions_reported) << what;
+  EXPECT_EQ(want.buddy_pairs_checked, got.buddy_pairs_checked) << what;
+  EXPECT_EQ(want.buddy_pairs_pruned, got.buddy_pairs_pruned) << what;
+  EXPECT_EQ(want.buddies_total, got.buddies_total) << what;
+  EXPECT_EQ(want.buddies_unchanged, got.buddies_unchanged) << what;
+  EXPECT_EQ(want.buddy_member_sum, got.buddy_member_sum) << what;
+  EXPECT_EQ(want.cluster_reuse, got.cluster_reuse) << what;
+  EXPECT_EQ(want.cluster_dirty, got.cluster_dirty) << what;
+  EXPECT_EQ(want.cluster_full_rebuilds, got.cluster_full_rebuilds) << what;
+  if (with_soa) {
+    EXPECT_EQ(want.soa_lanes, got.soa_lanes) << what;
+    EXPECT_EQ(want.soa_batches, got.soa_batches) << what;
+  }
 }
 
 ServicePipelineOptions PipelineOptions(Algorithm algorithm, int shards) {
@@ -81,7 +111,7 @@ ServicePipelineOptions PipelineOptions(Algorithm algorithm, int shards) {
   opts.params = BaseParams();
   opts.window.window_length = kSecondsPerSnapshot;
   opts.queue_capacity = 64;
-  opts.shards = shards;
+  opts.params.cluster.threads = shards;
   return opts;
 }
 
@@ -100,30 +130,20 @@ std::string ServeCsv(Algorithm algorithm, int shards,
 
 class ShardDifferentialTest : public ::testing::TestWithParam<Algorithm> {};
 
-/// serve --shards {1, 2, 8} == batch discover, byte for byte, for every
-/// algorithm. BU cannot shard; the fallback must still match batch.
+/// serve --shards {1, 2, 8} == serial batch discover, byte for byte and
+/// counter for counter, for every algorithm.
 TEST_P(ShardDifferentialTest, ServeShardedMatchesBatch) {
   GroupDataset data = ChurnyStream(1201);
   std::vector<TrajectoryRecord> records =
       StreamToRecords(data.stream, kSecondsPerSnapshot);
-  std::string expected = BatchCsv(GetParam(), records);
+  DiscoveryStats want;
+  std::string expected = BatchCsv(GetParam(), records, &want);
   for (int shards : {1, 2, 8}) {
     ServiceStats stats;
     EXPECT_EQ(ServeCsv(GetParam(), shards, records, &stats), expected)
         << "shards " << shards;
-    if (shards == 1) {
-      EXPECT_EQ(stats.shards, 1);
-      EXPECT_FALSE(stats.shard_fallback);
-      EXPECT_EQ(stats.shard_snapshots, 0);
-    } else if (GetParam() == Algorithm::kBuddy) {
-      EXPECT_TRUE(stats.shard_fallback);
-      EXPECT_EQ(stats.shard_snapshots, 0);
-    } else {
-      EXPECT_EQ(stats.shards, shards);
-      EXPECT_FALSE(stats.shard_fallback);
-      EXPECT_EQ(stats.shard_snapshots, stats.discovery.snapshots);
-      EXPECT_GT(stats.shard_halo_objects, 0);
-    }
+    ExpectSameCounters(want, stats.discovery,
+                       "shards " + std::to_string(shards));
   }
 }
 
@@ -135,102 +155,105 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, ShardDifferentialTest,
                            return AlgorithmName(info.param);
                          });
 
-/// Kill mid-stream under one shard count, resume under another: no shard
-/// state survives a snapshot close, so the checkpoint is shard-agnostic
-/// by construction and the resumed run must equal one uninterrupted batch
-/// run. (The process-level SIGTERM variant lives in cli_smoke.sh; this is
-/// the library-level equivalent — Stop() is exactly what the SIGTERM
-/// handler runs.)
-TEST(ShardResumeTest, ResumeAtDifferentShardCountMatchesBatch) {
-  for (Algorithm algorithm :
-       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed}) {
-    GroupDataset data = ChurnyStream(1203);
-    std::vector<TrajectoryRecord> records =
-        StreamToRecords(data.stream, kSecondsPerSnapshot);
-    std::string expected = BatchCsv(algorithm, records);
-
-    double split_time = 12 * kSecondsPerSnapshot;
-    std::string ckpt = ::testing::TempDir() + "/shard_resume.ckpt";
-    std::remove(ckpt.c_str());
-
-    {
-      ServicePipelineOptions opts = PipelineOptions(algorithm, 2);
-      opts.checkpoint_path = ckpt;
-      ServicePipeline first(opts);
-      ASSERT_TRUE(first.Start().ok());
-      for (const TrajectoryRecord& r : records) {
-        if (r.timestamp < split_time) {
-          ASSERT_TRUE(first.Ingest(r).ok());
-        }
-      }
-      ASSERT_TRUE(first.Stop().ok());
-      EXPECT_GE(first.Stats().checkpoints_written, 1);
-    }
-    {
-      ServicePipelineOptions opts = PipelineOptions(algorithm, 8);
-      opts.checkpoint_path = ckpt;
-      ServicePipeline second(opts);
-      ASSERT_TRUE(second.Start().ok());
-      EXPECT_TRUE(second.Stats().resumed);
-      for (const TrajectoryRecord& r : records) {
-        if (r.timestamp >= split_time) {
-          ASSERT_TRUE(second.Ingest(r).ok());
-        }
-      }
-      ASSERT_TRUE(second.Stop().ok());
-      EXPECT_EQ(CompanionsCsv(second.Companions()), expected)
-          << AlgorithmName(algorithm);
-      EXPECT_EQ(second.Stats().shards, 8);
-    }
-    std::remove(ckpt.c_str());
-  }
-}
-
-/// And the reverse direction: sharded run resumed by a --shards 1
-/// incarnation (the operational kill switch — turn sharding off without
-/// losing the stream).
-TEST(ShardResumeTest, ShardedCheckpointResumesUnsharded) {
-  GroupDataset data = ChurnyStream(1204);
-  std::vector<TrajectoryRecord> records =
-      StreamToRecords(data.stream, kSecondsPerSnapshot);
-  std::string expected = BatchCsv(Algorithm::kSmartClosed, records);
-
-  double split_time = 12 * kSecondsPerSnapshot;
-  std::string ckpt = ::testing::TempDir() + "/shard_killswitch.ckpt";
+/// Serves records before `split_time` at `first_shards`, stops (writing
+/// the checkpoint), and serves the rest from the checkpoint at
+/// `second_shards`. Returns the resumed run's companions and counters.
+std::string ResumedCsv(Algorithm algorithm,
+                       const std::vector<TrajectoryRecord>& records,
+                       int first_shards, int second_shards,
+                       DiscoveryStats* stats_out) {
+  const double split_time = 12 * kSecondsPerSnapshot;
+  // One file per test and configuration: ctest runs the resume tests as
+  // concurrent processes.
+  const std::string ckpt =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      AlgorithmName(algorithm) + "_" +
+                           std::to_string(first_shards) + "_" +
+                           std::to_string(second_shards) + ".ckpt";
   std::remove(ckpt.c_str());
   {
-    ServicePipelineOptions opts =
-        PipelineOptions(Algorithm::kSmartClosed, 8);
+    ServicePipelineOptions opts = PipelineOptions(algorithm, first_shards);
     opts.checkpoint_path = ckpt;
     ServicePipeline first(opts);
-    ASSERT_TRUE(first.Start().ok());
+    EXPECT_TRUE(first.Start().ok());
     for (const TrajectoryRecord& r : records) {
       if (r.timestamp < split_time) {
-        ASSERT_TRUE(first.Ingest(r).ok());
+        EXPECT_TRUE(first.Ingest(r).ok());
       }
     }
-    ASSERT_TRUE(first.Stop().ok());
+    EXPECT_TRUE(first.Stop().ok());
+    EXPECT_GE(first.Stats().checkpoints_written, 1);
   }
-  {
-    ServicePipelineOptions opts =
-        PipelineOptions(Algorithm::kSmartClosed, 1);
-    opts.checkpoint_path = ckpt;
-    ServicePipeline second(opts);
-    ASSERT_TRUE(second.Start().ok());
-    EXPECT_TRUE(second.Stats().resumed);
-    for (const TrajectoryRecord& r : records) {
-      if (r.timestamp >= split_time) {
-        ASSERT_TRUE(second.Ingest(r).ok());
-      }
+  ServicePipelineOptions opts = PipelineOptions(algorithm, second_shards);
+  opts.checkpoint_path = ckpt;
+  ServicePipeline second(opts);
+  EXPECT_TRUE(second.Start().ok());
+  EXPECT_TRUE(second.Stats().resumed);
+  for (const TrajectoryRecord& r : records) {
+    if (r.timestamp >= split_time) {
+      EXPECT_TRUE(second.Ingest(r).ok());
     }
-    ASSERT_TRUE(second.Stop().ok());
-    EXPECT_EQ(CompanionsCsv(second.Companions()), expected);
   }
+  EXPECT_TRUE(second.Stop().ok());
+  EXPECT_NE(second.MetricsText().find(
+                "\ntcomp_shards " + std::to_string(second_shards) + "\n"),
+            std::string::npos);
   std::remove(ckpt.c_str());
+  *stats_out = second.Stats().discovery;
+  return CompanionsCsv(second.Companions());
 }
 
-/// Convoy baseline through the same provider seam: identical convoys
-/// with and without the sharded engine.
+/// Kill mid-stream under one shard count, resume under another: no
+/// stripe state survives a snapshot close, so the checkpoint does not
+/// depend on the count. The resumed run must equal one uninterrupted
+/// batch run in products and in every counter the checkpoint carries,
+/// and the same kill + resume at one stripe in the soa_* counters too.
+/// (The process-level SIGTERM variant lives in cli_smoke.sh; this is the
+/// library-level equivalent — Stop() is exactly what the SIGTERM handler
+/// runs.)
+void ExpectResumeMatchesBatch(Algorithm algorithm, uint64_t seed,
+                              int first_shards, int second_shards) {
+  GroupDataset data = ChurnyStream(seed);
+  std::vector<TrajectoryRecord> records =
+      StreamToRecords(data.stream, kSecondsPerSnapshot);
+  DiscoveryStats want;
+  const std::string expected = BatchCsv(algorithm, records, &want);
+  const std::string what = std::string(AlgorithmName(algorithm)) + " " +
+                           std::to_string(first_shards) + " -> " +
+                           std::to_string(second_shards);
+  DiscoveryStats serial_resumed;
+  EXPECT_EQ(ResumedCsv(algorithm, records, 1, 1, &serial_resumed), expected)
+      << what;
+  DiscoveryStats got;
+  EXPECT_EQ(ResumedCsv(algorithm, records, first_shards, second_shards, &got),
+            expected)
+      << what;
+  ExpectSameCounters(want, got, what, /*with_soa=*/false);
+  ExpectSameCounters(serial_resumed, got, what);
+}
+
+TEST(ShardResumeTest, ResumeAtDifferentShardCountMatchesBatch) {
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
+        Algorithm::kBuddy}) {
+    ExpectResumeMatchesBatch(algorithm, 1203, 2, 8);
+  }
+}
+
+/// And the reverse direction: a striped run resumed by a --shards 1
+/// incarnation.
+TEST(ShardResumeTest, ShardedCheckpointResumesUnsharded) {
+  for (Algorithm algorithm :
+       {Algorithm::kClusteringIntersection, Algorithm::kSmartClosed,
+        Algorithm::kBuddy}) {
+    ExpectResumeMatchesBatch(algorithm, 1204, 8, 1);
+  }
+}
+
+/// Convoy baseline at 1 ≡ 4 stripes: through its built-in clusterer, and
+/// through the ClusterProvider seam with a provider that runs the striped
+/// DbscanGrid.
 TEST(ShardConvoyTest, ConvoysIdenticalWithShardedProvider) {
   GroupDataset data = ChurnyStream(1205);
   ConvoyParams params;
@@ -239,68 +262,66 @@ TEST(ShardConvoyTest, ConvoysIdenticalWithShardedProvider) {
   params.min_objects = 5;
   params.min_lifetime = 6;
   std::vector<Convoy> want = DiscoverConvoys(data.stream, params);
+  ASSERT_FALSE(want.empty());
 
-  for (int shards : {2, 8}) {
-    ShardedClusterEngine engine(params.cluster, shards);
-    ConvoyParams sharded = params;
-    sharded.cluster_provider = [&engine](const Snapshot& snapshot,
-                                         int64_t* distance_ops) {
-      return engine.Cluster(snapshot, distance_ops);
-    };
-    std::vector<Convoy> got = DiscoverConvoys(data.stream, sharded);
-    ASSERT_EQ(got.size(), want.size()) << "shards " << shards;
+  ConvoyParams built_in = params;
+  built_in.cluster.threads = 4;
+  ConvoyParams provider = params;
+  DbscanParams striped = params.cluster;
+  striped.threads = 4;
+  provider.cluster_provider = [striped](const Snapshot& snapshot,
+                                        int64_t* distance_ops) {
+    return DbscanGrid(snapshot, striped, distance_ops);
+  };
+  for (const ConvoyParams* run : {&built_in, &provider}) {
+    std::vector<Convoy> got = DiscoverConvoys(data.stream, *run);
+    ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].objects, want[i].objects);
       EXPECT_EQ(got[i].begin, want[i].begin);
       EXPECT_EQ(got[i].end, want[i].end);
     }
-    EXPECT_GT(engine.stats().snapshots, 0);
   }
 }
 
-/// TSan hammer on the shard worker queues: one thread drives snapshot
-/// after snapshot through an 8-shard engine (Submit/Wait on every queue)
-/// while observer threads pound the depth/peak atomics and the metrics
-/// export — the monitoring reads the live service performs. Products must
-/// stay correct throughout.
+/// TSan hammer: one producer ingests a stream into an 8-stripe SC
+/// pipeline, so every snapshot close fans its sweep out over the pool,
+/// while observer threads read Stats() and MetricsText() — the
+/// monitoring reads the live service performs. Counters stay monotone
+/// and the products equal the serial batch run's.
 TEST(ShardHammerTest, ConcurrentMetricsReadsDuringClustering) {
-  DbscanParams params;
-  params.epsilon = 18.0;
-  params.mu = 3;
-  ShardedClusterEngine engine(params, 8);
   GroupDataset data = ChurnyStream(1206);
+  std::vector<TrajectoryRecord> records =
+      StreamToRecords(data.stream, kSecondsPerSnapshot);
+  const std::string expected = BatchCsv(Algorithm::kSmartClosed, records);
 
+  ServicePipeline pipeline(PipelineOptions(Algorithm::kSmartClosed, 8));
+  ASSERT_TRUE(pipeline.Start().ok());
   std::atomic<bool> stop{false};
-  std::thread gauge_reader([&] {
-    MetricsRegistry registry;
+  std::thread metrics_reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      engine.ExportMetrics(&registry);
-      (void)registry.ExpositionText();
+      const std::string text = pipeline.MetricsText();
+      EXPECT_NE(text.find("\ntcomp_shards 8\n"), std::string::npos);
       std::this_thread::yield();
     }
   });
   std::thread stats_reader([&] {
     int64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      ShardEngineStats stats = engine.stats();
-      EXPECT_GE(stats.snapshots, last);  // monotone under one writer
-      last = stats.snapshots;
+      const ServiceStats stats = pipeline.Stats();
+      EXPECT_GE(stats.discovery.snapshots, last);  // monotone, one writer
+      last = stats.discovery.snapshots;
       std::this_thread::yield();
     }
   });
-
-  for (int round = 0; round < 4; ++round) {
-    for (const Snapshot& snapshot : data.stream) {
-      Clustering want = Dbscan(snapshot, params);
-      Clustering got = engine.Cluster(snapshot, nullptr);
-      ASSERT_EQ(got.labels, want.labels);
-    }
+  for (const TrajectoryRecord& r : records) {
+    EXPECT_TRUE(pipeline.Ingest(r).ok());
   }
+  EXPECT_TRUE(pipeline.Stop().ok());
   stop.store(true, std::memory_order_relaxed);
-  gauge_reader.join();
+  metrics_reader.join();
   stats_reader.join();
-  EXPECT_EQ(engine.stats().snapshots,
-            4 * static_cast<int64_t>(data.stream.size()));
+  EXPECT_EQ(CompanionsCsv(pipeline.Companions()), expected);
 }
 
 }  // namespace

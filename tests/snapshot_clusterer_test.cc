@@ -6,7 +6,7 @@
 /// (out-of-order) position reverts and exact-ε pairs. Whatever one
 /// snapshot leaves in the scratch must not reach the next. CI, SC, and the
 /// convoy baseline built on it must match the same runs with the
-/// reference Dbscan injected as their cluster provider, across thread
+/// reference Dbscan injected as their cluster provider, across stripe
 /// counts and id densities. Also pins the shared eps-boundary convention
 /// (flat, grid, and per-stream backends must agree on pairs at exactly ε,
 /// including pairs straddling grid cell borders at large coordinates).
@@ -313,7 +313,7 @@ TEST(EpsBoundaryTest, ExactEpsPairsUnderStreamMotion) {
 // ---------------------------------------------------------------------------
 // Discoverer-level: the built-in clustering against the same run with the
 // reference Dbscan injected as cluster provider, across id densities and
-// thread counts — companions, candidate sets, and intersection counts
+// stripe counts — companions, candidate sets, and intersection counts
 // must be identical.
 
 struct ProductRun {
@@ -379,7 +379,7 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, IncrementalDifferentialTest,
     ::testing::Combine(::testing::Values(711, 712),
                        ::testing::Bool(),          // dense ids (label-row path)
-                       ::testing::Values(1, 4)));  // clustering threads
+                       ::testing::Values(1, 4)));  // sweep stripes
 
 TEST(IncrementalDifferentialTest, ConvoyBaselineIdenticalToFull) {
   ConvoyParams params;

@@ -8,10 +8,12 @@
 /// intersection counts through the kernels as with Dbscan injected as
 /// their cluster provider. The shared ε-neighborhood sweep is compared
 /// with a brute-force all-pairs oracle under every source-mask shape.
-/// Also pins SnapshotClusterer's steady-state no-heap-growth invariant on
-/// a coherent stream and on one whose objects jump every snapshot: the
-/// scratch it reuses across snapshots stops growing once the workload's
-/// high-water mark has been seen.
+/// The sweep's stripes must reproduce the one-stripe pair list, op count
+/// and batch count exactly. Also pins SnapshotClusterer's steady-state
+/// no-heap-growth invariant, at one and two stripes, on a coherent stream
+/// and on one whose objects jump every snapshot: the scratch it reuses
+/// across snapshots stops growing once the workload's high-water mark has
+/// been seen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -211,11 +213,11 @@ std::vector<SweptPair> SweptPairs(const std::vector<double>& xs,
                                   const std::vector<double>& ys, double r,
                                   const uint8_t* source, int64_t* ops) {
   Arena arena;
-  std::vector<uint64_t> packed;
+  internal::SweepPairs packed;
   *ops = internal::SweepNeighborPairs(xs.data(), ys.data(), xs.size(), r,
-                                      source, &arena, &packed);
+                                      source, 1, &arena, &packed);
   std::vector<SweptPair> out;
-  for (uint64_t p : packed) {
+  for (uint64_t p : packed.pairs) {
     out.emplace_back(static_cast<uint32_t>(p >> 32),
                      static_cast<uint32_t>(p));
   }
@@ -328,6 +330,136 @@ TEST(NeighborSweepTest, EmptyAndSinglePoint) {
   EXPECT_EQ(ops, 0);
   EXPECT_TRUE(SweptPairs({1.0}, {2.0}, 3.0, nullptr, &ops).empty());
   EXPECT_EQ(ops, 0);
+}
+
+// ---------------------------------------------------------------------
+// The sweep's stripes: at every stripe count the packed pair list — in
+// order, not just as a set — the op count and the batch count must be the
+// one-stripe sweep's, with and without a source mask. One SweepPairs is
+// reused across the counts, as a stream's clusterer reuses it.
+
+struct SweepRun {
+  std::vector<uint64_t> pairs;
+  int64_t ops = 0;
+  int64_t batches = 0;
+};
+
+SweepRun RunSweep(const std::vector<double>& xs,
+                  const std::vector<double>& ys, double r,
+                  const uint8_t* source, int stripes,
+                  internal::SweepPairs* reused) {
+  Arena arena;
+  SweepRun run;
+  run.ops = internal::SweepNeighborPairs(xs.data(), ys.data(), xs.size(), r,
+                                         source, stripes, &arena, reused,
+                                         &run.batches);
+  run.pairs = reused->pairs;
+  return run;
+}
+
+void ExpectStripesMatchSerial(const std::vector<double>& xs,
+                              const std::vector<double>& ys, double r,
+                              const std::string& name) {
+  Pcg32 rng(913);
+  std::vector<uint8_t> sparse(xs.size(), 0);
+  for (uint8_t& s : sparse) s = rng.NextBounded(5) == 0 ? 1 : 0;
+  for (const uint8_t* source : {static_cast<const uint8_t*>(nullptr),
+                                static_cast<const uint8_t*>(sparse.data())}) {
+    const std::string what = name + (source == nullptr ? " none" : " sparse");
+    internal::SweepPairs reused;
+    const SweepRun serial = RunSweep(xs, ys, r, source, 1, &reused);
+    for (int stripes : {2, 3, 8}) {
+      const SweepRun got = RunSweep(xs, ys, r, source, stripes, &reused);
+      EXPECT_EQ(got.pairs, serial.pairs) << what << " stripes " << stripes;
+      EXPECT_EQ(got.ops, serial.ops) << what << " stripes " << stripes;
+      EXPECT_EQ(got.batches, serial.batches)
+          << what << " stripes " << stripes;
+    }
+  }
+}
+
+TEST(SweepStripeTest, RandomAndClusteredPoints) {
+  Pcg32 rng(914);
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 2000; ++i) {
+    xs.push_back(rng.NextDouble(0.0, 600.0));
+    ys.push_back(rng.NextDouble(0.0, 600.0));
+  }
+  ExpectStripesMatchSerial(xs, ys, 9.0, "uniform");
+  const Snapshot clustered = ClusteredSnapshot(
+      /*clusters=*/12, /*per_cluster=*/80, /*noise=*/300, /*extent=*/900.0,
+      /*spread=*/8.0, rng);
+  xs.clear();
+  ys.clear();
+  for (size_t i = 0; i < clustered.size(); ++i) {
+    xs.push_back(clustered.pos(i).x);
+    ys.push_back(clustered.pos(i).y);
+  }
+  ExpectStripesMatchSerial(xs, ys, 14.0, "clustered");
+}
+
+TEST(SweepStripeTest, ExactRadiusLatticeStraddlingStripeBorders) {
+  // Axis neighbors at exactly r straddle every column border, so every
+  // stripe border cuts exact-r pairs, which the stripe on the left must
+  // emit just as the serial sweep does.
+  const double r = 5.0;
+  std::vector<double> xs, ys;
+  for (int k = -20; k <= 20; ++k) {
+    for (int l = -8; l <= 8; ++l) {
+      xs.push_back(k * r);
+      ys.push_back(l * r);
+      xs.push_back(k * r + 3.0);
+      ys.push_back(l * r + 4.0);
+    }
+  }
+  ExpectStripesMatchSerial(xs, ys, r, "lattice");
+}
+
+TEST(SweepStripeTest, LargeMagnitudeOffsets) {
+  Pcg32 rng(915);
+  const double r = 5.0;
+  std::vector<double> xs, ys;
+  for (const double base : {1e12, -1e12}) {
+    for (int k = 0; k < 300; ++k) {
+      xs.push_back(base + k * r);
+      ys.push_back(-base + (k % 3) * r);
+      xs.push_back(base + rng.NextDouble(0.0, 1500.0));
+      ys.push_back(-base + rng.NextDouble(0.0, 30.0));
+    }
+  }
+  ExpectStripesMatchSerial(xs, ys, r, "1e12");
+}
+
+TEST(SweepStripeTest, DuplicatePoints) {
+  // Whole stacks of collocated points: every stripe border falls between
+  // columns, never inside a stack.
+  Pcg32 rng(916);
+  std::vector<double> xs, ys;
+  for (int stack = 0; stack < 40; ++stack) {
+    const double x = rng.NextDouble(0.0, 400.0);
+    const double y = rng.NextDouble(0.0, 400.0);
+    for (int k = 0; k < 20; ++k) {
+      xs.push_back(x);
+      ys.push_back(y);
+    }
+  }
+  ExpectStripesMatchSerial(xs, ys, 6.0, "duplicates");
+}
+
+TEST(SweepStripeTest, FewerColumnsThanStripes) {
+  // Two columns of 300 points each: at most two stripes can run.
+  Pcg32 rng(917);
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 600; ++i) {
+    xs.push_back(i % 2 == 0 ? 1.0 : 11.0);
+    ys.push_back(rng.NextDouble(0.0, 3000.0));
+  }
+  ExpectStripesMatchSerial(xs, ys, 10.0, "two columns");
+}
+
+TEST(SweepStripeTest, EmptyAndSinglePoint) {
+  ExpectStripesMatchSerial({}, {}, 3.0, "empty");
+  ExpectStripesMatchSerial({1.0}, {2.0}, 3.0, "single");
 }
 
 // ---------------------------------------------------------------------
@@ -521,23 +653,28 @@ TEST(ScratchArenaTest, SteadyStateStopsGrowingHeap) {
   options.seed = 906;
   GroupDataset data = GenerateGroupStream(options);
 
-  DbscanParams params;
-  params.epsilon = 18.0;
-  params.mu = 3;
-  SnapshotClusterer clusterer(params);
+  // One stripe, and two: the stripes' pair buffers are scratch too.
+  for (int stripes : {1, 2}) {
+    DbscanParams params;
+    params.epsilon = 18.0;
+    params.mu = 3;
+    params.threads = stripes;
+    SnapshotClusterer clusterer(params);
 
-  // Warm-up pass: play the entire stream once, so the high-water snapshot
-  // — wherever in the stream it falls — has been seen.
-  for (const Snapshot& s : data.stream) clusterer.Cluster(s, nullptr);
-  const size_t steady = clusterer.ScratchBytes();
-  EXPECT_GT(steady, 0u) << "scratch is not being used at all";
-  // Second pass over the same snapshots: every byte must come out of
-  // recycled capacity.
-  for (size_t t = 0; t < data.stream.size(); ++t) {
-    clusterer.Cluster(data.stream[t], nullptr);
-    EXPECT_EQ(clusterer.ScratchBytes(), steady)
-        << "scratch grew at snapshot " << t
-        << " — per-snapshot scratch is leaking into fresh allocations";
+    // Warm-up pass: play the entire stream once, so the high-water
+    // snapshot — wherever in the stream it falls — has been seen.
+    for (const Snapshot& s : data.stream) clusterer.Cluster(s, nullptr);
+    const size_t steady = clusterer.ScratchBytes();
+    EXPECT_GT(steady, 0u) << "scratch is not being used at all";
+    // Second pass over the same snapshots: every byte must come out of
+    // recycled capacity.
+    for (size_t t = 0; t < data.stream.size(); ++t) {
+      clusterer.Cluster(data.stream[t], nullptr);
+      EXPECT_EQ(clusterer.ScratchBytes(), steady)
+          << "scratch grew at snapshot " << t << " at " << stripes
+          << " stripes — per-snapshot scratch is leaking into fresh "
+             "allocations";
+    }
   }
 }
 
@@ -549,19 +686,23 @@ TEST(ScratchArenaTest, RebuildPathStopsGrowingHeap) {
   for (int t = 0; t < 24; ++t) {
     stream.push_back(testing_util::RandomSnapshot(150, 500.0, rng));
   }
-  DbscanParams params;
-  params.epsilon = 18.0;
-  params.mu = 3;
-  SnapshotClusterer clusterer(params);
-  SweepCost cost;
-  for (const Snapshot& s : stream) clusterer.Cluster(s, nullptr, &cost);
-  EXPECT_GT(cost.batches, 0);
-  const size_t steady = clusterer.ScratchBytes();
-  EXPECT_GT(steady, 0u) << "scratch is not being used at all";
-  for (size_t t = 0; t < stream.size(); ++t) {
-    clusterer.Cluster(stream[t], nullptr);
-    EXPECT_EQ(clusterer.ScratchBytes(), steady)
-        << "scratch grew at snapshot " << t;
+  for (int stripes : {1, 2}) {
+    DbscanParams params;
+    params.epsilon = 18.0;
+    params.mu = 3;
+    params.threads = stripes;
+    SnapshotClusterer clusterer(params);
+    SweepCost cost;
+    for (const Snapshot& s : stream) clusterer.Cluster(s, nullptr, &cost);
+    EXPECT_GT(cost.batches, 0);
+    const size_t steady = clusterer.ScratchBytes();
+    EXPECT_GT(steady, 0u) << "scratch is not being used at all";
+    for (size_t t = 0; t < stream.size(); ++t) {
+      clusterer.Cluster(stream[t], nullptr);
+      EXPECT_EQ(clusterer.ScratchBytes(), steady)
+          << "scratch grew at snapshot " << t << " at " << stripes
+          << " stripes";
+    }
   }
 }
 

@@ -2,9 +2,9 @@
 """Run the perf-trajectory harness and record its JSON output.
 
 Wraps the bench_perf_json binary: runs it with the chosen workload,
-validates the result (every sharded run must produce byte-identical
-companions to the single-shard baseline, and the stage histograms must
-be present and consistent), annotates it with the
+validates the result (every striped run must produce byte-identical
+companions and equal distance_ops to the one-stripe baseline, and the
+stage histograms must be present and consistent), annotates it with the
 toolchain/commit the numbers were taken on, and writes it to
 BENCH_PR<N>.json at the repo root — the repo's perf-trajectory record,
 one file per PR that re-measured it (--pr selects N; --out overrides
@@ -327,8 +327,9 @@ def main():
         if not entry["identical_products"]:
             raise SystemExit(
                 f"sharded {entry['scenario']} @ {entry['shards']} shards: "
-                "companions differ from the single-shard baseline — the "
-                "decomposition is not product-preserving; refusing to record")
+                "companions or distance_ops differ from the one-stripe "
+                "baseline — the stripes are not product-preserving; "
+                "refusing to record")
 
     stage_metrics = result.get("stage_metrics", {})
     histograms = stage_metrics.get("histograms", {})
@@ -357,8 +358,7 @@ def main():
     for entry in result.get("sharded", []):
         print(f"  sharded {entry['scenario']} @ {entry['shards']}: "
               f"total {entry['speedup_vs_1']:.2f}x, "
-              f"cluster {entry['cluster_speedup_vs_1']:.2f}x, "
-              f"halo {entry['halo_objects']}")
+              f"cluster {entry['cluster_speedup_vs_1']:.2f}x")
     return 0
 
 

@@ -60,10 +60,9 @@ int Usage() {
       "      --out records.csv [--truth truth.txt] [--seconds-per-snapshot S]\n"
       "  tcomp discover --csv records.csv [--algo ci|sc|bu]\n"
       "      --epsilon E --mu M --min-size S --min-duration T\n"
-      "      [--threads N]  (BU fans its maintenance, core-flag and\n"
-      "                      intersection loops out over N threads; CI and\n"
-      "                      SC ignore it; results are identical at every\n"
-      "                      N, 1 = serial, default 1)\n"
+      "      [--shards N]  (every eps sweep runs in N column stripes on N\n"
+      "                     threads; products and counters are identical\n"
+      "                     at every N in [1, 64], default 1 = serial)\n"
       "      [--window-seconds W | --window-objects N]\n"
       "      [--inactive K] [--truth truth.txt] [--timeline]\n"
       "      [--out-json FILE] [--out-csv FILE]\n"
@@ -73,10 +72,7 @@ int Usage() {
       "      [--save-state FILE] [--load-state FILE] [--quiet]\n"
       "  tcomp suggest --csv records.csv [--k K] [--window-seconds W]\n"
       "  tcomp serve [--port P] [--port-file FILE] [--algo ci|sc|bu]\n"
-      "      --epsilon E --mu M --min-size S --min-duration T [--threads N]\n"
-      "      [--shards N]  (sharded snapshot clustering; products are\n"
-      "                     byte-identical at every N, 1 = single worker,\n"
-      "                     default 1; BU falls back to 1 with a warning)\n"
+      "      --epsilon E --mu M --min-size S --min-duration T [--shards N]\n"
       "      [--window-seconds W | --window-objects N] [--inactive K]\n"
       "      [--queue-capacity C] [--backpressure block|shed|reject]\n"
       "      [--lateness SECONDS] [--checkpoint FILE]\n"
@@ -95,7 +91,7 @@ int Usage() {
       "      [--protocol text|binary|both] [--batch N] [--objects N]\n"
       "      [--snapshots N] [--seed N] [--no-verify] [--json FILE]\n"
       "      [--algo ci|sc|bu] [--epsilon E] [--mu M] [--min-size S]\n"
-      "      [--min-duration T] [--threads N] [--queue-capacity C]\n"
+      "      [--min-duration T] [--shards N] [--queue-capacity C]\n"
       "      [--window-seconds W | --window-objects N] [--inactive K]\n"
       "      (self-hosted saturation benchmark: N paced clients per\n"
       "       offered-load point; reports records/sec, ack latency\n"
@@ -301,7 +297,7 @@ int Generate(const FlagParser& flags) {
 /// for flag. A bad value is reported by name; the caller prints usage.
 bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
                            ServicePipelineOptions* opts) {
-  int threads = 1;
+  int shards = 1;
   if (!ReadFlag(command, flags, "epsilon", 20.0,
                 &opts->params.cluster.epsilon) ||
       !ReadFlag(command, flags, "mu", 4, &opts->params.cluster.mu) ||
@@ -309,14 +305,16 @@ bool ParseDiscoveryOptions(const char* command, const FlagParser& flags,
                 &opts->params.size_threshold) ||
       !ReadFlag(command, flags, "min-duration", 10.0,
                 &opts->params.duration_threshold) ||
-      !ReadFlag(command, flags, "threads", 1, &threads)) {
+      !ReadFlag(command, flags, "shards", 1, &shards)) {
     return false;
   }
-  if (threads < 1) {
-    std::fprintf(stderr, "%s: --threads must be >= 1\n", command);
+  // The stripe count sizes the shared thread pool, so outside input is
+  // bounded here, once, for every subcommand.
+  if (shards < 1 || shards > 64) {
+    std::fprintf(stderr, "%s: --shards must be in [1, 64]\n", command);
     return false;
   }
-  opts->params.cluster.threads = threads;
+  opts->params.cluster.threads = shards;
   Status vs = CheckDiscoveryParams(opts->params);
   if (!vs.ok()) {
     std::fprintf(stderr, "%s: %s\n", command, vs.ToString().c_str());
@@ -363,7 +361,7 @@ int Discover(const FlagParser& flags) {
   if (!RejectUnknownFlags(
           "discover", flags,
           {"csv", "algo", "epsilon", "mu", "min-size", "min-duration",
-           "threads", "window-seconds", "window-objects", "inactive",
+           "shards", "window-seconds", "window-objects", "inactive",
            "truth", "timeline", "out-json", "out-csv", "stats-json",
            "slow-snapshot-ms", "save-state", "load-state", "quiet"})) {
     return Usage();
@@ -616,7 +614,7 @@ int Serve(const FlagParser& flags) {
   if (!RejectUnknownFlags(
           "serve", flags,
           {"port", "port-file", "algo", "epsilon", "mu", "min-size",
-           "min-duration", "threads", "shards", "window-seconds",
+           "min-duration", "shards", "window-seconds",
            "window-objects", "inactive", "queue-capacity", "backpressure",
            "lateness", "checkpoint", "checkpoint-every", "read-timeout-ms",
            "write-timeout-ms", "write-window-bytes", "max-connections",
@@ -626,14 +624,6 @@ int Serve(const FlagParser& flags) {
   }
   ServicePipelineOptions popts;
   if (!ParseDiscoveryOptions("serve", flags, &popts)) return Usage();
-
-  int shards = 1;
-  if (!ReadFlag("serve", flags, "shards", 1, &shards)) return Usage();
-  if (shards < 1 || shards > 64) {
-    std::fprintf(stderr, "serve: --shards must be in [1, 64]\n");
-    return Usage();
-  }
-  popts.shards = shards;
 
   int capacity = 4096;
   if (!ReadFlag("serve", flags, "queue-capacity", 4096, &capacity)) {
@@ -719,7 +709,7 @@ int Serve(const FlagParser& flags) {
       "queue %d, shards %d)\n",
       server.port(), AlgorithmName(popts.algorithm),
       BackpressureModeName(popts.backpressure), capacity,
-      pipeline.Stats().shards);
+      popts.params.cluster.threads);
   std::fflush(stdout);
   std::string port_file = flags.GetString("port-file", "");
   if (!port_file.empty()) {
@@ -1129,7 +1119,7 @@ int Blast(const FlagParser& flags) {
           "blast", flags,
           {"clients", "curve", "seconds", "protocol", "batch", "objects",
            "snapshots", "seed", "no-verify", "json", "algo", "epsilon",
-           "mu", "min-size", "min-duration", "threads", "queue-capacity",
+           "mu", "min-size", "min-duration", "shards", "queue-capacity",
            "window-seconds", "window-objects", "inactive"})) {
     return Usage();
   }
