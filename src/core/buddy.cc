@@ -10,8 +10,6 @@
 namespace tcomp {
 namespace {
 
-constexpr uint32_t kNoBuddy = static_cast<uint32_t>(-1);
-
 /// Slots an id-indexed table needs to hold `id`, in 64 bits: `id + 1` in
 /// ObjectId arithmetic wraps to 0 for the largest id.
 size_t SlotsFor(ObjectId id) { return size_t{id} + 1; }
@@ -61,11 +59,11 @@ void BuddySet::Clear() {
 }
 
 void BuddySet::RebuildObjectMap() {
-  std::fill(object_to_buddy_.begin(), object_to_buddy_.end(), kNoBuddy);
+  std::fill(object_to_buddy_.begin(), object_to_buddy_.end(), kNoSlot);
   for (uint32_t bi = 0; bi < buddies_.size(); ++bi) {
     for (ObjectId oid : buddies_[bi].members) {
       if (oid >= object_to_buddy_.size()) {
-        object_to_buddy_.resize(SlotsFor(oid), kNoBuddy);
+        object_to_buddy_.resize(SlotsFor(oid), kNoSlot);
       }
       object_to_buddy_[oid] = bi;
     }
@@ -78,13 +76,6 @@ const Buddy* BuddySet::FindBuddyById(BuddyId id) const {
       [](const Buddy& b, BuddyId target) { return b.id < target; });
   if (it == buddies_.end() || it->id != id) return nullptr;
   return &*it;
-}
-
-const Buddy* BuddySet::FindBuddyOfObject(ObjectId id) const {
-  if (id >= object_to_buddy_.size()) return nullptr;
-  uint32_t bi = object_to_buddy_[id];
-  if (bi == kNoBuddy) return nullptr;
-  return &buddies_[bi];
 }
 
 void BuddySet::Initialize(const Snapshot& snapshot) {
@@ -102,26 +93,22 @@ void BuddySet::Initialize(const Snapshot& snapshot) {
 
   // Any two members of one buddy lie within 2·δγ of each other, so a
   // seed's potential members are its pairs from the shared sweep at 2·δγ.
-  // Seeds are taken in index order, so every index below seed i is
-  // already assigned and its unassigned candidates are exactly its
-  // pairs (i, j > i): the sweep emits each pair once from the smaller
-  // index, and sorting the packed pairs groups them by seed.
+  // Seeds are taken in index order, so every index below seed i, and i
+  // itself, is already assigned, and its unassigned candidates are
+  // exactly its unassigned neighbors in the 2·δγ graph. One counting
+  // pass lays the swept pairs out as that graph's rows; the order inside
+  // a row does not matter, since the candidates are sorted.
   Arena arena;
   internal::SweepPairs swept;
   const SnapshotSoA soa = BuildSnapshotSoA(snapshot, &arena);
   internal::SweepNeighborPairs(soa.x, soa.y, n, 2.0 * radius_threshold_,
                                nullptr, stripes_, &arena, &swept);
-  std::vector<uint64_t>& pairs = swept.pairs;
-  std::sort(pairs.begin(), pairs.end());
+  const NeighborTable graph = internal::NeighborTableFromPairs(
+      swept.pairs.data(), swept.pairs.size(), n, &arena);
 
   std::vector<bool> assigned(n, false);
   std::vector<uint32_t> candidates;
-  size_t next_pair = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const size_t first_pair = next_pair;
-    while (next_pair < pairs.size() && (pairs[next_pair] >> 32) == i) {
-      ++next_pair;
-    }
     if (assigned[i]) continue;
     assigned[i] = true;
     Buddy b;
@@ -133,9 +120,8 @@ void BuddySet::Initialize(const Snapshot& snapshot) {
     // Nearest-first greedy growth (paper: "merge with nearest neighbors,
     // stop when the radius exceeds the threshold").
     candidates.clear();
-    for (size_t k = first_pair; k < next_pair; ++k) {
-      const uint32_t j = static_cast<uint32_t>(pairs[k]);
-      if (!assigned[j]) candidates.push_back(j);
+    for (uint32_t e = graph.offsets[i]; e < graph.offsets[i + 1]; ++e) {
+      if (!assigned[graph.entries[e]]) candidates.push_back(graph.entries[e]);
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](uint32_t a, uint32_t bidx) {
@@ -187,7 +173,7 @@ void BuddySet::Update(const Snapshot& snapshot,
     if (oid >= last_pos_.size()) {
       last_pos_.resize(SlotsFor(oid), Point{});
       has_pos_.resize(SlotsFor(oid), false);
-      object_to_buddy_.resize(SlotsFor(oid), kNoBuddy);
+      object_to_buddy_.resize(SlotsFor(oid), kNoSlot);
     }
     last_pos_[oid] = snapshot.pos(i);
     has_pos_[oid] = true;
@@ -248,7 +234,7 @@ void BuddySet::Update(const Snapshot& snapshot,
   // Objects never seen before this snapshot become singleton buddies.
   for (size_t i = 0; i < snapshot.size(); ++i) {
     ObjectId oid = snapshot.id(i);
-    if (object_to_buddy_[oid] == kNoBuddy) {
+    if (object_to_buddy_[oid] == kNoSlot) {
       Buddy single;
       single.members = {oid};
       single.coord_sum = snapshot.pos(i);
@@ -272,9 +258,16 @@ void BuddySet::Update(const Snapshot& snapshot,
   // those pairs, in ascending (i, j) order against the current centers
   // and radii. A pair that comes within range only after an earlier merge
   // moved a center waits for the next pass; the loop ends when a pass
-  // merges nothing, so no mergeable pair is left. Each pass's scratch is
-  // its own, released when the pass ends.
+  // merges nothing, so no mergeable pair is left.
+  //
+  // Only the first pass sweeps every live center. A later pass sweeps
+  // only the pairs of the entries the pass before it grew (`grew`, its
+  // source mask): a pair of two entries that pass left alone failed the
+  // test, in it or earlier, with the centers and radii it still has.
+  // Each pass's scratch is its own, released when the pass ends.
   std::vector<bool> dead(work.size(), false);
+  std::vector<uint8_t> grew(work.size(), 0);
+  bool first_pass = true;
   bool merged_any = true;
   while (merged_any) {
     merged_any = false;
@@ -283,6 +276,8 @@ void BuddySet::Update(const Snapshot& snapshot,
     uint32_t* work_at = arena.AllocateArray<uint32_t>(work.size());
     double* xs = arena.AllocateArray<double>(work.size());
     double* ys = arena.AllocateArray<double>(work.size());
+    uint8_t* source =
+        first_pass ? nullptr : arena.AllocateArray<uint8_t>(work.size());
     size_t live = 0;
     for (uint32_t k = 0; k < work.size(); ++k) {
       if (dead[k]) continue;
@@ -290,13 +285,25 @@ void BuddySet::Update(const Snapshot& snapshot,
       work_at[live] = k;
       xs[live] = c.x;
       ys[live] = c.y;
+      if (source != nullptr) source[live] = grew[k];
+      grew[k] = 0;
       ++live;
     }
+    first_pass = false;
     local.distance_ops += internal::SweepNeighborPairs(
-        xs, ys, live, 2.0 * radius_threshold_, nullptr, stripes_, &arena,
+        xs, ys, live, 2.0 * radius_threshold_, source, stripes_, &arena,
         &swept);
     // Live positions keep work order, so ascending packed pairs are
-    // ascending (i, j) in `work` too.
+    // ascending (i, j) in `work` too. A masked sweep packs the pair of a
+    // source and a non-source from the source's side, so every pair is
+    // put in (min, max) form first.
+    if (source != nullptr) {
+      for (uint64_t& pair : swept.pairs) {
+        const uint64_t a = pair >> 32;
+        const uint64_t b = static_cast<uint32_t>(pair);
+        if (a > b) pair = (b << 32) | a;
+      }
+    }
     std::sort(swept.pairs.begin(), swept.pairs.end());
     for (uint64_t pair : swept.pairs) {
       const uint32_t i = work_at[pair >> 32];
@@ -326,21 +333,28 @@ void BuddySet::Update(const Snapshot& snapshot,
       work[i].coord_sum = work[i].coord_sum + work[j].coord_sum;
       work[i].radius = bound;
       dead[j] = true;
+      grew[i] = 1;
       merged_any = true;
       ++local.merges;
     }
   }
 
   // Finalize: surviving unchanged buddies keep their ids; changed ones get
-  // fresh ids (assigned in list order, so ids stay creation-ordered).
+  // fresh ids (assigned in list order, so ids stay creation-ordered). The
+  // unchanged ones lead `work` in id order and every fresh id is larger
+  // than theirs, so unchanged-then-changed is id order.
   buddies_.clear();
   for (size_t i = 0; i < work.size(); ++i) {
-    if (dead[i]) continue;
-    if (changed[i]) work[i].id = NextId();
+    if (!dead[i] && !changed[i]) buddies_.push_back(std::move(work[i]));
+  }
+  for (size_t i = 0; i < work.size(); ++i) {
+    if (dead[i] || !changed[i]) continue;
+    work[i].id = NextId();
     buddies_.push_back(std::move(work[i]));
   }
-  std::sort(buddies_.begin(), buddies_.end(),
-            [](const Buddy& a, const Buddy& b) { return a.id < b.id; });
+  TCOMP_DCHECK(std::is_sorted(
+      buddies_.begin(), buddies_.end(),
+      [](const Buddy& a, const Buddy& b) { return a.id < b.id; }));
   RebuildObjectMap();
 
   local.total = static_cast<int64_t>(buddies_.size());

@@ -72,8 +72,9 @@ class BuddySet {
   /// members' current positions, splits members that drifted beyond δγ,
   /// then merges buddy pairs satisfying
   ///   dist(cen_i, cen_j) + γi + γj ≤ 2·δγ
-  /// until none is left (each merge pass tests the pairs of one sweep of
-  /// the live centers at 2·δγ).
+  /// until none is left. The first merge pass tests the pairs of one
+  /// sweep of every live center at 2·δγ; each later pass sweeps only the
+  /// pairs of the buddies the pass before it grew (DESIGN.md §1.6d).
   /// Objects absent from `snapshot` keep their last known position.
   /// If `stats` is non-null the pass's counters are added to it.
   void Update(const Snapshot& snapshot, BuddyMaintenanceStats* stats);
@@ -92,8 +93,20 @@ class BuddySet {
   /// Buddies and counters are identical at every count.
   void set_stripes(int stripes) { stripes_ = stripes; }
 
+  /// SlotOfObject's answer for an object in no buddy.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Position in buddies() of the buddy currently containing `id`, or
+  /// kNoSlot: one read of the dense object → buddy map.
+  uint32_t SlotOfObject(ObjectId id) const {
+    return id < object_to_buddy_.size() ? object_to_buddy_[id] : kNoSlot;
+  }
+
   /// The buddy currently containing `id`, or nullptr.
-  const Buddy* FindBuddyOfObject(ObjectId id) const;
+  const Buddy* FindBuddyOfObject(ObjectId id) const {
+    const uint32_t slot = SlotOfObject(id);
+    return slot == kNoSlot ? nullptr : &buddies_[slot];
+  }
 
   /// The live buddy with this id, or nullptr (binary search; buddies_ is
   /// id-sorted).
@@ -122,7 +135,7 @@ class BuddySet {
   BuddyId next_id_ = 0;
   std::vector<Buddy> buddies_;            // ascending by id
   std::vector<BuddyId> retired_ids_;      // from the last Update()
-  std::vector<uint32_t> object_to_buddy_;  // ObjectId -> index in buddies_
+  std::vector<uint32_t> object_to_buddy_;  // ObjectId -> slot in buddies_
   // Last known position per object (carry-forward for absent objects).
   std::vector<Point> last_pos_;
   std::vector<bool> has_pos_;

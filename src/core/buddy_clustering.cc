@@ -1,16 +1,12 @@
 #include "core/buddy_clustering.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/arena.h"
 #include "util/logging.h"
 
 namespace tcomp {
-namespace {
-
-constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
-
-}  // namespace
 
 Clustering BuddyBasedClustering(const Snapshot& snapshot,
                                 const BuddySet& buddies,
@@ -24,34 +20,40 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
 
   const std::vector<Buddy>& blist = buddies.buddies();
   const size_t m = blist.size();
+  Arena arena;  // the tables below live until the call returns
 
-  // Member snapshot-indices per buddy (members absent from the snapshot
-  // are skipped; upstream carry-forward normally prevents that).
-  std::vector<std::vector<uint32_t>> members(m);
-  std::vector<uint32_t> buddy_of(n, kAbsent);
-  for (size_t b = 0; b < m; ++b) {
-    members[b].reserve(blist[b].members.size());
-    for (ObjectId oid : blist[b].members) {
-      size_t idx = snapshot.IndexOf(oid);
-      if (idx == Snapshot::kNpos) continue;
-      members[b].push_back(static_cast<uint32_t>(idx));
-      buddy_of[idx] = static_cast<uint32_t>(b);
-    }
-    std::sort(members[b].begin(), members[b].end());
-  }
+  // Member table: row b holds the snapshot indices of buddy b's members
+  // present in the snapshot (members absent from it are carried forward
+  // by BuddySet and have no index). One pass in index order reads each
+  // object's slot, counts per slot and fills, so every row ascends.
+  uint32_t* buddy_of = arena.AllocateArray<uint32_t>(n);
+  uint32_t* member_at = arena.AllocateArray<uint32_t>(m + 1);
+  std::fill(member_at, member_at + m + 1, 0u);
   for (size_t i = 0; i < n; ++i) {
-    TCOMP_DCHECK(buddy_of[i] != kAbsent)
+    const uint32_t slot = buddies.SlotOfObject(snapshot.id(i));
+    TCOMP_CHECK(slot != BuddySet::kNoSlot)
         << "object " << snapshot.id(i) << " is in no buddy; call "
         << "BuddySet::Update with this snapshot first";
+    buddy_of[i] = slot;
+    ++member_at[slot + 1];
   }
+  for (size_t b = 0; b < m; ++b) member_at[b + 1] += member_at[b];
+  uint32_t* member_fill = arena.AllocateArray<uint32_t>(m);
+  std::copy(member_at, member_at + m, member_fill);
+  uint32_t* member_idx = arena.AllocateArray<uint32_t>(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    member_idx[member_fill[buddy_of[i]]++] = i;
+  }
+  const auto members = [&](size_t b) {
+    return std::span<const uint32_t>(member_idx + member_at[b],
+                                     member_idx + member_at[b + 1]);
+  };
 
   // Density-connected buddies (Lemma 2): every member is core.
-  std::vector<bool> dcb(m, false);
+  uint8_t* dcb = arena.AllocateArray<uint8_t>(m);
   for (size_t b = 0; b < m; ++b) {
-    if (members[b].size() >= mu + 1 && blist[b].radius <= eps / 2.0) {
-      dcb[b] = true;
-      ++local.lemma2_buddies;
-    }
+    dcb[b] = members(b).size() >= mu + 1 && blist[b].radius <= eps / 2.0;
+    local.lemma2_buddies += dcb[b];
   }
 
   // Buddy adjacency under Lemma 3. Pairs pruned here never reach the
@@ -61,48 +63,55 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   // pairs beyond it count as Lemma-3-pruned — same criterion, evaluated
   // geometrically. The sweep's own candidate count is not a distance_ops
   // figure: pairs_checked / pairs_pruned are this stage's counters.
-  std::vector<std::vector<uint32_t>> adjacent(m);
-  {
-    Arena arena;
-    internal::SweepPairs swept;
-    uint32_t* buddy_at = arena.AllocateArray<uint32_t>(m);
-    double* xs = arena.AllocateArray<double>(m);
-    double* ys = arena.AllocateArray<double>(m);
-    double gamma_max = 0.0;
-    int64_t nonempty = 0;
-    for (size_t b = 0; b < m; ++b) {
-      if (members[b].empty()) continue;
-      gamma_max = std::max(gamma_max, blist[b].radius);
-      const Point c = blist[b].center();
-      buddy_at[nonempty] = static_cast<uint32_t>(b);
-      xs[nonempty] = c.x;
-      ys[nonempty] = c.y;
-      ++nonempty;
-    }
-    local.pairs_checked += nonempty * (nonempty - 1) / 2;
-    internal::SweepNeighborPairs(xs, ys, static_cast<size_t>(nonempty),
-                                 eps + 2.0 * gamma_max, nullptr,
-                                 params.threads, &arena, &swept);
-    int64_t linked = 0;
-    for (uint64_t pair : swept.pairs) {
-      const uint32_t i = buddy_at[pair >> 32];
-      const uint32_t j = buddy_at[static_cast<uint32_t>(pair)];
-      double d = Distance(blist[i].center(), blist[j].center());
-      // The Lemma-3 prune subtracts disk radii from the center
-      // distance, which has no squared form; it only discards pairs
-      // provably beyond ε — membership is still decided by WithinEps
-      // downstream.
-      // tcomp-lint: allow(sqrt-eps): lemma bound needs the true root
-      if (d - blist[i].radius - blist[j].radius > eps) continue;
-      adjacent[i].push_back(j);
-      adjacent[j].push_back(i);
-      ++linked;
-    }
-    local.pairs_pruned += nonempty * (nonempty - 1) / 2 - linked;
-    for (std::vector<uint32_t>& list : adjacent) {
-      std::sort(list.begin(), list.end());
-    }
+  internal::SweepPairs swept;
+  uint32_t* buddy_at = arena.AllocateArray<uint32_t>(m);
+  double* xs = arena.AllocateArray<double>(m);
+  double* ys = arena.AllocateArray<double>(m);
+  double gamma_max = 0.0;
+  int64_t nonempty = 0;
+  for (size_t b = 0; b < m; ++b) {
+    if (members(b).empty()) continue;
+    gamma_max = std::max(gamma_max, blist[b].radius);
+    const Point c = blist[b].center();
+    buddy_at[nonempty] = static_cast<uint32_t>(b);
+    xs[nonempty] = c.x;
+    ys[nonempty] = c.y;
+    ++nonempty;
   }
+  local.pairs_checked += nonempty * (nonempty - 1) / 2;
+  internal::SweepNeighborPairs(xs, ys, static_cast<size_t>(nonempty),
+                               eps + 2.0 * gamma_max, nullptr,
+                               params.threads, &arena, &swept);
+  // The kept pairs overwrite the swept list in place, packed as slots
+  // (i << 32 | j) with i < j: positions ascend with slots, and the sweep
+  // packs each pair from its smaller position. Sorted, they fill the
+  // adjacency table: row b is b itself, then its adjacent buddies
+  // ascending — the order the core-flag early stop at μ, and so
+  // distance_ops, depend on.
+  std::vector<uint64_t>& linked = swept.pairs;
+  size_t kept = 0;
+  for (uint64_t pair : swept.pairs) {
+    const uint32_t i = buddy_at[pair >> 32];
+    const uint32_t j = buddy_at[static_cast<uint32_t>(pair)];
+    double d = Distance(blist[i].center(), blist[j].center());
+    // The Lemma-3 prune subtracts disk radii from the center
+    // distance, which has no squared form; it only discards pairs
+    // provably beyond ε — membership is still decided by WithinEps
+    // downstream.
+    // tcomp-lint: allow(sqrt-eps): lemma bound needs the true root
+    if (d - blist[i].radius - blist[j].radius > eps) continue;
+    linked[kept++] = (uint64_t{i} << 32) | j;
+  }
+  linked.resize(kept);
+  std::sort(linked.begin(), linked.end());
+  local.pairs_pruned +=
+      nonempty * (nonempty - 1) / 2 - static_cast<int64_t>(kept);
+  const NeighborTable lemma3 =
+      internal::NeighborTableFromPairs(linked.data(), kept, m, &arena);
+  const auto adjacent = [&](size_t b) {
+    return std::span<const uint32_t>(lemma3.entries + lemma3.offsets[b] + 1,
+                                     lemma3.entries + lemma3.offsets[b + 1]);
+  };
 
   // Core flags. Members of density-connected buddies are core for free;
   // everyone else counts ε-neighbors (self included) over its own buddy
@@ -110,13 +119,13 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   std::vector<bool> core(n, false);
   for (size_t b = 0; b < m; ++b) {
     if (dcb[b]) {
-      for (uint32_t idx : members[b]) core[idx] = true;
+      for (uint32_t idx : members(b)) core[idx] = true;
       continue;
     }
-    for (uint32_t idx : members[b]) {
+    for (uint32_t idx : members(b)) {
       size_t count = 1;  // self
       Point p = snapshot.pos(idx);
-      auto scan = [&](const std::vector<uint32_t>& list) {
+      auto scan = [&](std::span<const uint32_t> list) {
         for (uint32_t other : list) {
           if (other == idx) continue;
           ++local.distance_ops;
@@ -130,13 +139,9 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
         }
         return false;
       };
-      bool done = scan(members[b]);
-      if (!done) {
-        for (uint32_t nb : adjacent[b]) {
-          if (scan(members[nb])) {
-            done = true;
-            break;
-          }
+      if (!scan(members(b))) {
+        for (uint32_t nb : adjacent(b)) {
+          if (scan(members(nb))) break;
         }
       }
       core[idx] = count >= mu;
@@ -149,7 +154,7 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
   // Within one buddy: a density-connected buddy is fully ε-close, so its
   // cores chain directly; otherwise check in-buddy core pairs.
   for (size_t b = 0; b < m; ++b) {
-    const std::vector<uint32_t>& mem = members[b];
+    const std::span<const uint32_t> mem = members(b);
     if (dcb[b]) {
       for (size_t k = 1; k < mem.size(); ++k) sets.Union(mem[0], mem[k]);
       continue;
@@ -169,31 +174,43 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
     }
   }
 
-  // Across adjacent buddy pairs. Lemma 4 short-circuits pairs of
-  // density-connected buddies at the first ε-close cross pair.
-  for (size_t i = 0; i < m; ++i) {
-    for (uint32_t j : adjacent[i]) {
-      if (j <= i) continue;  // each unordered pair once
-      bool both_dcb = dcb[i] && dcb[j];
-      bool shortcut_done = false;
-      for (uint32_t a : members[i]) {
-        if (shortcut_done) break;
-        for (uint32_t c : members[j]) {
-          ++local.distance_ops;
-          // tcomp-lint: allow(soa-raw-loop): Lemma 4 short-circuits at
-          // the first ε-close cross pair; batching would evaluate pairs
-          // the scalar walk never reaches and change distance_ops.
-          if (!WithinEps(snapshot.pos(a), snapshot.pos(c), eps2)) {
-            continue;
+  // Across adjacent buddy pairs, in ascending (i, j) order. Only a union
+  // of two sets can change the clustering, so nothing else is tested: a
+  // pair of density-connected buddies (each one set already) is skipped
+  // once the two sets are joined, and Lemma 4 joins them at the first
+  // ε-close cross pair; any other pair tests only its core–core object
+  // pairs that are not yet in one set.
+  for (uint64_t pair : linked) {
+    const std::span<const uint32_t> mi = members(pair >> 32);
+    const std::span<const uint32_t> mj = members(static_cast<uint32_t>(pair));
+    if (dcb[pair >> 32] && dcb[static_cast<uint32_t>(pair)]) {
+      if (sets.Find(mi[0]) == sets.Find(mj[0])) continue;
+      [&] {
+        for (uint32_t a : mi) {
+          for (uint32_t c : mj) {
+            ++local.distance_ops;
+            // tcomp-lint: allow(soa-raw-loop): Lemma 4 stops at the first
+            // ε-close cross pair; batching would evaluate pairs the
+            // scalar walk never reaches and change distance_ops.
+            if (WithinEps(snapshot.pos(a), snapshot.pos(c), eps2)) {
+              sets.Union(a, c);
+              return;
+            }
           }
-          if (both_dcb) {
-            // Lemma 4: all objects of both buddies are density connected.
-            sets.Union(a, c);
-            ++local.lemma4_shortcuts;
-            shortcut_done = true;
-            break;
-          }
-          if (core[a] && core[c]) sets.Union(a, c);
+        }
+      }();
+      continue;
+    }
+    for (uint32_t a : mi) {
+      if (!core[a]) continue;
+      for (uint32_t c : mj) {
+        if (!core[c] || sets.Find(a) == sets.Find(c)) continue;
+        ++local.distance_ops;
+        // tcomp-lint: allow(soa-raw-loop): which pairs are left to test
+        // depends on the unions made so far; a batch would evaluate pairs
+        // already joined and change distance_ops.
+        if (WithinEps(snapshot.pos(a), snapshot.pos(c), eps2)) {
+          sets.Union(a, c);
         }
       }
     }
@@ -210,8 +227,8 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
     }
     uint32_t best = internal::kNoAttach;
     Point p = snapshot.pos(i);
-    uint32_t b = buddy_of[i];
-    auto consider = [&](const std::vector<uint32_t>& list) {
+    const uint32_t b = buddy_of[i];
+    auto consider = [&](std::span<const uint32_t> list) {
       for (uint32_t other : list) {
         if (other == i || !core[other]) continue;
         if (other >= best) continue;  // only lower indices can improve
@@ -222,8 +239,8 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
         if (WithinEps(p, snapshot.pos(other), eps2)) best = other;
       }
     };
-    consider(members[b]);
-    for (uint32_t nb : adjacent[b]) consider(members[nb]);
+    consider(members(b));
+    for (uint32_t nb : adjacent(b)) consider(members(nb));
     attach_to[i] = best;
   }
 
@@ -235,7 +252,6 @@ Clustering BuddyBasedClustering(const Snapshot& snapshot,
     stats->pairs_checked += local.pairs_checked;
     stats->pairs_pruned += local.pairs_pruned;
     stats->lemma2_buddies += local.lemma2_buddies;
-    stats->lemma4_shortcuts += local.lemma4_shortcuts;
     stats->distance_ops += local.distance_ops;
   }
   return result;

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/sorted_ops.h"
@@ -95,30 +94,33 @@ void BuddyDiscoverer::ProcessSnapshot(
   const size_t min_size = static_cast<size_t>(params_.size_threshold);
 
   // Atomize clusters: a buddy wholly inside a cluster becomes one token;
-  // straddling buddies contribute loose objects.
+  // straddling buddies contribute loose objects. A buddy is wholly inside
+  // iff its member count in the cluster is its size. The counts live per
+  // buddy slot and are all zero between clusters: each cluster walks its
+  // members to count, to emit, and to clear.
+  const std::vector<Buddy>& live = buddies_.buddies();
+  slot_counts_.resize(live.size());
+  constexpr uint32_t kTokenEmitted = UINT32_MAX;
   std::vector<AtomSet> cluster_atoms(clustering.clusters.size());
   for (size_t ci = 0; ci < clustering.clusters.size(); ++ci) {
     const ObjectSet& cluster = clustering.clusters[ci];
     AtomSet& atoms = cluster_atoms[ci];
     atoms.size = cluster.size();
-    // Group consecutive members by live buddy; a buddy's member list is
-    // wholly inside the cluster iff its member count here matches.
-    std::unordered_map<BuddyId, uint32_t> counts;
+    // Every clustered object is in a buddy (BuddyBasedClustering checks).
+    for (ObjectId o : cluster) ++slot_counts_[buddies_.SlotOfObject(o)];
     for (ObjectId o : cluster) {
-      BuddyId b = LiveBuddyOf(o);
-      TCOMP_DCHECK(b != kNoLiveBuddy);
-      ++counts[b];
-    }
-    for (ObjectId o : cluster) {
-      BuddyId b = LiveBuddyOf(o);
-      const Buddy* buddy = buddies_.FindBuddyOfObject(o);
-      if (buddy != nullptr && counts[b] == buddy->members.size()) {
-        atoms.buddy_ids.push_back(b);
+      const uint32_t slot = buddies_.SlotOfObject(o);
+      uint32_t& count = slot_counts_[slot];
+      if (count == kTokenEmitted) continue;
+      if (count == live[slot].members.size()) {
+        atoms.buddy_ids.push_back(live[slot].id);
+        count = kTokenEmitted;
       } else {
         atoms.objects.push_back(o);
       }
     }
-    SortUnique(&atoms.buddy_ids);
+    for (ObjectId o : cluster) slot_counts_[buddies_.SlotOfObject(o)] = 0;
+    std::sort(atoms.buddy_ids.begin(), atoms.buddy_ids.end());
     for (BuddyId b : atoms.buddy_ids) EnsureIndexed(b);
     // `objects` is already sorted (cluster is sorted) and unique.
     // The cluster's expanded set is the raw cluster itself; its signature
@@ -287,14 +289,10 @@ Status BuddyDiscoverer::SaveState(std::ostream& out) const {
   }
 
   // Index entries, id-sorted for a deterministic file.
-  std::vector<BuddyId> ids;
-  ids.reserve(index_.entries().size());
-  // tcomp-lint: allow(unordered-iter): only collects keys; sorted below
-  for (const auto& [id, members] : index_.entries()) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  const std::vector<BuddyId> ids = index_.SortedIds();
   out << "index " << ids.size() << '\n';
   for (BuddyId id : ids) {
-    const ObjectSet& members = index_.entries().at(id);
+    const ObjectSet& members = index_.MembersOf(id);
     out << id << ' ' << members.size();
     for (ObjectId o : members) out << ' ' << o;
     out << '\n';
@@ -387,16 +385,41 @@ Status BuddyDiscoverer::LoadState(std::istream& in) {
   }
   buddies_.ImportState(state);
 
+  // The index keeps the identity contract of buddy.h: an id was handed
+  // out (below next_id) and denotes one fixed membership of objects the
+  // set has seen, so a live id lists exactly its live buddy's members.
+  // EnsureIndexed trusts any entry present, so each is checked here.
   size_t nindex = 0;
   if (!(in >> tag >> nindex) || tag != "index") {
     return Status::Corruption("expected 'index' section");
   }
   index_.Clear();
+  BuddyId previous = 0;
   for (size_t i = 0; i < nindex; ++i) {
     BuddyId id = 0;
     if (!(in >> id)) return Status::Corruption("bad index record");
+    if (id >= state.next_id || (i > 0 && id <= previous)) {
+      return Status::Corruption(
+          "index ids not strictly ascending below next_id");
+    }
+    previous = id;
     ObjectSet members;
     TCOMP_RETURN_IF_ERROR(ReadObjectSet(in, "index", &members));
+    if (members.empty()) return Status::Corruption("empty index entry");
+    for (ObjectId o : members) {
+      auto at = std::lower_bound(
+          state.last_positions.begin(), state.last_positions.end(), o,
+          [](const auto& last, ObjectId target) {
+            return last.first < target;
+          });
+      if (at == state.last_positions.end() || at->first != o) {
+        return Status::Corruption("index member has no lastpos entry");
+      }
+    }
+    const Buddy* live = buddies_.FindBuddyById(id);
+    if (live != nullptr && live->members != members) {
+      return Status::Corruption("index entry differs from its live buddy");
+    }
     index_.Register(id, members);
   }
 

@@ -55,6 +55,8 @@ class BuddyDiscoverer : public CompanionDiscoverer {
   BuddyIndex index_;
   std::vector<AtomSet> candidates_;
   LabelTable cluster_labels_;  // rebuilt per snapshot, storage reused
+  // I-step member count per buddy slot; all zero between clusters.
+  std::vector<uint32_t> slot_counts_;
   bool initialized_ = false;
 };
 

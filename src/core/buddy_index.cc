@@ -8,27 +8,32 @@
 namespace tcomp {
 
 void BuddyIndex::Register(BuddyId id, const ObjectSet& members) {
-  auto it = members_.find(id);
-  if (it != members_.end()) {
-    stored_objects_ -= static_cast<int64_t>(it->second.size());
-    it->second = members;
-  } else {
-    members_.emplace(id, members);
-  }
-  signatures_[id] = SetSignature::Of(members);
-  stored_objects_ += static_cast<int64_t>(members.size());
+  Entry& entry = entries_[id];
+  stored_objects_ += static_cast<int64_t>(members.size()) -
+                     static_cast<int64_t>(entry.members.size());
+  entry.members = members;
+  entry.signature = SetSignature::Of(members);
 }
 
 const ObjectSet& BuddyIndex::MembersOf(BuddyId id) const {
-  auto it = members_.find(id);
-  TCOMP_CHECK(it != members_.end()) << "buddy " << id << " not indexed";
-  return it->second;
+  auto it = entries_.find(id);
+  TCOMP_CHECK(it != entries_.end()) << "buddy " << id << " not indexed";
+  return it->second.members;
 }
 
 const SetSignature& BuddyIndex::SignatureOf(BuddyId id) const {
-  auto it = signatures_.find(id);
-  TCOMP_CHECK(it != signatures_.end()) << "buddy " << id << " not indexed";
-  return it->second;
+  auto it = entries_.find(id);
+  TCOMP_CHECK(it != entries_.end()) << "buddy " << id << " not indexed";
+  return it->second.signature;
+}
+
+std::vector<BuddyId> BuddyIndex::SortedIds() const {
+  std::vector<BuddyId> ids;
+  ids.reserve(entries_.size());
+  // tcomp-lint: allow(unordered-iter): only collects keys; sorted below
+  for (const auto& [id, entry] : entries_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 SetSignature BuddyIndex::ComposeSignature(const AtomSet& set) const {
@@ -72,12 +77,11 @@ void BuddyIndex::ExpandRetired(const std::vector<BuddyId>& retired,
 
 void BuddyIndex::PruneExcept(const std::vector<BuddyId>& referenced) {
   TCOMP_DCHECK(IsSortedUnique(referenced));
-  for (auto it = members_.begin(); it != members_.end();) {
+  for (auto it = entries_.begin(); it != entries_.end();) {
     if (!std::binary_search(referenced.begin(), referenced.end(),
                             it->first)) {
-      stored_objects_ -= static_cast<int64_t>(it->second.size());
-      signatures_.erase(it->first);
-      it = members_.erase(it);
+      stored_objects_ -= static_cast<int64_t>(it->second.members.size());
+      it = entries_.erase(it);
     } else {
       ++it;
     }
@@ -85,8 +89,7 @@ void BuddyIndex::PruneExcept(const std::vector<BuddyId>& referenced) {
 }
 
 void BuddyIndex::Clear() {
-  members_.clear();
-  signatures_.clear();
+  entries_.clear();
   stored_objects_ = 0;
 }
 

@@ -59,7 +59,7 @@ class BuddyIndex {
   /// per-buddy signatures in O(atom_count) without expanding anything.
   SetSignature ComposeSignature(const AtomSet& set) const;
 
-  bool Contains(BuddyId id) const { return members_.count(id) > 0; }
+  bool Contains(BuddyId id) const { return entries_.count(id) > 0; }
 
   /// Expands an atom set to its full object-id set.
   ObjectSet Expand(const AtomSet& set) const;
@@ -76,17 +76,19 @@ class BuddyIndex {
   /// Total objects stored in the index (one copy per registered buddy) —
   /// part of BU's space-cost accounting.
   int64_t stored_objects() const { return stored_objects_; }
-  size_t size() const { return members_.size(); }
+  size_t size() const { return entries_.size(); }
   void Clear();
 
-  /// Raw entries (checkpoint/restore support).
-  const std::unordered_map<BuddyId, ObjectSet>& entries() const {
-    return members_;
-  }
+  /// Every registered id, ascending (checkpoint support).
+  std::vector<BuddyId> SortedIds() const;
 
  private:
-  std::unordered_map<BuddyId, ObjectSet> members_;
-  std::unordered_map<BuddyId, SetSignature> signatures_;
+  /// One entry per id, so every query is one lookup.
+  struct Entry {
+    ObjectSet members;
+    SetSignature signature;  // SetSignature::Of(members)
+  };
+  std::unordered_map<BuddyId, Entry> entries_;
   int64_t stored_objects_ = 0;
 };
 

@@ -31,7 +31,9 @@ namespace tcomp {
 ///
 ///   - AllocateArray<T>(n) returns n uninitialized T slots (T must be
 ///     trivially copyable and trivially destructible — no destructors
-///     ever run);
+///     ever run). Blocks are allocated without a zero-fill, so a caller
+///     writes every slot before it reads it, and Reset() touches no page
+///     of the block it allocates;
 ///   - pointers stay valid until the next Reset(), never across it;
 ///   - Reset() rewinds the cursor and *keeps the capacity*, so after a
 ///     warm-up snapshot has established the high-water mark the steady
@@ -81,7 +83,7 @@ class Arena {
       size_t capacity = capacity_ < 64 ? 64 : capacity_;
       while (capacity < want) capacity *= 2;
       Unpoison(block_.get(), capacity_);
-      block_ = std::make_unique<unsigned char[]>(capacity);
+      block_ = std::make_unique_for_overwrite<unsigned char[]>(capacity);
       capacity_ = capacity;
       overflow_.clear();
       overflow_bytes_ = 0;
@@ -108,9 +110,10 @@ class Arena {
       return block_.get() + aligned;
     }
     // Overflow: a dedicated block, consolidated at the next Reset().
-    // make_unique<unsigned char[]> storage is aligned for every
-    // fundamental type (__STDCPP_DEFAULT_NEW_ALIGNMENT__ ≥ 16).
-    overflow_.push_back(std::make_unique<unsigned char[]>(bytes));
+    // new unsigned char[] storage is aligned for every fundamental type
+    // (__STDCPP_DEFAULT_NEW_ALIGNMENT__ ≥ 16).
+    overflow_.push_back(
+        std::make_unique_for_overwrite<unsigned char[]>(bytes));
     overflow_bytes_ += bytes;
     return overflow_.back().get();
   }

@@ -742,6 +742,94 @@ TEST(CheckpointTest, NonFiniteBuddyStateRejected) {
   }
 }
 
+// The index section keeps buddy.h's identity contract: an id was handed
+// out (below next_id) and denotes one fixed, non-empty membership of
+// objects the set has seen. The discoverer trusts every entry it finds
+// there, so each shape below once resumed into wrong companions.
+
+/// The "index id n m_1 ... m_n" record lines of `lines`, by line number.
+std::vector<size_t> IndexRecords(const std::vector<std::string>& lines) {
+  const size_t at = SectionWithRecords(lines, "index ");
+  std::vector<size_t> records;
+  const size_t count = at < lines.size() ? std::stoul(Fields(lines[at])[1])
+                                         : 0;
+  for (size_t i = at + 1; i <= at + count && i < lines.size(); ++i) {
+    records.push_back(i);
+  }
+  return records;
+}
+
+TEST(CheckpointTest, IndexIdsOutOfOrderRejected) {
+  std::vector<std::string> lines = BuLines();
+  const std::vector<size_t> records = IndexRecords(lines);
+  ASSERT_GE(records.size(), 2u);
+  std::swap(lines[records[0]], lines[records[1]]);
+  ExpectBuCorruption(lines, "index ids not strictly ascending");
+}
+
+TEST(CheckpointTest, IndexIdAtNextIdRejected) {
+  std::vector<std::string> lines = BuLines();
+  const std::string next_id =
+      Fields(lines[SectionWithRecords(lines, "buddyset ")])[1];
+  const std::string seen =
+      Fields(lines[SectionWithRecords(lines, "lastpos ") + 1])[0];
+  // One more entry, for the id the set would hand out next.
+  const size_t at = SectionWithRecords(lines, "index ");
+  const size_t count = std::stoul(Fields(lines[at])[1]);
+  lines[at] = "index " + std::to_string(count + 1);
+  lines.insert(lines.begin() + static_cast<ptrdiff_t>(at + count + 1),
+               next_id + " 1 " + seen);
+  ExpectBuCorruption(lines, "below next_id");
+}
+
+TEST(CheckpointTest, EmptyIndexEntryRejected) {
+  std::vector<std::string> lines = BuLines();
+  const std::vector<size_t> records = IndexRecords(lines);
+  ASSERT_FALSE(records.empty());
+  std::vector<std::string> f = Fields(lines[records[0]]);
+  f.resize(1);
+  f.push_back("0");
+  lines[records[0]] = JoinFields(f);
+  ExpectBuCorruption(lines, "empty index entry");
+}
+
+TEST(CheckpointTest, IndexMemberWithoutLastposRejected) {
+  std::vector<std::string> lines = BuLines();
+  const std::vector<size_t> records = IndexRecords(lines);
+  ASSERT_FALSE(records.empty());
+  // The last member becomes an id beyond every sighting.
+  std::vector<std::string> f = Fields(lines[records[0]]);
+  f.back() = "4000000";
+  lines[records[0]] = JoinFields(f);
+  ExpectBuCorruption(lines, "index member has no lastpos entry");
+}
+
+TEST(CheckpointTest, IndexEntryDifferingFromLiveBuddyRejected) {
+  std::vector<std::string> lines = BuLines();
+  const size_t buddyset = SectionWithRecords(lines, "buddyset ");
+  const size_t nbuddies = std::stoul(Fields(lines[buddyset])[2]);
+  std::set<std::string> live;
+  for (size_t i = buddyset + 1; i <= buddyset + nbuddies; ++i) {
+    live.insert(Fields(lines[i])[0]);
+  }
+  // A live entry of two or more members loses its last one: still
+  // ascending, still seen, no longer the live buddy's membership.
+  size_t at = lines.size();
+  for (size_t i : IndexRecords(lines)) {
+    const std::vector<std::string> f = Fields(lines[i]);
+    if (live.count(f[0]) > 0 && f.size() >= 4) {
+      at = i;
+      break;
+    }
+  }
+  ASSERT_LT(at, lines.size()) << "no live index entry of two members";
+  std::vector<std::string> f = Fields(lines[at]);
+  f.pop_back();
+  f[1] = std::to_string(f.size() - 2);
+  lines[at] = JoinFields(f);
+  ExpectBuCorruption(lines, "index entry differs from its live buddy");
+}
+
 // ---------------------------------------------------------------------
 // Kill+resume of CI and SC at every snapshot index: the resumed run is the
 // uninterrupted run, counters included.

@@ -33,6 +33,16 @@ dump_logs_on_failure() {
 }
 trap dump_logs_on_failure EXIT
 
+# Fails unless file $1 has SHA-256 digest $2; $3 says what a mismatch
+# means.
+expect_digest() {
+    actual=$(sha256sum "$1" | cut -d ' ' -f 1)
+    if [ "$actual" != "$2" ]; then
+        echo "cli_smoke: $1 has sha256 $actual, expected $2: $3" >&2
+        exit 1
+    fi
+}
+
 # Waits (up to ~10s) for a serve process to write its bound port.
 wait_for_port_file() {
     i=0
@@ -46,6 +56,12 @@ wait_for_port_file() {
 "$CLI" generate --dataset d2 --snapshots 40 --out d2.csv --truth d2.truth \
     --seed 7 > gen.log
 grep -q "wrote" gen.log
+# The input every product below is computed from is pinned on its own,
+# so that a change in the generator or in libm is told apart from a
+# change in an algorithm's products.
+expect_digest d2.csv \
+    7cb2e1ecf92126031060a97d7598fee895cb2b07f4dcd03efea18c7a31badade \
+    "the d2 generator (or the libm under it) writes a different stream"
 
 "$CLI" discover --csv d2.csv --algo bu --epsilon 24 --mu 5 \
     --min-size 10 --min-duration 10 --window-seconds 60 --shards 2 \
@@ -151,6 +167,18 @@ for algo in ci sc bu; do
     done
     cmp "stripes_${algo}_1.csv" "stripes_${algo}_3.csv"
 done
+# The products themselves are pinned: every other product check here
+# compares two runs of the same build, which agree with each other even
+# when both are wrong. SC and BU report the same companions.
+expect_digest stripes_ci_1.csv \
+    c1a30d509a2b015d7edb35462a2334dd44e66b57a476e34e6a0e016bc6efad14 \
+    "CI's companions on the pinned d2 stream changed"
+expect_digest stripes_sc_1.csv \
+    a0fe77bd1f2c3ed435d4457f747d0a745f08aff62920e3f341d03a27c667975c \
+    "SC's companions on the pinned d2 stream changed"
+expect_digest stripes_bu_1.csv \
+    a0fe77bd1f2c3ed435d4457f747d0a745f08aff62920e3f341d03a27c667975c \
+    "BU's companions on the pinned d2 stream changed"
 expect_exit 2 "$CLI" suggest --csv d2.csv --window-seconds 0
 grep -q -- "--window-seconds" expect.err
 expect_exit 2 "$CLI" suggest --csv d2.csv --k 0
